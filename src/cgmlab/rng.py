@@ -147,6 +147,14 @@ def exp_from_uniform(u: np.ndarray, mean: float) -> np.ndarray:
     return -mean * np.log1p(-u)
 
 
+def _exp_in_place(u: np.ndarray, mean: float) -> np.ndarray:
+    # exp_from_uniform's arithmetic, step for step, overwriting the sampler's
+    # own uniform array so no temporary of its size is allocated.
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.multiply(u, -mean, out=u)
+
+
 def sample_uniform(shape, spec: RngSpec) -> np.ndarray:
     """Uniform [0, 1) draws, the raw stream behind the exponential samplers."""
     return spec.generator().random(shape)
@@ -159,8 +167,7 @@ def sample_exp_field(rows: int, cols: int, mean: float, spec: RngSpec,
         raise ValueError("field dimensions must be positive")
     if not mean > 0:
         raise ValueError("mean must be positive")
-    u = sample_uniform((rows, cols), spec)
-    return WeightField(origin, exp_from_uniform(u, mean))
+    return WeightField(origin, _exp_in_place(sample_uniform((rows, cols), spec), mean))
 
 
 def sample_exp_window(offset: int, length: int, mean: float, spec: RngSpec) -> SeqWindow:
@@ -169,5 +176,4 @@ def sample_exp_window(offset: int, length: int, mean: float, spec: RngSpec) -> S
         raise ValueError("window length must be positive")
     if not mean > 0:
         raise ValueError("mean must be positive")
-    u = sample_uniform(length, spec)
-    return SeqWindow(offset, exp_from_uniform(u, mean))
+    return SeqWindow(offset, _exp_in_place(sample_uniform(length, spec), mean))

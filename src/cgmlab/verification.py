@@ -103,7 +103,7 @@ def criterion_2(seed: int, instances: int = 200, window: int = 1000) -> Criterio
         worst["conservation"] = max(worst["conservation"],
                                     check_conservation(j0, arr, svc).max_abs_error)
         worst["duality"] = max(worst["duality"],
-                               check_duality(j0, arr, svc, tolerance=1e-9).max_abs_error)
+                               check_duality(j0, arr, svc).max_abs_error)
         worst["T-identity"] = max(worst["T-identity"],
                                   check_T_identity(j0, arr, svc).max_abs_error)
         base = 0.7 + 0.6 * gen.random()
@@ -122,7 +122,11 @@ def criterion_2(seed: int, instances: int = 200, window: int = 1000) -> Criterio
         "intertwining-2": "nested departure maps exchange with two streams",
         "intertwining-3": "nested departure maps exchange with three streams",
     }
-    reps = [_exact_report(f"queueing-{k}", v, 1e-9, instances, seed, claims[k])
+    # The single-rounding identities are held to the 1e-12 that
+    # cgmlab.queueing promises; the sum-based ones carry prefix-sum rounding.
+    tolerance = {"conservation": 1e-12, "duality": 1e-12}
+    reps = [_exact_report(f"queueing-{k}", v, tolerance.get(k, 1e-9), instances,
+                          seed, claims[k])
             for k, v in worst.items()]
     return CriterionResult(2, seed, reps)
 

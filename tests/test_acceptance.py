@@ -18,23 +18,29 @@ _cache: dict = {}
 
 
 def outcome(index):
-    """(primary-seed result, final ladder result) for one criterion."""
+    """(primary-seed result, final ladder result) for one criterion.
+
+    Each ladder attempt is cached with its wall time before any budget is
+    asserted, so a criterion that overruns runs once and fails every test
+    that asks for it.  The ladder stops at the first overrun: that
+    criterion's tests fail whatever a later seed returns.
+    """
     if index not in _cache:
-        primary = final = None
+        attempts = []
         for off in BACKUP_SEED_OFFSETS:
             t0 = time.perf_counter()
             res = run_criterion(index, DEFAULT_MASTER_SEED + off)
             elapsed = time.perf_counter() - t0
-            assert elapsed < BUDGET_SECONDS[index], \
-                f"criterion {index} took {elapsed:.1f}s (budget " \
-                f"{BUDGET_SECONDS[index]}s) at seed {DEFAULT_MASTER_SEED + off}"
-            if primary is None:
-                primary = res
-            final = res
-            if res.passed:
+            attempts.append((res, elapsed))
+            if res.passed or elapsed >= BUDGET_SECONDS[index]:
                 break
-        _cache[index] = (primary, final)
-    return _cache[index]
+        _cache[index] = attempts
+    attempts = _cache[index]
+    for res, elapsed in attempts:
+        assert elapsed < BUDGET_SECONDS[index], \
+            f"criterion {index} took {elapsed:.1f}s (budget " \
+            f"{BUDGET_SECONDS[index]}s) at seed {res.seed}"
+    return attempts[0][0], attempts[-1][0]
 
 
 def check(index):

@@ -11,6 +11,87 @@ from cgmlab.queueing import (BoundaryPolicy, check_conservation, check_duality,
                              queue_Dn, queue_R, queue_S, strip_lpp_H)
 
 
+def branch_sweep(j_left, arrivals, services):
+    """The definitional per-slot branch loop: (departures, sojourn, unused)."""
+    arr = arrivals.values.tolist()
+    svc = services.values.tolist()
+    dep = [0.0] * len(arr)
+    soj = [0.0] * len(arr)
+    rel = [0.0] * len(arr)
+    j_prev = float(j_left)
+    for k in range(len(arr)):
+        i_k = arr[k]
+        w_k = svc[k]
+        if i_k >= j_prev:
+            dep[k] = w_k + (i_k - j_prev)
+            soj[k] = w_k
+            rel[k] = j_prev
+        else:
+            dep[k] = w_k
+            soj[k] = w_k + (j_prev - i_k)
+            rel[k] = i_k
+        j_prev = soj[k]
+    return np.array(dep), np.array(soj), np.array(rel)
+
+
+def assert_sweep_is_branch_sweep(j_left, arrivals, services):
+    out = lindley_iterate(j_left, arrivals, services)
+    dep, soj, rel = branch_sweep(j_left, arrivals, services)
+    assert np.array_equal(out.departures.values, dep)
+    assert np.array_equal(out.sojourn.values, soj)
+    assert np.array_equal(out.unused.values, rel)
+    assert out.departures.offset == out.sojourn.offset == out.unused.offset \
+        == arrivals.offset
+    return out
+
+
+@pytest.mark.parametrize("length", [1000, 125_000])
+def test_sweep_matches_branch_oracle_on_seeded_windows(length):
+    spec = RngSpec(31, f"oracle{length}")
+    for r, (rho, lam) in enumerate([(2.0, 1.0), (1.5, 1.4), (1.0, 3.0)]):
+        arr = sample_exp_window(1, length, rho, spec.sub(f"I{r}"))
+        svc = sample_exp_window(1, length, lam, spec.sub(f"w{r}"))
+        assert_sweep_is_branch_sweep(0.0, arr, svc)
+        assert_sweep_is_branch_sweep(0.75 * r, arr, svc)
+
+
+# Half-integers make exact ties I_k == J_{k-1} and zero inputs common.
+tie_prone = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.0, 5.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 40), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0), st.data())
+def test_sweep_matches_branch_oracle_with_ties_and_zeros(n, j0, data):
+    arr = SeqWindow(1, data.draw(st.lists(tie_prone, min_size=n, max_size=n)))
+    svc = SeqWindow(1, data.draw(st.lists(tie_prone, min_size=n, max_size=n)))
+    assert_sweep_is_branch_sweep(j0, arr, svc)
+
+
+def test_sweep_oracle_windows_hit_exact_ties():
+    # A stable queue of small integers from j_left = 0 ties often.
+    gen = RngSpec(7, "ties").generator()
+    arr = SeqWindow(1, gen.integers(0, 4, 2000).astype(float))
+    svc = SeqWindow(1, gen.integers(0, 2, 2000).astype(float))
+    out = assert_sweep_is_branch_sweep(0.0, arr, svc)
+    j_prev = np.concatenate([[0.0], out.sojourn.values[:-1]])
+    assert np.sum(arr.values == j_prev) > 100
+    assert np.sum(arr.values == 0.0) > 100
+
+
+def test_sweep_matches_branch_oracle_on_reversed_views():
+    # check_duality feeds the sweep negative-stride views of its outputs.
+    spec = RngSpec(12, "views")
+    arr = sample_exp_window(1, 3000, 2.0, spec.sub("I"))
+    svc = sample_exp_window(1, 3000, 1.0, spec.sub("w"))
+    fwd = lindley_iterate(0.4, arr, svc)
+    rev_arr = SeqWindow(1, fwd.departures.values[::-1])
+    rev_svc = SeqWindow(1, fwd.unused.values[::-1])
+    assert rev_arr.values.strides[0] < 0
+    assert_sweep_is_branch_sweep(fwd.final_sojourn, rev_arr, rev_svc)
+    assert_sweep_is_branch_sweep(0.0, SeqWindow(1, arr.values[::-2]),
+                                 SeqWindow(1, svc.values[::-2]))
+
+
 def test_lindley_hand_trace():
     # j_left 1; arrivals 3,1; services 2,4
     # J_k = w_k + (J_{k-1} - I_k)^+ : J_1 = 2+(1-3)^+ = 2, J_2 = 4+(2-1)^+ = 5
@@ -67,8 +148,8 @@ def test_identities_on_random_stable_instances():
         j0 = float(exp_from_uniform(gen.random(), 1.0))
         arr = sample_exp_window(1, 300, rho, s.sub("I"))
         svc = sample_exp_window(1, 300, lam, s.sub("w"))
-        assert check_conservation(j0, arr, svc).max_abs_error < 1e-9
-        assert check_duality(j0, arr, svc, tolerance=1e-9).max_abs_error < 1e-9
+        assert check_conservation(j0, arr, svc).max_abs_error < 1e-12
+        assert check_duality(j0, arr, svc).max_abs_error < 1e-12
         assert check_T_identity(j0, arr, svc).max_abs_error < 1e-9
         assert check_strip_identities(j0, arr, svc).max_abs_error < 1e-9
 
