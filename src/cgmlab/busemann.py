@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngSpec, SeqWindow, WeightField, sample_exp_field
-from .lpp import (GTable, GeodesicPath, STEP_E1, STEP_E2, _grid_values,
-                  walk_to_corner)
+from .lpp import (GTable, GeodesicPath, STEP_E2, _grid_values,
+                  backtrack_geodesic, walk_to_corner)
 from .queueing import lindley_iterate
 from .exact import initial_run_pmf
 
@@ -175,12 +175,7 @@ def busemann_geodesic(table: GTable, start: tuple[int, int],
     """Path from start that always leaves through the smaller increment
     estimate: step -e1 exactly when the horizontal increment is smaller,
     ties and exhausted axes falling to -e2."""
-    a = start[0] - table.origin[0]
-    b = start[1] - table.origin[1]
-    if a < 0 or b < 0 or a >= table.values.shape[0] or b >= table.values.shape[1]:
-        raise ValueError(f"start {start} outside table")
-    steps, truncated = walk_to_corner(table.values, a, b, max_steps)
-    return GeodesicPath(start, steps, truncated)
+    return backtrack_geodesic(table, start, max_steps)
 
 
 def coalescence_point(path1: GeodesicPath, path2: GeodesicPath):
@@ -202,11 +197,6 @@ def coalescence_point(path1: GeodesicPath, path2: GeodesicPath):
                 raise AssertionError("walks met but then separated")
             return p
     return None
-
-
-def _reverse_table(values: np.ndarray) -> np.ndarray:
-    """R[a, b] = best path sum from (a, b) to the northeast corner."""
-    return _grid_values(values[::-1, ::-1])[::-1, ::-1]
 
 
 def competition_interface(weights: WeightField, steps: int | None = None) -> np.ndarray:
@@ -232,22 +222,23 @@ def competition_interface(weights: WeightField, steps: int | None = None) -> np.
     r, c = weights.values.shape
     if o1 + r - 1 != 0 or o2 + c - 1 != 0:
         raise ValueError("field must end at the origin")
-    n1, n2 = -o1, -o2
-    limit = min(n1, n2) - 1
+    limit = min(-o1, -o2) - 1
     if steps is None:
         steps = limit
     if steps < 1 or steps > limit:
         raise ValueError("interface steps must fit inside the field")
-    L = _reverse_table(weights.values)
-    # phi sits at array index (a, b), the site (a - n1, b - n2)
-    a, b = n1, n2
+    # R[i, j] = L(-i, -j).  After k steps |phi|_1 = k and the walk compares
+    # L at two sites x with |x|_1 = k + 1 <= steps; L(x) reads only weights
+    # between x and the origin, so R's triangle i + j <= steps is enough.
+    R = _grid_values(weights.values[::-1, ::-1], reach=steps)
+    i = j = 0
     pts = [(0, 0)]
     for _ in range(steps):
-        if L[a - 1, b] > L[a, b - 1]:
-            b -= 1
+        if R[i + 1, j] > R[i, j + 1]:
+            j += 1
         else:
-            a -= 1
-        pts.append((a - n1, b - n2))
+            i += 1
+        pts.append((-i, -j))
     return np.array(pts, dtype=np.int64)
 
 

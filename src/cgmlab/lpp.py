@@ -107,21 +107,46 @@ class GeodesicPath:
         return int(hits[0]) if len(hits) else len(self.steps)
 
 
-def _grid_values(weights: np.ndarray) -> np.ndarray:
-    """Fill G[a,b] = max(G[a-1,b], G[a,b-1]) + Y[a,b] over the rectangle."""
+def _row_step(prev: np.ndarray, row: np.ndarray, out: np.ndarray,
+              scratch: np.ndarray) -> None:
+    """out[k] = max_{j<=k} (prev[j] + sum row[j..k]), without allocating.
+
+    With CY the prefix sums of row this is CY[k] + max_{j<=k} (prev[j] -
+    CY[j-1]), CY[j-1] = CY[j] - row[j].  One step is a table row of the
+    corner recursion (prev is the previous row) or a level of the strip
+    recursion.  scratch has the length of row and may not alias out.
+    """
+    np.add.accumulate(row, out=out)
+    np.subtract(out, row, out=scratch)
+    np.subtract(prev, scratch, out=scratch)
+    np.maximum.accumulate(scratch, out=scratch)
+    np.add(out, scratch, out=out)
+
+
+def _grid_values(weights: np.ndarray, reach: int | None = None) -> np.ndarray:
+    """Fill G[a,b] = max(G[a-1,b], G[a,b-1]) + Y[a,b] over the rectangle.
+
+    With reach, only the cells with a + b <= reach are filled and the rest
+    are left unset: G[a, b] reads only weights whose index sum is at most
+    a + b.
+    """
     rows, cols = weights.shape
     if rows > cols:
-        # Loop over the shorter axis; the recursion is transpose-symmetric.
-        # A contiguous copy of the transpose keeps each row step on
-        # contiguous memory, where the strided view costs a third more.
-        return _grid_values(np.ascontiguousarray(weights.T)).T
+        # Loop over the shorter axis.  The recursion is transpose-symmetric
+        # but its row step is not, bit for bit, so tall fills, triangles
+        # included, always go through the transpose.  A contiguous copy
+        # keeps each row step on contiguous memory, where the strided view
+        # costs a third more.
+        return _grid_values(np.ascontiguousarray(weights.T), reach).T
+    if reach is None:
+        reach = rows + cols - 2
     g = np.empty_like(weights)
-    g[0] = np.cumsum(weights[0])
-    for a in range(1, rows):
-        row = weights[a]
-        csum = np.cumsum(row)
-        # G[a,b] = CY[b] + max_{j<=b} (G[a-1,j] - CY[j-1]), CY[j-1] = csum[j]-row[j]
-        g[a] = csum + np.maximum.accumulate(g[a - 1] - (csum - row))
+    scratch = np.empty(cols, dtype=g.dtype)
+    w = min(cols, reach + 1)
+    np.add.accumulate(weights[0, :w], out=g[0, :w])
+    for a in range(1, min(rows, reach + 1)):
+        w = min(cols, reach - a + 1)
+        _row_step(g[a - 1, :w], weights[a, :w], g[a, :w], scratch[:w])
     return g
 
 
@@ -215,12 +240,6 @@ def backtrack_geodesic(table: GTable, target: tuple[int, int],
     return GeodesicPath(target, steps, truncated)
 
 
-def _halfplane_level(g_prev: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """One level of the strip recursion: G_t[k] = max_{j<=k} (G_{t-1}[j] + sum row[j..k])."""
-    csum = np.cumsum(row)
-    return csum + np.maximum.accumulate(g_prev - (csum - row))
-
-
 def stationary_halfplane_lpp(initial: MultiConfig, weights: WeightField) -> list[MultiConfig]:
     """Half-plane passage times grown from level-0 increment data.
 
@@ -248,9 +267,13 @@ def stationary_halfplane_lpp(initial: MultiConfig, weights: WeightField) -> list
         warnings.warn("initial increments should have Cesaro mean above the bulk mean 1")
     out = [initial]
     g = np.cumsum(initial.values, axis=1)
+    nxt = np.empty_like(g)
+    scratch = np.empty(length)
     for t in range(1, levels + 1):
         row = weights.values[:, t - 1]
-        g = np.vstack([_halfplane_level(g[i], row) for i in range(g.shape[0])])
+        for i in range(g.shape[0]):
+            _row_step(g[i], row, nxt[i], scratch)
+        g, nxt = nxt, g
         incr = np.diff(g, axis=1, prepend=0.0)
         out.append(MultiConfig(initial.offset, incr, rates=initial.rates))
     return out

@@ -9,7 +9,7 @@ from cgmlab.busemann import (BusemannEdgeEstimates, Direction,
                              estimate_busemann_level, geodesic_initial_runs,
                              initial_run_statistics, rho_of_direction,
                              rho_star_threshold, scaled_corner,
-                             wait_indicator_run, _reverse_table)
+                             wait_indicator_run)
 from cgmlab.exact import initial_run_pmf
 from cgmlab.lpp import STEP_E1, STEP_E2, backtrack_geodesic
 from cgmlab.multiclass import sample_mu_rho
@@ -18,6 +18,7 @@ from cgmlab.rng import (RngSpec, SeqWindow, WeightField, exp_from_uniform,
                         sample_exp_field)
 from cgmlab.stats import chi_square_pmf, correlation_test, ks_two_sample
 from cgmlab.verification import DEFAULT_MASTER_SEED
+from test_lpp import cumsum_fill
 
 
 def test_direction_roundtrip():
@@ -201,6 +202,11 @@ def test_competition_interface_first_step():
         competition_interface(WeightField((0, 0), np.ones((3, 3))))
 
 
+def reverse_fill(values):
+    """R[a, b] = best path sum from (a, b) to the northeast corner."""
+    return cumsum_fill(values[::-1, ::-1])[::-1, ::-1]
+
+
 def two_table_interface(weights, steps=None):
     """The previous two-table walk, kept as the oracle: it fills one reverse
     table to (-1, 0) and one to (0, -1), and from phi steps -e2 exactly when
@@ -208,8 +214,8 @@ def two_table_interface(weights, steps=None):
     n1, n2 = -weights.origin[0], -weights.origin[1]
     if steps is None:
         steps = min(n1, n2) - 1
-    to_west = _reverse_table(weights.values[:-1, :])
-    to_south = _reverse_table(weights.values[:, :-1])
+    to_west = reverse_fill(weights.values[:-1, :])
+    to_south = reverse_fill(weights.values[:, :-1])
     pts = np.zeros((steps + 1, 2), dtype=np.int64)
     phi = np.array([0, 0], dtype=np.int64)
     for k in range(steps):
@@ -225,7 +231,7 @@ def two_table_interface(weights, steps=None):
 def _interface_ties(weights, pts):
     """Steps of an interface taken on an exact tie L(phi - e1) == L(phi - e2)."""
     n1, n2 = -weights.origin[0], -weights.origin[1]
-    L = _reverse_table(weights.values)
+    L = reverse_fill(weights.values)
     return sum(int(L[x1 - 1 + n1, x2 + n2] == L[x1 + n1, x2 - 1 + n2])
                for x1, x2 in pts[:-1])
 

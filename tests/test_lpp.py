@@ -5,11 +5,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgmlab.rng import RngSpec, SeqWindow, WeightField, sample_exp_field, sample_exp_window
-from cgmlab.lpp import (GTable, STEP_E1, STEP_E2, backtrack_geodesic,
-                        brute_force_lpp, lpp_grid, shape_function,
-                        stationary_halfplane_lpp, walk_to_corner)
+from cgmlab.lpp import (GTable, STEP_E1, STEP_E2, _grid_values,
+                        backtrack_geodesic, brute_force_lpp, lpp_grid,
+                        shape_function, stationary_halfplane_lpp,
+                        walk_to_corner)
 from cgmlab.multiclass import MultiConfig
 from cgmlab.queueing import BoundaryPolicy, queue_D
+
+
+def cumsum_fill(weights):
+    """The fill before its row step was made allocation-free, kept as the
+    oracle: every cell must come out bit for bit the same."""
+    rows, cols = weights.shape
+    if rows > cols:
+        return cumsum_fill(np.ascontiguousarray(weights.T)).T
+    g = np.empty_like(weights)
+    g[0] = np.cumsum(weights[0])
+    for a in range(1, rows):
+        row = weights[a]
+        csum = np.cumsum(row)
+        g[a] = csum + np.maximum.accumulate(g[a - 1] - (csum - row))
+    return g
 
 
 def test_two_by_two_ones():
@@ -45,6 +61,32 @@ def test_grid_recursion_property(flat):
         for b in range(3):
             ref = brute_force_lpp(field, (0, 0), (a, b))
             assert abs(table.values[a, b] - ref) < 1e-9
+
+
+def test_fill_matches_cumsum_oracle():
+    spec = RngSpec(102, "fill")
+    for rows, cols in [(40, 90), (90, 40), (64, 64), (1, 50), (50, 1), (2, 2)]:
+        vals = sample_exp_field(rows, cols, 1.0, spec.sub(f"{rows}x{cols}")).values
+        assert np.array_equal(_grid_values(vals), cumsum_fill(vals))
+    m = 120
+    big = sample_exp_field(m, m, 1.0, spec.sub("big")).values
+    # nested corners as strided views, as a shared field hands them out,
+    # and the reversed view the competition interface fills
+    for view in (big[m - 45:, m - 70:], big[m - 70:, m - 45:], big[::-1, ::-1]):
+        assert np.array_equal(_grid_values(view), cumsum_fill(view))
+
+
+def test_triangle_fill_matches_full_fill():
+    spec = RngSpec(103, "triangle")
+    for rows, cols in [(30, 70), (70, 30)]:
+        vals = sample_exp_field(rows, cols, 1.0, spec.sub(f"{rows}x{cols}")).values
+        a, b = np.indices(vals.shape)
+        short = min(rows, cols)
+        for view in (vals, vals[::-1, ::-1]):
+            full = cumsum_fill(view)
+            for reach in (0, 1, short // 2, short - 1, max(rows, cols)):
+                inside = a + b <= reach
+                assert np.array_equal(_grid_values(view, reach)[inside], full[inside])
 
 
 def test_geodesic_weight_sum_equals_passage_time():
@@ -116,3 +158,17 @@ def test_halfplane_level_equals_departure_map():
     levels = stationary_halfplane_lpp(MultiConfig.from_lines([init]), weights)
     dep = queue_D(init, bulk, BoundaryPolicy.given(0.0))
     np.testing.assert_allclose(levels[1].values[0], dep.values, atol=1e-9)
+
+
+def test_halfplane_levels_match_cumsum_oracle():
+    spec = RngSpec(104, "half-oracle")
+    lines = [sample_exp_window(0, 80, mean, spec.sub(f"I{k}"))
+             for k, mean in enumerate((1.5, 3.0))]
+    bulk = sample_exp_field(80, 6, 1.0, spec.sub("w"), origin=(0, 1))
+    levels = stationary_halfplane_lpp(MultiConfig.from_lines(lines), bulk)
+    g = np.cumsum(levels[0].values, axis=1)
+    for t in range(1, 7):
+        row = bulk.values[:, t - 1]
+        csum = np.cumsum(row)
+        g = csum + np.maximum.accumulate(g - (csum - row), axis=1)
+        assert np.array_equal(levels[t].values, np.diff(g, axis=1, prepend=0.0))
