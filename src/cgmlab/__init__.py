@@ -91,6 +91,4 @@ from .verification import (
     DEFAULT_MASTER_SEED,
     CriterionResult,
     run_criterion,
-    run_criteria,
-    run_with_retries,
 )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngSpec, SeqWindow, WeightField, sample_exp_field
-from .lpp import (GTable, GeodesicPath, STEP_E2, _grid_values,
+from .lpp import (GTable, GeodesicPath, STEP_E2, _grid_values, _row_step,
                   backtrack_geodesic, walk_to_corner)
 from .queueing import lindley_iterate
 from .exact import initial_run_pmf
@@ -205,7 +205,8 @@ def competition_interface(weights: WeightField, steps: int | None = None) -> np.
     The field must have its top-right value at (0, 0).  One passage-time
     table suffices: L(x) is the best path sum from x up-right to the
     origin, both ends included.  The walk starts at phi = 0 and steps -e2
-    when L(phi - e1) > L(phi - e2), -e1 otherwise, so ties go to -e1.
+    when L(phi - e1) > L(phi - e2), -e1 otherwise, so ties go to -e1.  The
+    table is kept as two rows and filled only as far as the walk descends.
 
     This is the competition interface of Ferrari and Pimentel (Ann.
     Probab. 33, 2005) reflected into the third quadrant: phi moves onto the
@@ -227,18 +228,38 @@ def competition_interface(weights: WeightField, steps: int | None = None) -> np.
         steps = limit
     if steps < 1 or steps > limit:
         raise ValueError("interface steps must fit inside the field")
-    # R[i, j] = L(-i, -j).  After k steps |phi|_1 = k and the walk compares
-    # L at two sites x with |x|_1 = k + 1 <= steps; L(x) reads only weights
-    # between x and the origin, so R's triangle i + j <= steps is enough.
-    R = _grid_values(weights.values[::-1, ::-1], reach=steps)
-    i = j = 0
+    # R[i, j] = L(-i, -j) is filled in the orientation _grid_values fills
+    # values[::-1, ::-1] in, so every value compared is bit for bit the
+    # same: by rows, or by columns through a contiguous transpose when the
+    # field is tall.  F is R in that orientation and the walk stands at
+    # F[p, q], (p, q) = (i, j), or (j, i) when tall.  A step reads
+    # F[p + 1, q] and F[p, q + 1], so only rows p and p + 1 are kept, and
+    # row p + 1 is filled when the walk moves onto row p.  After k steps
+    # p + q = k, so row p is read no further than index steps - p.
+    tall = r > c
+    flip = weights.values[::-1, ::-1]
+    if tall:
+        flip = np.ascontiguousarray(flip.T)
+    here, ahead, scratch = np.empty((3, steps + 1))
+    np.add.accumulate(flip[0, :steps + 1], out=here)
+    _row_step(here[:steps], flip[1, :steps], ahead[:steps], scratch[:steps])
+    p = q = 0
     pts = [(0, 0)]
     for _ in range(steps):
-        if R[i + 1, j] > R[i, j + 1]:
-            j += 1
+        # Wide: L(phi - e1) = F[p + 1, q] and L(phi - e2) = F[p, q + 1];
+        # tall: the other way round.  Either way ties step -e1.
+        if tall:
+            down = here[q + 1] > ahead[q]
         else:
-            i += 1
-        pts.append((-i, -j))
+            down = not ahead[q] > here[q + 1]
+        if down:
+            p += 1
+            here, ahead = ahead, here
+            w = steps - p
+            _row_step(here[:w], flip[p + 1, :w], ahead[:w], scratch[:w])
+        else:
+            q += 1
+        pts.append((-q, -p) if tall else (-p, -q))
     return np.array(pts, dtype=np.int64)
 
 

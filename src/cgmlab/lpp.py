@@ -123,30 +123,20 @@ def _row_step(prev: np.ndarray, row: np.ndarray, out: np.ndarray,
     np.add(out, scratch, out=out)
 
 
-def _grid_values(weights: np.ndarray, reach: int | None = None) -> np.ndarray:
-    """Fill G[a,b] = max(G[a-1,b], G[a,b-1]) + Y[a,b] over the rectangle.
-
-    With reach, only the cells with a + b <= reach are filled and the rest
-    are left unset: G[a, b] reads only weights whose index sum is at most
-    a + b.
-    """
+def _grid_values(weights: np.ndarray) -> np.ndarray:
+    """Fill G[a,b] = max(G[a-1,b], G[a,b-1]) + Y[a,b] over the rectangle."""
     rows, cols = weights.shape
     if rows > cols:
         # Loop over the shorter axis.  The recursion is transpose-symmetric
-        # but its row step is not, bit for bit, so tall fills, triangles
-        # included, always go through the transpose.  A contiguous copy
-        # keeps each row step on contiguous memory, where the strided view
-        # costs a third more.
-        return _grid_values(np.ascontiguousarray(weights.T), reach).T
-    if reach is None:
-        reach = rows + cols - 2
+        # but its row step is not, bit for bit, so tall fills always go
+        # through the transpose.  A contiguous copy keeps each row step on
+        # contiguous memory, where the strided view costs a third more.
+        return _grid_values(np.ascontiguousarray(weights.T)).T
     g = np.empty_like(weights)
     scratch = np.empty(cols, dtype=g.dtype)
-    w = min(cols, reach + 1)
-    np.add.accumulate(weights[0, :w], out=g[0, :w])
-    for a in range(1, min(rows, reach + 1)):
-        w = min(cols, reach - a + 1)
-        _row_step(g[a - 1, :w], weights[a, :w], g[a, :w], scratch[:w])
+    np.add.accumulate(weights[0], out=g[0])
+    for a in range(1, rows):
+        _row_step(g[a - 1], weights[a], g[a], scratch)
     return g
 
 

@@ -97,15 +97,6 @@ def _trim_config(config: MultiConfig, count: int) -> MultiConfig:
     return MultiConfig(config.offset + count, config.values[:, count:], config.rates)
 
 
-def _stage_j_left(policy: BoundaryPolicy, arrivals: SeqWindow, services: SeqWindow,
-                  tag: str) -> float:
-    if policy.kind == "given":
-        return float(policy.j_left)
-    if policy.kind == "burn_in":
-        return 0.0
-    return policy.resolve_j_left(arrivals, services, tag)
-
-
 def multiline_step(config: MultiConfig, services: SeqWindow,
                    policy: BoundaryPolicy = DEFAULT_POLICY) -> MultiConfig:
     """One multiline update: line i departs against the unused input of line i-1.
@@ -119,7 +110,7 @@ def multiline_step(config: MultiConfig, services: SeqWindow,
     out_lines = []
     for i in range(config.n_lines):
         arr = config.line(i)
-        j0 = _stage_j_left(policy, arr, w, f"multiline{i}")
+        j0 = policy.resolve_j_left(arr, w, f"multiline{i}")
         out = lindley_iterate(j0, arr, w)
         out_lines.append(out.departures.values)
         w = out.unused
@@ -134,7 +125,7 @@ def coupled_step(config: MultiConfig, services: SeqWindow,
     out_lines = []
     for i in range(config.n_lines):
         arr = config.line(i)
-        j0 = _stage_j_left(policy, arr, services, f"coupled{i}")
+        j0 = policy.resolve_j_left(arr, services, f"coupled{i}")
         out_lines.append(lindley_iterate(j0, arr, services).departures.values)
     fresh = MultiConfig(config.offset, np.vstack(out_lines), config.rates)
     return _trim_config(fresh, policy.trim_count(config.length))
@@ -144,7 +135,7 @@ def _fold_line(line_windows: list[SeqWindow], policy: BoundaryPolicy, tag: str) 
     """Iterated departures of line_windows[0] through the rest as services."""
     acc = line_windows[0]
     for j, svc in enumerate(line_windows[1:], start=1):
-        j0 = _stage_j_left(policy, acc, svc, f"{tag}/stage{j}")
+        j0 = policy.resolve_j_left(acc, svc, f"{tag}/stage{j}")
         acc = lindley_iterate(j0, acc, svc).departures
     return acc
 
@@ -239,7 +230,7 @@ def build_triangular_arrays(config: MultiConfig,
         eta[i][0] = config.line(i)
         for j in range(1, i + 1):
             svc = xi[i - 1][j - 1]
-            j0 = _stage_j_left(policy, eta[i][j - 1], svc, f"array{i}.{j}")
+            j0 = policy.resolve_j_left(eta[i][j - 1], svc, f"array{i}.{j}")
             out = lindley_iterate(j0, eta[i][j - 1], svc)
             eta[i][j] = out.departures
             xi[i][j - 1] = out.unused

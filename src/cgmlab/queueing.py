@@ -236,8 +236,7 @@ def queue_Dn(sequences: list[SeqWindow],
     same_window(*sequences)
     acc = sequences[0]
     for j, svc in enumerate(sequences[1:], start=2):
-        j0 = policy.resolve_j_left(acc, svc, f"Dn{j}") if policy.kind == "stationary" else (
-            policy.j_left if policy.kind == "given" else 0.0)
+        j0 = policy.resolve_j_left(acc, svc, f"Dn{j}")
         acc = lindley_iterate(j0, acc, svc).departures
     return _trim(acc, policy.trim_count(len(acc)))
 

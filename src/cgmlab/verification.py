@@ -35,8 +35,6 @@ __all__ = [
     "CRITERIA",
     "CriterionResult",
     "run_criterion",
-    "run_criteria",
-    "run_with_retries",
 ]
 
 DEFAULT_MASTER_SEED = 20260822
@@ -446,27 +444,3 @@ def run_criterion(index: int, seed: int = DEFAULT_MASTER_SEED,
     if index not in CRITERIA:
         raise ValueError(f"unknown criterion {index}")
     return CRITERIA[index](seed, **overrides)
-
-
-def run_criteria(indices, seed: int = DEFAULT_MASTER_SEED,
-                 threads: int = 1) -> list[CriterionResult]:
-    """Run several criteria, optionally across worker threads; the result
-    order and content do not depend on the thread count."""
-    indices = list(indices)
-    if threads <= 1:
-        return [run_criterion(i, seed) for i in indices]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda i: run_criterion(i, seed), indices))
-
-
-def run_with_retries(index: int, seed: int = DEFAULT_MASTER_SEED,
-                     offsets=BACKUP_SEED_OFFSETS, **overrides) -> CriterionResult:
-    """First passing run over the backup-seed ladder; the last run when
-    every seed fails."""
-    result = None
-    for off in offsets:
-        result = run_criterion(index, seed + off, **overrides)
-        if result.passed:
-            return result
-    return result

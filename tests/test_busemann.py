@@ -263,6 +263,29 @@ def test_competition_interface_tie_rule():
     assert ties >= 100
 
 
+def test_competition_interface_fills_only_rows_it_reads():
+    # The reverse table is filled by rows (by columns when the field is
+    # tall) as the walk descends, never past the row after its last one.
+    # Weights of 1e308 on every later row overflow any fill that reaches
+    # them, so the walk must come out unchanged without overflowing.
+    spec = RngSpec(45, "cif-rows")
+    for r, (rows, cols) in enumerate([(121, 121), (60, 150), (150, 60)]):
+        field = sample_exp_field(rows, cols, 1.0, spec.sub(f"f{r}"),
+                                 origin=(1 - rows, 1 - cols))
+        pts = competition_interface(field)
+        i_f, j_f = -pts[-1]
+        vals = field.values.copy()
+        if rows > cols:
+            assert i_f >= 3  # a skipped column wide enough to overflow
+            vals[:, :cols - 2 - j_f] = 1e308
+        else:
+            assert j_f >= 3
+            vals[:rows - 2 - i_f] = 1e308
+        with np.errstate(over="raise"):
+            got = competition_interface(WeightField(field.origin, vals))
+        assert np.array_equal(got, pts)
+
+
 def test_competition_interface_on_criterion9_field():
     # the first site criterion 9 draws at the default seed
     field = sample_exp_field(

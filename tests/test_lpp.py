@@ -76,19 +76,6 @@ def test_fill_matches_cumsum_oracle():
         assert np.array_equal(_grid_values(view), cumsum_fill(view))
 
 
-def test_triangle_fill_matches_full_fill():
-    spec = RngSpec(103, "triangle")
-    for rows, cols in [(30, 70), (70, 30)]:
-        vals = sample_exp_field(rows, cols, 1.0, spec.sub(f"{rows}x{cols}")).values
-        a, b = np.indices(vals.shape)
-        short = min(rows, cols)
-        for view in (vals, vals[::-1, ::-1]):
-            full = cumsum_fill(view)
-            for reach in (0, 1, short // 2, short - 1, max(rows, cols)):
-                inside = a + b <= reach
-                assert np.array_equal(_grid_values(view, reach)[inside], full[inside])
-
-
 def test_geodesic_weight_sum_equals_passage_time():
     field = sample_exp_field(12, 9, 1.0, RngSpec(3, "geo"), origin=(-11, -8))
     table = lpp_grid(field)
