@@ -14,16 +14,28 @@ define a two-level strip passage time H whose increments reproduce the
 sweep, a reversal duality, and intertwining identities for iterated
 departure maps.  All of that is checked here at fixed tolerances.
 
+lindley_iterate, queue_Dn and the conservation, duality, T and
+intertwining checks take either one window or a stack of K aligned windows
+of independent instances (see SeqWindow: time on the last axis).  j_left is
+then a float or a (K,) array, and a check's max_abs_error is the maximum
+over all instances.
+
 Exactness notes: the checks with tolerance 1e-12 (conservation, exchange,
 duality) rely on every output slot being one rounding of its defining
 formula.  The sweep scans only the sojourn sequentially, with the branch
 arithmetic J_k = w_k + (J_{k-1} - I_k) when I_k < J_{k-1} and J_k = w_k
-otherwise; departures and unused input then follow elementwise from the
-shifted sojourn J_{k-1} through the same branch test, each one IEEE
-operation on the same operands.  Nothing is summed along the time axis, so
-an idle slot's sojourn is exactly its service and busy slots leave exact
-zeros in D - w.  Sum-based identities (strip, T, the intertwining
-interiors) carry prefix-sum rounding and are held to 1e-9.
+otherwise.  A single window runs that branch in a Python float loop.  A
+stack runs one ufunc step per slot over all instances at once,
+J_k = w_k + (max(J_{k-1}, I_k) - I_k), which is the branch bit for bit:
+when J_{k-1} > I_k the maximum is J_{k-1}, and otherwise it is I_k (or the
+equal J_{k-1}), so I_k - I_k is exactly +0 and w_k + 0 is w_k.  Rewriting
+it as max(J_{k-1}, I_k) + (w_k - I_k) would round differently.
+Departures and unused input then follow elementwise from the shifted
+sojourn J_{k-1} through the same branch test, each one IEEE operation on
+the same operands.  Nothing is summed along the time axis, so an idle
+slot's sojourn is exactly its service and busy slots leave exact zeros in
+D - w.  Sum-based identities (strip, T, the intertwining interiors) carry
+prefix-sum rounding and are held to 1e-9.
 """
 
 from __future__ import annotations
@@ -58,16 +70,18 @@ __all__ = [
 @dataclass(eq=False)
 class QueueOutput:
     """One Lindley sweep: departures, sojourn, and unused input, all on the
-    arrival window; j_left is the sojourn value at the slot left of it."""
+    arrival window; j_left is the sojourn value at the slot left of it
+    (a (K,) array for a stack of windows)."""
 
-    j_left: float
+    j_left: float | np.ndarray
     departures: SeqWindow
     sojourn: SeqWindow
     unused: SeqWindow
 
     @property
-    def final_sojourn(self) -> float:
-        return float(self.sojourn.values[-1])
+    def final_sojourn(self) -> float | np.ndarray:
+        last = self.sojourn.values[..., -1]
+        return float(last) if last.ndim == 0 else last
 
 
 @dataclass(frozen=True)
@@ -157,35 +171,69 @@ def _check(name, errors, tolerance, **extras) -> IdentityReport:
     return IdentityReport(name, err, tolerance, err <= tolerance, dict(extras))
 
 
-def lindley_iterate(j_left: float, arrivals: SeqWindow, services: SeqWindow) -> QueueOutput:
-    """One sweep of the queue recursion from the left sojourn value j_left."""
+def _incoming(j_left: float | np.ndarray, sojourn: np.ndarray) -> np.ndarray:
+    """The sojourn entering each slot, [j_left, J_1, ..., J_{n-1}], per instance."""
+    return np.concatenate((np.asarray(j_left)[..., None], sojourn[..., :-1]), axis=-1)
+
+
+def _sojourn_scan(j_left: float | np.ndarray, arr: np.ndarray,
+                  svc: np.ndarray) -> np.ndarray:
+    """J_k = w_k + (J_{k-1} - I_k)^+ from J_0 = j_left, the one sequential pass."""
+    if arr.ndim == 1:
+        # One window: the branch in a Python float loop; memoryviews hand
+        # it Python floats without building lists.
+        soj = np.empty(len(arr))
+        out = memoryview(soj)
+        j = j_left
+        k = 0
+        for i, w in zip(memoryview(arr), memoryview(svc)):
+            if i >= j:
+                j = w
+            else:
+                j = w + (j - i)
+            out[k] = j
+            k += 1
+        return soj
+    # A stack: one step per slot over every instance, through the columns
+    # of the (K, n) arrays in place.
+    soj = np.empty(arr.shape)
+    gap = np.empty(arr.shape[0])
+    j = j_left
+    for i, w, out in zip(arr.T, svc.T, soj.T):
+        np.maximum(j, i, out=gap)
+        np.subtract(gap, i, out=gap)
+        j = np.add(w, gap, out=out)
+    return soj
+
+
+def lindley_iterate(j_left: float | np.ndarray, arrivals: SeqWindow,
+                    services: SeqWindow) -> QueueOutput:
+    """One sweep of the queue recursion from the left sojourn value j_left.
+
+    On a stack of K windows j_left is a float or a (K,) array, and each
+    instance is swept exactly as it would be on its own.
+    """
     same_window(arrivals, services)
     if len(arrivals) == 0:
         raise ValueError("empty window")
-    if j_left < 0:
-        raise ValueError("left sojourn value must be nonnegative")
     arr = arrivals.values
     svc = services.values
-    soj = np.empty(len(arr))
-    out = memoryview(soj)
-    j = float(j_left)
-    k = 0
-    # The sojourn is the only sequential quantity; memoryviews hand the loop
-    # Python floats without building lists.
-    for i, w in zip(memoryview(arr), memoryview(svc)):
-        if i >= j:
-            j = w
-        else:
-            j = w + (j - i)
-        out[k] = j
-        k += 1
-    j_prev = np.concatenate(([float(j_left)], soj[:-1]))
+    if arr.ndim == 1:
+        j_left = float(j_left)
+        negative = j_left < 0
+    else:
+        j_left = np.broadcast_to(np.asarray(j_left, dtype=np.float64), arr.shape[:1]).copy()
+        negative = (j_left < 0).any()
+    if negative:
+        raise ValueError("left sojourn value must be nonnegative")
+    soj = _sojourn_scan(j_left, arr, svc)
+    j_prev = _incoming(j_left, soj)
     # idle slot: the queue empties before the arrival completes
     idle = arr >= j_prev
     dep = np.where(idle, svc + (arr - j_prev), svc)
     rel = np.where(idle, j_prev, arr)
     off = arrivals.offset
-    return QueueOutput(float(j_left), SeqWindow(off, dep), SeqWindow(off, soj),
+    return QueueOutput(j_left, SeqWindow(off, dep), SeqWindow(off, soj),
                        SeqWindow(off, rel))
 
 
@@ -199,7 +247,7 @@ def _policy_run(arrivals, services, policy, tag) -> tuple[QueueOutput, int]:
 
 
 def _trim(window: SeqWindow, count: int) -> SeqWindow:
-    return window if count == 0 else SeqWindow(window.offset + count, window.values[count:])
+    return window if count == 0 else window.suffix(window.offset + count)
 
 
 def queue_D(arrivals: SeqWindow, services: SeqWindow,
@@ -275,24 +323,24 @@ def strip_lpp_H(j_left: float, arrivals: SeqWindow, services: SeqWindow) -> Stri
     return StripTable(float(j_left), SeqWindow(m, h0), SeqWindow(m, h1))
 
 
-def check_duality(j_left: float, arrivals: SeqWindow, services: SeqWindow,
+def check_duality(j_left: float | np.ndarray, arrivals: SeqWindow, services: SeqWindow,
                   tolerance: float = 1e-12) -> IdentityReport:
     """Reversal duality: feeding the reversed outputs back through the sweep
     returns the reversed inputs, including the sojourn column."""
     fwd = lindley_iterate(j_left, arrivals, services)
-    rev_arr = SeqWindow(2 - fwd.departures.end, fwd.departures.values[::-1])
-    rev_svc = SeqWindow(rev_arr.offset, fwd.unused.values[::-1])
+    rev_arr = SeqWindow(2 - fwd.departures.end, fwd.departures.values[..., ::-1])
+    rev_svc = SeqWindow(rev_arr.offset, fwd.unused.values[..., ::-1])
     back = lindley_iterate(fwd.final_sojourn, rev_arr, rev_svc)
-    exp_soj = np.concatenate([[j_left], fwd.sojourn.values[:-1]])[::-1]
+    exp_soj = _incoming(fwd.j_left, fwd.sojourn.values)[..., ::-1]
     errors = np.concatenate([
-        back.departures.values[::-1] - arrivals.values,
-        back.unused.values[::-1] - services.values,
+        back.departures.values[..., ::-1] - arrivals.values,
+        back.unused.values[..., ::-1] - services.values,
         back.sojourn.values - exp_soj,
-    ])
+    ], axis=-1)
     return _check("duality", errors, tolerance)
 
 
-def check_T_identity(j_left: float, arrivals: SeqWindow, services: SeqWindow,
+def check_T_identity(j_left: float | np.ndarray, arrivals: SeqWindow, services: SeqWindow,
                      tolerance: float = 1e-9) -> IdentityReport:
     """Best arrival/service split computed from inputs equals the same split
     computed from the sweep outputs in the reversed roles.
@@ -302,22 +350,14 @@ def check_T_identity(j_left: float, arrivals: SeqWindow, services: SeqWindow,
     """
     out = lindley_iterate(j_left, arrivals, services)
 
-    def best_split(first: np.ndarray, second: np.ndarray) -> float:
-        pre = np.cumsum(first)
-        suf = np.cumsum(second[::-1])[::-1]
-        return float(np.max(pre + suf))
+    def best_split(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        pre = np.cumsum(first, axis=-1)
+        suf = np.cumsum(second[..., ::-1], axis=-1)[..., ::-1]
+        return np.max(pre + suf, axis=-1)
 
     t_direct = best_split(arrivals.values, services.values)
     t_dual = best_split(out.unused.values, out.departures.values)
-    return _check("T-identity", [t_dual - t_direct], tolerance,
-                  value=t_direct)
-
-
-def _fold_departures(seqs: list[SeqWindow]) -> SeqWindow:
-    acc = seqs[0]
-    for svc in seqs[1:]:
-        acc = lindley_iterate(0.0, acc, svc).departures
-    return acc
+    return _check("T-identity", t_dual - t_direct, tolerance, value=t_direct)
 
 
 def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWindow,
@@ -336,7 +376,8 @@ def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWind
     if not arrival_seqs:
         raise ValueError("need at least one arrival sequence")
     same_window(*arrival_seqs, services)
-    lhs = _fold_departures(list(arrival_seqs) + [services])
+    fold = BoundaryPolicy.given(0.0)
+    lhs = queue_Dn(list(arrival_seqs) + [services], fold)
     # Chain the unused input upward from the bottom stream.
     w = services
     transformed = []
@@ -344,14 +385,14 @@ def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWind
         out = lindley_iterate(0.0, arr, w)
         transformed.append(out.departures)
         w = out.unused
-    rhs = _fold_departures(list(reversed(transformed)))
+    rhs = queue_Dn(list(reversed(transformed)), fold)
     cut = int(fraction * len(lhs))
-    errors = lhs.values[cut:] - rhs.values[cut:]
+    errors = lhs.values[..., cut:] - rhs.values[..., cut:]
     return _check("intertwining", errors, tolerance, order=len(arrival_seqs),
                   interior=len(lhs) - cut)
 
 
-def check_conservation(j_left: float, arrivals: SeqWindow, services: SeqWindow,
+def check_conservation(j_left: float | np.ndarray, arrivals: SeqWindow, services: SeqWindow,
                        tolerance: float = 1e-12) -> IdentityReport:
     """Slot-by-slot conservation laws of one sweep.
 
@@ -360,14 +401,14 @@ def check_conservation(j_left: float, arrivals: SeqWindow, services: SeqWindow,
     unused input is the smaller of arrival and incoming sojourn.
     """
     out = lindley_iterate(j_left, arrivals, services)
-    j_prev = np.concatenate([[j_left], out.sojourn.values[:-1]])
+    j_prev = _incoming(out.j_left, out.sojourn.values)
     arr = arrivals.values
     svc = services.values
     errors = np.concatenate([
         (arr + out.sojourn.values) - (j_prev + out.departures.values),
         (svc + arr) - (out.unused.values + out.departures.values),
         out.unused.values - np.minimum(arr, j_prev),
-    ])
+    ], axis=-1)
     return _check("conservation", errors, tolerance)
 
 

@@ -102,7 +102,13 @@ class WeightField:
 
 @dataclass(eq=False)
 class SeqWindow:
-    """A finite window s_k, k = offset .. offset + len - 1, of a sequence."""
+    """A finite window s_k, k = offset .. offset + len - 1, of a sequence.
+
+    values is either one window, shape (n,), or a stack of K aligned windows
+    of independent instances, shape (K, n).  Time always runs along the last
+    axis: len() is the window length n, and slicing in time (suffix,
+    reversal) acts on the last axis only.
+    """
 
     offset: int
     values: np.ndarray
@@ -110,16 +116,16 @@ class SeqWindow:
     def __post_init__(self):
         self.offset = int(self.offset)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("SeqWindow values must be 1-dimensional")
+        if self.values.ndim not in (1, 2):
+            raise ValueError("SeqWindow values must be a window or a stack of windows")
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
     @property
     def end(self) -> int:
         """One past the last index covered by the window."""
-        return self.offset + len(self.values)
+        return self.offset + len(self)
 
     def indices(self) -> np.ndarray:
         return np.arange(self.offset, self.end)
@@ -131,14 +137,14 @@ class SeqWindow:
         """The sub-window from absolute index start onward."""
         if start < self.offset or start > self.end:
             raise ValueError("suffix start outside window")
-        return SeqWindow(start, self.values[start - self.offset :])
+        return SeqWindow(start, self.values[..., start - self.offset :])
 
 
 def same_window(*windows: SeqWindow) -> None:
-    """Raise unless all windows share offset and length."""
+    """Raise unless all windows share offset, length and stack size."""
     first = windows[0]
     for w in windows[1:]:
-        if w.offset != first.offset or len(w) != len(first):
+        if w.offset != first.offset or w.values.shape != first.values.shape:
             raise ValueError("windows are not aligned")
 
 

@@ -53,6 +53,19 @@ def test_verify_run_is_deterministic(tmp_path, capsys):
         assert row["seed"] == 11
 
 
+def test_verify_queueing_spans_instance_blocks(tmp_path):
+    # criterion 2 checks its instances in stacks of at most _C2_BLOCK
+    instances = verification._C2_BLOCK + 1
+    out = tmp_path / "blocks"
+    assert run(["verify-queueing", "--seed", "11", "--out", str(out),
+                "--instances", str(instances), "--window", "40"]) == 0
+    rows = [json.loads(line) for line in
+            (out / "reports.jsonl").read_text().splitlines()]
+    queueing = [row for row in rows if row["name"].startswith("queueing-")]
+    assert len(queueing) == 5
+    assert all(row["n"] == instances and row["pass"] for row in queueing)
+
+
 def test_thread_count_does_not_change_results(tmp_path):
     assert run(q_args(tmp_path / "one", ["--threads", "1"])) == 0
     assert run(q_args(tmp_path / "two", ["--threads", "2"])) == 0

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgmlab.rng import RngSpec, SeqWindow, exp_from_uniform, sample_exp_window
+from cgmlab import verification
+from cgmlab.verification import _C2_BLOCK, criterion_2
 from cgmlab.queueing import (BoundaryPolicy, check_conservation, check_duality,
                              check_intertwining_identity, check_strip_identities,
                              check_T_identity, lindley_iterate, queue_D,
@@ -35,24 +37,36 @@ def branch_sweep(j_left, arrivals, services):
 
 
 def assert_sweep_is_branch_sweep(j_left, arrivals, services):
+    """Check one window, or every row of a stack, against branch_sweep."""
     out = lindley_iterate(j_left, arrivals, services)
-    dep, soj, rel = branch_sweep(j_left, arrivals, services)
-    assert np.array_equal(out.departures.values, dep)
-    assert np.array_equal(out.sojourn.values, soj)
-    assert np.array_equal(out.unused.values, rel)
     assert out.departures.offset == out.sojourn.offset == out.unused.offset \
         == arrivals.offset
+    got = [w.values for w in (out.departures, out.sojourn, out.unused)]
+    assert all(g.shape == arrivals.values.shape for g in got)
+    arr, svc = np.atleast_2d(arrivals.values), np.atleast_2d(services.values)
+    j_rows = np.broadcast_to(j_left, arr.shape[:1])
+    for r in range(len(arr)):
+        expect = branch_sweep(j_rows[r], SeqWindow(1, arr[r]), SeqWindow(1, svc[r]))
+        for g, e in zip(got, expect):
+            assert np.array_equal(np.atleast_2d(g)[r], e)
     return out
 
 
 @pytest.mark.parametrize("length", [1000, 125_000])
 def test_sweep_matches_branch_oracle_on_seeded_windows(length):
     spec = RngSpec(31, f"oracle{length}")
+    arrs, svcs = [], []
     for r, (rho, lam) in enumerate([(2.0, 1.0), (1.5, 1.4), (1.0, 3.0)]):
         arr = sample_exp_window(1, length, rho, spec.sub(f"I{r}"))
         svc = sample_exp_window(1, length, lam, spec.sub(f"w{r}"))
         assert_sweep_is_branch_sweep(0.0, arr, svc)
         assert_sweep_is_branch_sweep(0.75 * r, arr, svc)
+        arrs.append(arr.values)
+        svcs.append(svc.values)
+    # the same instances as one stack, from a shared and a per-row j_left
+    arr, svc = SeqWindow(1, np.stack(arrs)), SeqWindow(1, np.stack(svcs))
+    assert_sweep_is_branch_sweep(0.0, arr, svc)
+    assert_sweep_is_branch_sweep(np.array([0.0, 0.75, 1.5]), arr, svc)
 
 
 # Half-integers make exact ties I_k == J_{k-1} and zero inputs common.
@@ -60,11 +74,16 @@ tie_prone = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.0, 5.0
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.integers(1, 40), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0), st.data())
-def test_sweep_matches_branch_oracle_with_ties_and_zeros(n, j0, data):
-    arr = SeqWindow(1, data.draw(st.lists(tie_prone, min_size=n, max_size=n)))
-    svc = SeqWindow(1, data.draw(st.lists(tie_prone, min_size=n, max_size=n)))
-    assert_sweep_is_branch_sweep(j0, arr, svc)
+@given(st.integers(1, 40), st.integers(1, 4), st.data())
+def test_sweep_matches_branch_oracle_with_ties_and_zeros(n, k, data):
+    # a stack of k instances, and its first row on its own
+    j_left = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0)
+    rows = st.lists(st.lists(tie_prone, min_size=n, max_size=n), min_size=k, max_size=k)
+    arr = np.array(data.draw(rows))
+    svc = np.array(data.draw(rows))
+    j0 = np.array(data.draw(st.lists(j_left, min_size=k, max_size=k)))
+    assert_sweep_is_branch_sweep(j0[0], SeqWindow(1, arr[0]), SeqWindow(1, svc[0]))
+    assert_sweep_is_branch_sweep(j0, SeqWindow(1, arr), SeqWindow(1, svc))
 
 
 def test_sweep_oracle_windows_hit_exact_ties():
@@ -74,6 +93,14 @@ def test_sweep_oracle_windows_hit_exact_ties():
     svc = SeqWindow(1, gen.integers(0, 2, 2000).astype(float))
     out = assert_sweep_is_branch_sweep(0.0, arr, svc)
     j_prev = np.concatenate([[0.0], out.sojourn.values[:-1]])
+    assert np.sum(arr.values == j_prev) > 100
+    assert np.sum(arr.values == 0.0) > 100
+    # So does a stack of half-integer queues, each from its own j_left.
+    j0 = np.array([0.0, 0.5, 2.0, 0.0, 3.5, 1.0])
+    arr = SeqWindow(1, gen.integers(0, 8, (6, 2000)) / 2.0)
+    svc = SeqWindow(1, gen.integers(0, 4, (6, 2000)) / 2.0)
+    out = assert_sweep_is_branch_sweep(j0, arr, svc)
+    j_prev = np.concatenate([j0[:, None], out.sojourn.values[:, :-1]], axis=1)
     assert np.sum(arr.values == j_prev) > 100
     assert np.sum(arr.values == 0.0) > 100
 
@@ -90,6 +117,16 @@ def test_sweep_matches_branch_oracle_on_reversed_views():
     assert_sweep_is_branch_sweep(fwd.final_sojourn, rev_arr, rev_svc)
     assert_sweep_is_branch_sweep(0.0, SeqWindow(1, arr.values[::-2]),
                                  SeqWindow(1, svc.values[::-2]))
+    # and the [:, ::-1] views of a stack
+    arr = SeqWindow(1, np.stack([arr.values, svc.values[::-1], 3.0 * svc.values]))
+    svc = SeqWindow(1, np.stack([svc.values, svc.values, arr.values[0]]))
+    fwd = lindley_iterate(np.array([0.4, 0.0, 2.5]), arr, svc)
+    rev_arr = SeqWindow(1, fwd.departures.values[:, ::-1])
+    rev_svc = SeqWindow(1, fwd.unused.values[:, ::-1])
+    assert rev_arr.values.strides[1] < 0
+    assert_sweep_is_branch_sweep(fwd.final_sojourn, rev_arr, rev_svc)
+    assert_sweep_is_branch_sweep(0.0, SeqWindow(1, arr.values[:, ::-2]),
+                                 SeqWindow(1, svc.values[:, ::-2]))
 
 
 def test_lindley_hand_trace():
@@ -152,6 +189,37 @@ def test_identities_on_random_stable_instances():
         assert check_duality(j0, arr, svc).max_abs_error < 1e-12
         assert check_T_identity(j0, arr, svc).max_abs_error < 1e-9
         assert check_strip_identities(j0, arr, svc).max_abs_error < 1e-9
+
+
+def test_stacked_checks_equal_max_over_rows():
+    spec = RngSpec(41, "stacked-checks")
+    k, n = 12, 400
+    j0 = exp_from_uniform(spec.sub("j0").generator().random(k), 1.0)
+    j0[0] = 0.0
+    lines = [np.stack([sample_exp_window(1, n, m * (1.0 + r / k),
+                                         spec.sub(f"L{m}/{r}")).values
+                       for r in range(k)])
+             for m in (1.0, 2.0, 3.5, 5.0)]
+    arr, svc = lines[2], lines[0]
+    worst = []
+    for check in (check_conservation, check_duality, check_T_identity):
+        stacked = check(j0, SeqWindow(1, arr), SeqWindow(1, svc))
+        rows = [check(j0[r], SeqWindow(1, arr[r]), SeqWindow(1, svc[r])).max_abs_error
+                for r in range(k)]
+        assert stacked.max_abs_error == max(rows)
+        assert stacked.passed
+        worst.append(max(rows))
+    for order in (2, 3):
+        streams = lines[order:0:-1]
+        stacked = check_intertwining_identity([SeqWindow(1, a) for a in streams],
+                                              SeqWindow(1, lines[0]))
+        rows = [check_intertwining_identity([SeqWindow(1, a[r]) for a in streams],
+                                            SeqWindow(1, lines[0][r])).max_abs_error
+                for r in range(k)]
+        assert stacked.max_abs_error == max(rows)
+        assert stacked.extras == {"order": order, "interior": n - int(0.2 * n)}
+        worst.append(max(rows))
+    assert all(w > 0.0 for w in worst)
 
 
 def test_intertwining_identity_random_streams():
@@ -229,3 +297,72 @@ def test_misaligned_windows_rejected():
         lindley_iterate(0.0, SeqWindow(0, [1.0]), SeqWindow(1, [1.0]))
     with pytest.raises(ValueError):
         lindley_iterate(0.0, SeqWindow(0, [1.0, 2.0]), SeqWindow(0, [1.0]))
+
+
+def criterion_2_per_instance(seed, instances, window):
+    """Criterion 2's worst errors, checking one instance at a time on single
+    windows, as the criterion did before it checked stacks."""
+    spec = RngSpec(seed, "criterion2")
+    worst = {"conservation": 0.0, "duality": 0.0, "T-identity": 0.0,
+             "intertwining-2": 0.0, "intertwining-3": 0.0}
+    for r in range(instances):
+        s = spec.sub(f"i{r}")
+        gen = s.generator()
+        rho = 1.5 + 2.5 * gen.random()
+        lam = rho * (0.35 + 0.5 * gen.random())
+        j0 = float(exp_from_uniform(gen.random(), 1.0))
+        arr = sample_exp_window(1, window, rho, s.sub("I"))
+        svc = sample_exp_window(1, window, lam, s.sub("w"))
+        worst["conservation"] = max(worst["conservation"],
+                                    check_conservation(j0, arr, svc).max_abs_error)
+        worst["duality"] = max(worst["duality"],
+                               check_duality(j0, arr, svc).max_abs_error)
+        worst["T-identity"] = max(worst["T-identity"],
+                                  check_T_identity(j0, arr, svc).max_abs_error)
+        base = 0.7 + 0.6 * gen.random()
+        means = base * np.array([1.0, 1.8 + 0.4 * gen.random(),
+                                 3.0 + 0.8 * gen.random(), 4.6 + gen.random()])
+        seqs = [sample_exp_window(1, window, means[k], s.sub(f"L{k}"))
+                for k in range(4)]
+        two = check_intertwining_identity([seqs[2], seqs[1]], seqs[0])
+        three = check_intertwining_identity([seqs[3], seqs[2], seqs[1]], seqs[0])
+        worst["intertwining-2"] = max(worst["intertwining-2"], two.max_abs_error)
+        worst["intertwining-3"] = max(worst["intertwining-3"], three.max_abs_error)
+    return worst
+
+
+@pytest.mark.parametrize("seed, instances, window",
+                         [(20260822, 20, 1000), (5, _C2_BLOCK + 3, 60)])
+def test_criterion_2_matches_per_instance_loop(seed, instances, window):
+    # the second case spans two blocks, the last one of three instances
+    res = criterion_2(seed, instances, window)
+    want = criterion_2_per_instance(seed, instances, window)
+    assert {r.name: r.statistic for r in res.reports} == \
+        {f"queueing-{k}": v for k, v in want.items()}
+    assert all(r.n == instances for r in res.reports)
+
+
+def test_criterion_2_blocks_cover_every_instance(monkeypatch):
+    # With blocks of 4, counts 1 to 9 end on every position in a block.
+    # Every instance must reach the checks once, in order: j0 is drawn
+    # third from each instance's own stream.
+    monkeypatch.setattr(verification, "_C2_BLOCK", 4)
+    seen = []
+
+    def spy(j0, arr, svc):
+        seen.append(j0)
+        return check_conservation(j0, arr, svc)
+
+    monkeypatch.setattr(verification, "check_conservation", spy)
+    for instances in range(1, 10):
+        seen.clear()
+        res = criterion_2(9, instances, 30)
+        want_j0 = []
+        for r in range(instances):
+            u = RngSpec(9, "criterion2").sub(f"i{r}").generator().random(3)[2]
+            want_j0.append(float(exp_from_uniform(u, 1.0)))
+        assert [len(j0) for j0 in seen] == [4] * (instances // 4) + \
+            ([instances % 4] if instances % 4 else [])
+        assert np.concatenate(seen).tolist() == want_j0
+        want = criterion_2_per_instance(9, instances, 30)
+        assert [r.statistic for r in res.reports] == list(want.values())
