@@ -15,6 +15,7 @@ from .lpp import (
     GTable,
     GeodesicPath,
     lpp_grid,
+    brute_force_table,
     brute_force_lpp,
     shape_function,
     backtrack_geodesic,

@@ -31,6 +31,7 @@ __all__ = [
     "STEP_E1",
     "STEP_E2",
     "lpp_grid",
+    "brute_force_table",
     "brute_force_lpp",
     "shape_function",
     "backtrack_geodesic",
@@ -145,9 +146,15 @@ def lpp_grid(weights: WeightField) -> GTable:
     return GTable(weights.origin, _grid_values(weights.values))
 
 
-def brute_force_lpp(weights: WeightField, start: tuple[int, int],
-                    end: tuple[int, int], max_paths: int = 1_000_000) -> float:
-    """Exhaustive-path oracle for G(start, end); refuses more than max_paths paths."""
+def brute_force_table(weights: WeightField, start: tuple[int, int],
+                      end: tuple[int, int], max_paths: int = 1_000_000) -> np.ndarray:
+    """Exhaustive-path oracle for G(start, v) at every v of the rectangle
+    from start to end, as an array indexed from start.
+
+    One depth-first walk enumerates every up-right path from start to end;
+    its prefixes are every path from start to each point of the rectangle,
+    each summed in path order.  Refuses more than max_paths paths to end.
+    """
     a0 = start[0] - weights.origin[0]
     b0 = start[1] - weights.origin[1]
     a1 = end[0] - weights.origin[0]
@@ -161,23 +168,26 @@ def brute_force_lpp(weights: WeightField, start: tuple[int, int],
         raise ValueError("end must lie northeast of start")
     if math.comb(da + db, da) > max_paths:
         raise ValueError("too many paths for brute force enumeration")
-    vals = weights.values
-    best = -math.inf
+    vals = weights.values[a0:a1 + 1, b0:b1 + 1].tolist()
+    best = [[-math.inf] * (db + 1) for _ in range(da + 1)]
 
     def walk(a, b, acc):
-        nonlocal best
-        acc += vals[a, b]
-        if a == a1 and b == b1:
-            if acc > best:
-                best = acc
-            return
-        if a < a1:
+        acc += vals[a][b]
+        if acc > best[a][b]:
+            best[a][b] = acc
+        if a < da:
             walk(a + 1, b, acc)
-        if b < b1:
+        if b < db:
             walk(a, b + 1, acc)
 
-    walk(a0, b0, 0.0)
-    return best
+    walk(0, 0, 0.0)
+    return np.array(best)
+
+
+def brute_force_lpp(weights: WeightField, start: tuple[int, int],
+                    end: tuple[int, int], max_paths: int = 1_000_000) -> float:
+    """Exhaustive-path oracle for G(start, end); refuses more than max_paths paths."""
+    return brute_force_table(weights, start, end, max_paths)[-1, -1]
 
 
 def shape_function(x: tuple[float, float]) -> float:

@@ -24,12 +24,32 @@ Exactness notes: the checks with tolerance 1e-12 (conservation, exchange,
 duality) rely on every output slot being one rounding of its defining
 formula.  The sweep scans only the sojourn sequentially, with the branch
 arithmetic J_k = w_k + (J_{k-1} - I_k) when I_k < J_{k-1} and J_k = w_k
-otherwise.  A single window runs that branch in a Python float loop.  A
-stack runs one ufunc step per slot over all instances at once,
+otherwise.  A short single window runs that branch in a Python float loop.
+A stack runs one ufunc step per slot over all instances at once,
 J_k = w_k + (max(J_{k-1}, I_k) - I_k), which is the branch bit for bit:
 when J_{k-1} > I_k the maximum is J_{k-1}, and otherwise it is I_k (or the
 equal J_{k-1}), so I_k - I_k is exactly +0 and w_k + 0 is w_k.  Rewriting
-it as max(J_{k-1}, I_k) + (w_k - I_k) would round differently.
+it as max(J_{k-1}, I_k) + (w_k - I_k) would round differently.  The one
+difference on finite inputs is the sign of a zero: a -0.0 service at an
+idle slot stays -0.0 in the float loop and becomes +0.0 in the lockstep
+step, equal by ==.  An infinite arrival makes I_k - I_k a NaN there, so
+the lockstep step assumes finite inputs.
+
+A single window of at least 4096 slots is cut into chunks of isqrt(n)
+slots, swept in lockstep as a stack: chunk 0 from j_left, every later
+chunk from an empty queue.  Only the heads of chunks 1, 2, ... can then be
+wrong, and they are repaired in order: from the previous chunk's true last
+sojourn the branch recomputes the chunk's slots until one equals the
+speculative value; from there on both chains are the same recursion on the
+same inputs, so every later slot is already exact.  The repair always
+ends (Loynes' coupling): the branch step is monotone in J_{k-1}, IEEE
+rounding being monotone, so a chain started from 0 never exceeds the true
+one, and at the true chain's first idle slot both hold exactly w_k.  A
+chunk that never meets its true chain (an unstable queue) is recomputed
+whole, still exactly.  The tail after the last whole chunk runs the float
+loop.  So every slot is the branch bit for bit, chunk boundaries included
+(up to the sign of a zero, as above).
+
 Departures and unused input then follow elementwise from the shifted
 sojourn J_{k-1} through the same branch test, each one IEEE operation on
 the same operands.  Nothing is summed along the time axis, so an idle
@@ -176,33 +196,67 @@ def _incoming(j_left: float | np.ndarray, sojourn: np.ndarray) -> np.ndarray:
     return np.concatenate((np.asarray(j_left)[..., None], sojourn[..., :-1]), axis=-1)
 
 
+# A single window at least this long is swept as a stack of its own chunks
+# (isqrt(n) slots each) and then repaired; shorter ones, where a ufunc call
+# per chunk column costs more than the float loop saves, keep the float loop.
+_CHUNKED_FROM = 4096
+
+
 def _sojourn_scan(j_left: float | np.ndarray, arr: np.ndarray,
                   svc: np.ndarray) -> np.ndarray:
-    """J_k = w_k + (J_{k-1} - I_k)^+ from J_0 = j_left, the one sequential pass."""
-    if arr.ndim == 1:
-        # One window: the branch in a Python float loop; memoryviews hand
-        # it Python floats without building lists.
-        soj = np.empty(len(arr))
-        out = memoryview(soj)
-        j = j_left
-        k = 0
-        for i, w in zip(memoryview(arr), memoryview(svc)):
-            if i >= j:
-                j = w
-            else:
-                j = w + (j - i)
-            out[k] = j
-            k += 1
-        return soj
-    # A stack: one step per slot over every instance, through the columns
-    # of the (K, n) arrays in place.
+    """J_k = w_k + (J_{k-1} - I_k)^+ from J_0 = j_left, the one sequential pass.
+
+    A stack of windows, and the whole chunks of a long single window, are
+    swept in lockstep; a long window's chunk heads are then repaired to the
+    exact sojourn, and its tail (all of a short window) runs the branch in a
+    Python float loop.  See the module's exactness notes.
+    """
     soj = np.empty(arr.shape)
-    gap = np.empty(arr.shape[0])
-    j = j_left
-    for i, w, out in zip(arr.T, svc.T, soj.T):
-        np.maximum(j, i, out=gap)
-        np.subtract(gap, i, out=gap)
-        j = np.add(w, gap, out=out)
+    n = arr.shape[-1]
+    size = math.isqrt(n)
+    head = 0
+    if arr.ndim == 2:
+        head, stack, j = n, (arr, svc, soj), j_left
+    elif n >= _CHUNKED_FROM:
+        # Chunk 0 starts from j_left, every later chunk from an empty queue.
+        head = n - n % size
+        stack = [x[:head].reshape(-1, size) for x in (arr, svc, soj)]
+        j = np.zeros(head // size)
+        j[0] = j_left
+    if head:
+        # One step per slot over every row, through the columns in place.
+        gap = np.empty(len(stack[0]))
+        for i, w, out in zip(*(x.T for x in stack)):
+            np.maximum(j, i, out=gap)
+            np.subtract(gap, i, out=gap)
+            j = np.add(w, gap, out=out)
+    if arr.ndim == 2:
+        return soj
+    # memoryviews hand the loops Python floats without building lists.
+    a, s, out = memoryview(arr), memoryview(svc), memoryview(soj)
+    # Repair chunks 1, 2, ... in order: recompute each head from the
+    # previous chunk's true last sojourn until it meets the speculative
+    # chain, which from there on is the same recursion on the same inputs.
+    for start in range(size, head, size):
+        j = out[start - 1]
+        for k in range(start, start + size):
+            i = a[k]
+            if i >= j:
+                j = s[k]
+            else:
+                j = s[k] + (j - i)
+            if j == out[k]:
+                break
+            out[k] = j
+    j = out[head - 1] if head else j_left
+    k = head
+    for i, w in zip(a[head:], s[head:]):
+        if i >= j:
+            j = w
+        else:
+            j = w + (j - i)
+        out[k] = j
+        k += 1
     return soj
 
 

@@ -14,6 +14,7 @@ from cgmlab.exact import (AtomTailLaw, MarkedPointProcess, X_value,
                           rho_star_cdf, sample_X_process)
 from cgmlab.rng import RngSpec, exp_from_uniform
 from cgmlab.stats import ks_one_sample, ks_two_sample
+from cgmlab.verification import criterion_10
 
 
 def test_catalan_numbers():
@@ -132,6 +133,25 @@ def test_competition_crossing_mass():
     assert abs(s - 1.0) < 1e-6
     s = math.fsum(poisson_competition_B(n, 2.0, 1.0) for n in range(1, 201))
     assert abs(s - 0.5) < 1e-6
+
+
+def criterion_10_empirical_before(seed):
+    """Criterion 10's race frequencies as computed before its paths were
+    built in place, kept as the oracle."""
+    spec = RngSpec(seed, "criterion10")
+    m = 10 ** 6
+    sig = np.cumsum(exp_from_uniform(
+        spec.sub("alpha").generator().random((m, 3)), 1.0), axis=1)
+    tau = np.cumsum(exp_from_uniform(
+        spec.sub("beta").generator().random((m, 3)), 0.5), axis=1)
+    lead = sig < tau
+    return [float(np.mean(lead[:, :n].all(axis=1))) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("seed", [20260822, 7])
+def test_criterion_10_race_frequencies_match_the_cumsum_paths(seed):
+    reps = criterion_10(seed).reports[:3]
+    assert [r.metadata["empirical"] for r in reps] == criterion_10_empirical_before(seed)
 
 
 def test_competition_against_simulation():

@@ -1,13 +1,15 @@
 """Grid passage times against the exhaustive oracle, plus geodesic walks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgmlab.rng import RngSpec, SeqWindow, WeightField, sample_exp_field, sample_exp_window
 from cgmlab.lpp import (GTable, STEP_E1, STEP_E2, _grid_values,
-                        backtrack_geodesic, brute_force_lpp, lpp_grid,
-                        shape_function, stationary_halfplane_lpp,
+                        backtrack_geodesic, brute_force_lpp, brute_force_table,
+                        lpp_grid, shape_function, stationary_halfplane_lpp,
                         walk_to_corner)
 from cgmlab.multiclass import MultiConfig
 from cgmlab.queueing import BoundaryPolicy, queue_D
@@ -41,26 +43,69 @@ def test_single_row_is_cumsum():
     np.testing.assert_allclose(table.values[0], np.cumsum(vals[0]))
 
 
+def per_endpoint_brute_force(weights, start, end):
+    """One exhaustive walk per endpoint, as brute_force_lpp did before it
+    read its value off brute_force_table, kept as the oracle."""
+    a0, b0 = start[0] - weights.origin[0], start[1] - weights.origin[1]
+    a1, b1 = end[0] - weights.origin[0], end[1] - weights.origin[1]
+    vals = weights.values
+    best = -math.inf
+
+    def walk(a, b, acc):
+        nonlocal best
+        acc += vals[a, b]
+        if a == a1 and b == b1:
+            best = max(best, acc)
+            return
+        if a < a1:
+            walk(a + 1, b, acc)
+        if b < b1:
+            walk(a, b + 1, acc)
+
+    walk(a0, b0, 0.0)
+    return best
+
+
+def assert_table_is_per_endpoint_oracle(weights, start, end):
+    table = brute_force_table(weights, start, end)
+    assert table.shape == (end[0] - start[0] + 1, end[1] - start[1] + 1)
+    for a, b in np.ndindex(table.shape):
+        point = (start[0] + a, start[1] + b)
+        assert table[a, b] == per_endpoint_brute_force(weights, start, point)
+    assert brute_force_lpp(weights, start, end) == table[-1, -1]
+    return table
+
+
 def test_matches_brute_force_on_random_fields():
     spec = RngSpec(101, "oracle")
     for r in range(30):
         field = sample_exp_field(5, 5, 1.0, spec.sub(f"f{r}"))
-        table = lpp_grid(field)
-        for a in range(5):
-            for b in range(5):
-                ref = brute_force_lpp(field, (0, 0), (a, b))
-                assert abs(table.values[a, b] - ref) < 1e-12
+        ref = assert_table_is_per_endpoint_oracle(field, (0, 0), (4, 4))
+        assert np.max(np.abs(lpp_grid(field).values - ref)) < 1e-12
+    # an inner rectangle of a field whose origin is not (0, 0)
+    field = sample_exp_field(7, 6, 1.0, spec.sub("inner"), origin=(-3, 2))
+    ref = assert_table_is_per_endpoint_oracle(field, (-2, 3), (2, 6))
+    inner = WeightField((-2, 3), field.values[1:6, 1:5])
+    assert np.max(np.abs(lpp_grid(inner).values - ref)) < 1e-12
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.floats(0.0, 100.0), min_size=9, max_size=9))
 def test_grid_recursion_property(flat):
     field = WeightField((0, 0), np.asarray(flat).reshape(3, 3))
-    table = lpp_grid(field)
-    for a in range(3):
-        for b in range(3):
-            ref = brute_force_lpp(field, (0, 0), (a, b))
-            assert abs(table.values[a, b] - ref) < 1e-9
+    ref = assert_table_is_per_endpoint_oracle(field, (0, 0), (2, 2))
+    assert np.max(np.abs(lpp_grid(field).values - ref)) < 1e-9
+
+
+def test_brute_force_refuses_too_many_paths():
+    field = WeightField((0, 0), np.ones((4, 4)))
+    assert brute_force_table(field, (0, 0), (3, 3), max_paths=20).shape == (4, 4)
+    with pytest.raises(ValueError):
+        brute_force_table(field, (0, 0), (3, 3), max_paths=19)
+    with pytest.raises(ValueError):
+        brute_force_lpp(field, (0, 0), (3, 3), max_paths=19)
+    with pytest.raises(ValueError):
+        brute_force_table(field, (2, 2), (1, 3))
 
 
 def test_fill_matches_cumsum_oracle():

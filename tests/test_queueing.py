@@ -1,5 +1,7 @@
 """FIFO operator identities, pathwise and on random stable instances."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +39,8 @@ def branch_sweep(j_left, arrivals, services):
 
 
 def assert_sweep_is_branch_sweep(j_left, arrivals, services):
-    """Check one window, or every row of a stack, against branch_sweep."""
+    """Check one window, or every row of a stack, against branch_sweep, bit
+    for bit (the sign of a zero included)."""
     out = lindley_iterate(j_left, arrivals, services)
     assert out.departures.offset == out.sojourn.offset == out.unused.offset \
         == arrivals.offset
@@ -48,8 +51,13 @@ def assert_sweep_is_branch_sweep(j_left, arrivals, services):
     for r in range(len(arr)):
         expect = branch_sweep(j_rows[r], SeqWindow(1, arr[r]), SeqWindow(1, svc[r]))
         for g, e in zip(got, expect):
-            assert np.array_equal(np.atleast_2d(g)[r], e)
+            assert np.array_equal(np.atleast_2d(g)[r].view(np.int64), e.view(np.int64))
     return out
+
+
+def incoming(j_left, sojourn):
+    """[j_left, J_1, ..., J_{n-1}] of one window."""
+    return np.concatenate([[j_left], sojourn[:-1]])
 
 
 @pytest.mark.parametrize("length", [1000, 125_000])
@@ -107,26 +115,79 @@ def test_sweep_oracle_windows_hit_exact_ties():
 
 def test_sweep_matches_branch_oracle_on_reversed_views():
     # check_duality feeds the sweep negative-stride views of its outputs.
+    # At 9001 slots the reversed view and its every other slot (4501) are
+    # long enough to be swept as chunks.
     spec = RngSpec(12, "views")
-    arr = sample_exp_window(1, 3000, 2.0, spec.sub("I"))
-    svc = sample_exp_window(1, 3000, 1.0, spec.sub("w"))
-    fwd = lindley_iterate(0.4, arr, svc)
-    rev_arr = SeqWindow(1, fwd.departures.values[::-1])
-    rev_svc = SeqWindow(1, fwd.unused.values[::-1])
-    assert rev_arr.values.strides[0] < 0
-    assert_sweep_is_branch_sweep(fwd.final_sojourn, rev_arr, rev_svc)
-    assert_sweep_is_branch_sweep(0.0, SeqWindow(1, arr.values[::-2]),
-                                 SeqWindow(1, svc.values[::-2]))
-    # and the [:, ::-1] views of a stack
-    arr = SeqWindow(1, np.stack([arr.values, svc.values[::-1], 3.0 * svc.values]))
-    svc = SeqWindow(1, np.stack([svc.values, svc.values, arr.values[0]]))
-    fwd = lindley_iterate(np.array([0.4, 0.0, 2.5]), arr, svc)
-    rev_arr = SeqWindow(1, fwd.departures.values[:, ::-1])
-    rev_svc = SeqWindow(1, fwd.unused.values[:, ::-1])
-    assert rev_arr.values.strides[1] < 0
-    assert_sweep_is_branch_sweep(fwd.final_sojourn, rev_arr, rev_svc)
-    assert_sweep_is_branch_sweep(0.0, SeqWindow(1, arr.values[:, ::-2]),
-                                 SeqWindow(1, svc.values[:, ::-2]))
+    for length in (3000, 9001):
+        arr = sample_exp_window(1, length, 2.0, spec.sub("I"))
+        svc = sample_exp_window(1, length, 1.0, spec.sub("w"))
+        fwd = lindley_iterate(0.4, arr, svc)
+        rev_arr = SeqWindow(1, fwd.departures.values[::-1])
+        rev_svc = SeqWindow(1, fwd.unused.values[::-1])
+        assert rev_arr.values.strides[0] < 0
+        assert_sweep_is_branch_sweep(fwd.final_sojourn, rev_arr, rev_svc)
+        assert_sweep_is_branch_sweep(0.0, SeqWindow(1, arr.values[::-2]),
+                                     SeqWindow(1, svc.values[::-2]))
+        # and the [:, ::-1] views of a stack
+        arr = SeqWindow(1, np.stack([arr.values, svc.values[::-1], 3.0 * svc.values]))
+        svc = SeqWindow(1, np.stack([svc.values, svc.values, arr.values[0]]))
+        fwd = lindley_iterate(np.array([0.4, 0.0, 2.5]), arr, svc)
+        rev_arr = SeqWindow(1, fwd.departures.values[:, ::-1])
+        rev_svc = SeqWindow(1, fwd.unused.values[:, ::-1])
+        assert rev_arr.values.strides[1] < 0
+        assert_sweep_is_branch_sweep(fwd.final_sojourn, rev_arr, rev_svc)
+        assert_sweep_is_branch_sweep(0.0, SeqWindow(1, arr.values[:, ::-2]),
+                                     SeqWindow(1, svc.values[:, ::-2]))
+
+
+@pytest.mark.parametrize("length, service_mean", [
+    (4096, 0.5),      # the shortest chunked window: 64 chunks, no tail
+    (4097, 0.5),      # a tail of one slot
+    (125_001, 0.6),   # 354 chunks of 353 slots and a tail of 39
+    (20_000, 0.95),   # long busy periods: heads need long repairs
+    (20_000, 1.05),   # unstable: most chunks never meet their true chain
+])
+def test_long_windows_are_the_branch_sweep(length, service_mean):
+    spec = RngSpec(53, f"chunks{length}/{service_mean}")
+    arr = sample_exp_window(1, length, 1.0, spec.sub("I"))
+    svc = sample_exp_window(1, length, service_mean, spec.sub("w"))
+    for j_left in (0.0, 2.5):
+        assert_sweep_is_branch_sweep(j_left, arr, svc)
+    # From a long queue the first two chunks never idle, so chunk 1 is
+    # repaired from its first slot to its last.
+    size = math.isqrt(length)
+    j_left = 40.0 * size
+    out = assert_sweep_is_branch_sweep(j_left, arr, svc)
+    assert (arr.values < incoming(j_left, out.sojourn.values))[:2 * size].all()
+
+
+def test_long_half_integer_windows_tie_at_chunk_starts():
+    # Exact ties I_k == J_{k-1} at the first slot of a chunk, where the
+    # speculative chain restarts from an empty queue.
+    gen = RngSpec(7, "chunk-ties").generator()
+    length = 10_007  # chunks of 100 slots and a tail of 7
+    arr = SeqWindow(1, gen.integers(0, 4, length) / 2.0)
+    svc = SeqWindow(1, gen.integers(0, 3, length) / 2.0)
+    starts = np.arange(100, length - 7, 100)
+    for j_left in (0.0, 0.5, 60.0):
+        out = assert_sweep_is_branch_sweep(j_left, arr, svc)
+        j_prev = incoming(j_left, out.sojourn.values)
+        assert np.sum(arr.values[starts] == j_prev[starts]) >= 10
+        assert np.sum(arr.values == j_prev) > 1000
+
+
+@pytest.mark.parametrize("length", [1000, 5000])
+def test_negative_zero_service_gives_an_equal_zero_sojourn(length):
+    # Every slot idles, so the sojourn is the service.  The float loop
+    # keeps a -0.0 service's sign; the lockstep step adds +0 and gives
+    # +0.0.  Both equal the branch sweep by value.
+    svc = np.where(np.arange(length) % 2 == 0, -0.0, 0.5)
+    arr = SeqWindow(1, np.ones(length))
+    out = lindley_iterate(0.0, arr, SeqWindow(1, svc))
+    _, soj, _ = branch_sweep(0.0, arr, SeqWindow(1, svc))
+    assert np.array_equal(out.sojourn.values, soj)
+    differs = out.sojourn.values.view(np.int64) != soj.view(np.int64)
+    assert np.all(np.signbit(svc[differs]))
 
 
 def test_lindley_hand_trace():
