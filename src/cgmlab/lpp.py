@@ -151,9 +151,11 @@ def brute_force_table(weights: WeightField, start: tuple[int, int],
     """Exhaustive-path oracle for G(start, v) at every v of the rectangle
     from start to end, as an array indexed from start.
 
-    One depth-first walk enumerates every up-right path from start to end;
-    its prefixes are every path from start to each point of the rectangle,
-    each summed in path order.  Refuses more than max_paths paths to end.
+    One depth-first walk, kept on an explicit stack so that path length is
+    not bounded by Python's recursion limit, enumerates every up-right path
+    from start to end; its prefixes are every path from start to each point
+    of the rectangle, each summed in path order.  Refuses more than
+    max_paths paths to end.
     """
     a0 = start[0] - weights.origin[0]
     b0 = start[1] - weights.origin[1]
@@ -171,16 +173,20 @@ def brute_force_table(weights: WeightField, start: tuple[int, int],
     vals = weights.values[a0:a1 + 1, b0:b1 + 1].tolist()
     best = [[-math.inf] * (db + 1) for _ in range(da + 1)]
 
-    def walk(a, b, acc):
-        acc += vals[a][b]
-        if acc > best[a][b]:
-            best[a][b] = acc
-        if a < da:
-            walk(a + 1, b, acc)
-        if b < db:
-            walk(a, b + 1, acc)
-
-    walk(0, 0, 0.0)
+    # Each entry is a point and the sum of the path prefix before it.  A
+    # popped path runs on along e1, leaving its e2 branches on the stack.
+    stack = [(0, 0, 0.0)]
+    while stack:
+        a, b, acc = stack.pop()
+        while True:
+            acc += vals[a][b]
+            if acc > best[a][b]:
+                best[a][b] = acc
+            if b < db:
+                stack.append((a, b + 1, acc))
+            if a == da:
+                break
+            a += 1
     return np.array(best)
 
 

@@ -26,14 +26,17 @@ formula.  The sweep scans only the sojourn sequentially, with the branch
 arithmetic J_k = w_k + (J_{k-1} - I_k) when I_k < J_{k-1} and J_k = w_k
 otherwise.  A short single window runs that branch in a Python float loop.
 A stack runs one ufunc step per slot over all instances at once,
-J_k = w_k + (max(J_{k-1}, I_k) - I_k), which is the branch bit for bit:
-when J_{k-1} > I_k the maximum is J_{k-1}, and otherwise it is I_k (or the
-equal J_{k-1}), so I_k - I_k is exactly +0 and w_k + 0 is w_k.  Rewriting
-it as max(J_{k-1}, I_k) + (w_k - I_k) would round differently.  The one
-difference on finite inputs is the sign of a zero: a -0.0 service at an
-idle slot stays -0.0 in the float loop and becomes +0.0 in the lockstep
-step, equal by ==.  An infinite arrival makes I_k - I_k a NaN there, so
-the lockstep step assumes finite inputs.
+J_k = w_k + max(J_{k-1} - I_k, 0), which is the branch bit for bit: when
+J_{k-1} > I_k the difference is the branch's positive J_{k-1} - I_k, and
+otherwise it is zero or negative (IEEE subtraction gives zero only for
+equal operands), so the maximum is the exact +0 of a zero row and w_k + 0
+is w_k.  Rewriting it as max(J_{k-1}, I_k) + (w_k - I_k) would round
+differently.  The one difference is the sign of a zero: a -0.0 service
+at an idle slot stays -0.0 in the float loop and becomes +0.0 in the
+lockstep step, equal by ==.  An infinite arrival gives J_{k-1} - I_k =
+-inf there, so the slot idles with sojourn w_k, as in the float loop;
+only an infinite sojourn meeting an infinite arrival (inf - inf) gives a
+NaN where the branch gives w_k.
 
 A single window of at least 4096 slots is cut into chunks of isqrt(n)
 slots, swept in lockstep as a stack: chunk 0 from j_left, every later
@@ -226,9 +229,10 @@ def _sojourn_scan(j_left: float | np.ndarray, arr: np.ndarray,
     if head:
         # One step per slot over every row, through the columns in place.
         gap = np.empty(len(stack[0]))
+        zero = np.zeros(len(stack[0]))
         for i, w, out in zip(*(x.T for x in stack)):
-            np.maximum(j, i, out=gap)
-            np.subtract(gap, i, out=gap)
+            np.subtract(j, i, out=gap)
+            np.maximum(gap, zero, out=gap)
             j = np.add(w, gap, out=out)
     if arr.ndim == 2:
         return soj

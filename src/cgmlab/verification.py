@@ -6,6 +6,13 @@ The seed policy for statistical suites: a criterion counts as passing
 when all of its reports pass at the primary seed or, failing that, at one
 of two fixed backup seeds; the aggregate primary-seed pass rate must stay
 at 95 percent or higher.
+
+The sample-heavy fast criteria hold a bounded working set.  Criteria 10
+and 11 draw, transform and reduce their sample rows in fixed blocks of
+about 800 KB per array, each stream carried on by one generator from block
+to block, so their results are bit for bit those of one whole-array draw.
+Criterion 2 draws each block of instances straight into one stack of
+windows.
 """
 
 from __future__ import annotations
@@ -88,20 +95,26 @@ def criterion_1(seed: int, instances: int = 100) -> CriterionResult:
 _C2_BLOCK = 256
 
 
-def _criterion_2_instance(s: RngSpec, length: int):
-    """One instance's j0 and its six windows: arrivals, services, lines 0-3."""
+def _draw_exp(row: np.ndarray, mean: float, spec: RngSpec) -> None:
+    # sample_exp_window's draw, written into a row of a preallocated stack.
+    _exp_in_place(spec.generator().random(out=row), mean)
+
+
+def _criterion_2_instance(s: RngSpec, rows: np.ndarray) -> float:
+    """Draw one instance's six windows into rows (arrivals, services, lines
+    0-3) and return its j0."""
     gen = s.generator()
     rho = 1.5 + 2.5 * gen.random()
     lam = rho * (0.35 + 0.5 * gen.random())
     j0 = float(exp_from_uniform(gen.random(), 1.0))
-    arr = sample_exp_window(1, length, rho, s.sub("I"))
-    svc = sample_exp_window(1, length, lam, s.sub("w"))
+    _draw_exp(rows[0], rho, s.sub("I"))
+    _draw_exp(rows[1], lam, s.sub("w"))
     base = 0.7 + 0.6 * gen.random()
     means = base * np.array([1.0, 1.8 + 0.4 * gen.random(),
                              3.0 + 0.8 * gen.random(), 4.6 + gen.random()])
-    seqs = [sample_exp_window(1, length, means[k], s.sub(f"L{k}"))
-            for k in range(4)]
-    return j0, [arr.values, svc.values] + [w.values for w in seqs]
+    for k in range(4):
+        _draw_exp(rows[2 + k], means[k], s.sub(f"L{k}"))
+    return j0
 
 
 def criterion_2(seed: int, instances: int = 200, window: int = 1000) -> CriterionResult:
@@ -111,11 +124,11 @@ def criterion_2(seed: int, instances: int = 200, window: int = 1000) -> Criterio
     worst = {"conservation": 0.0, "duality": 0.0, "T-identity": 0.0,
              "intertwining-2": 0.0, "intertwining-3": 0.0}
     for start in range(0, instances, _C2_BLOCK):
-        draws = [_criterion_2_instance(spec.sub(f"i{r}"), window)
-                 for r in range(start, min(start + _C2_BLOCK, instances))]
-        j0 = np.array([d[0] for d in draws])
-        arr, svc, *seqs = (SeqWindow(1, np.stack(rows))
-                           for rows in zip(*(d[1] for d in draws)))
+        count = min(_C2_BLOCK, instances - start)
+        stack = np.empty((6, count, window))
+        j0 = np.array([_criterion_2_instance(spec.sub(f"i{start + r}"), stack[:, r])
+                       for r in range(count)])
+        arr, svc, *seqs = (SeqWindow(1, rows) for rows in stack)
         checks = {
             "conservation": check_conservation(j0, arr, svc),
             "duality": check_duality(j0, arr, svc),
@@ -327,9 +340,22 @@ def criterion_9(seed: int) -> CriterionResult:
     return CriterionResult(9, seed, reps)
 
 
-def _race_paths(spec: RngSpec, mean: float, m: int) -> np.ndarray:
-    """m paths of three exponential jump times, as (m, 3) cumulative sums."""
-    x = _exp_in_place(spec.generator().random((m, 3)), mean)
+# Criteria 10 and 11 take their rows in blocks of about this many doubles
+# (800 KB) per array.  A Philox stream drawn in consecutive blocks gives the
+# same numbers as one whole-array draw, so no result depends on it.
+_DRAW_BLOCK = 100_000
+
+
+def _row_blocks(m: int, width: int):
+    """(start, stop) of consecutive row blocks of width-wide arrays, m rows."""
+    rows = max(1, _DRAW_BLOCK // width)
+    return ((start, min(start + rows, m)) for start in range(0, m, rows))
+
+
+def _race_paths(gen: np.random.Generator, mean: float, rows: int) -> np.ndarray:
+    """The generator's next rows paths of three exponential jump times, as
+    (rows, 3) cumulative sums."""
+    x = _exp_in_place(gen.random((rows, 3)), mean)
     x[:, 1] += x[:, 0]
     x[:, 2] += x[:, 1]
     return x
@@ -342,13 +368,19 @@ def criterion_10(seed: int) -> CriterionResult:
     m = 10 ** 6
     # the event compares the streams at every index up to n, so the race
     # needs the full jump-time paths, not just the n-th points
-    sig = _race_paths(spec.sub("alpha"), 1.0 / alpha, m)
-    tau = _race_paths(spec.sub("beta"), 1.0 / beta, m)
-    run = np.ones(m, dtype=bool)
+    gen_sig = spec.sub("alpha").generator()
+    gen_tau = spec.sub("beta").generator()
+    wins = [0, 0, 0]
+    for start, stop in _row_blocks(m, 3):
+        sig = _race_paths(gen_sig, 1.0 / alpha, stop - start)
+        tau = _race_paths(gen_tau, 1.0 / beta, stop - start)
+        run = np.ones(stop - start, dtype=bool)
+        for n in (1, 2, 3):
+            run &= sig[:, n - 1] < tau[:, n - 1]
+            wins[n - 1] += int(np.count_nonzero(run))
     reps = []
     for n in (1, 2, 3):
-        run &= sig[:, n - 1] < tau[:, n - 1]
-        p_hat = int(np.count_nonzero(run)) / m
+        p_hat = wins[n - 1] / m
         p = poisson_competition_A(n, alpha, beta)
         z = abs(p_hat - p) / math.sqrt(p * (1.0 - p) / m)
         reps.append(TestReport(f"competition-A{n}", z, 3.0, m, seed, z < 3.0,
@@ -369,18 +401,23 @@ def criterion_11(seed: int) -> CriterionResult:
     m = 100000
     cols = 24
     rho_max = 4.0
-    gaps = exp_from_uniform(spec.sub("gaps").generator().random((m, cols)), 1.0)
-    logs = np.concatenate([np.zeros((m, 1)), np.cumsum(gaps, axis=1)], axis=1)
     limit = math.log(rho_max)
-    if not np.all(logs[:, -1] > limit):
-        raise RuntimeError("point budget exhausted before the range end")
-    locs = np.exp(logs)
-    u = spec.sub("marks").generator().random((m, cols + 1))
-    marks = exp_from_uniform(u, 1.0) * locs
-    x1 = marks[:, 0]
-    x2 = np.sum(marks * (locs <= 2.0), axis=1)
-    x4 = np.sum(marks * (locs <= rho_max), axis=1)
-    counts = np.sum((locs > 1.0) & (locs <= math.e), axis=1)
+    gen_gaps = spec.sub("gaps").generator()
+    gen_marks = spec.sub("marks").generator()
+    x1, x2, x4 = np.empty(m), np.empty(m), np.empty(m)
+    counts = np.empty(m, dtype=np.int64)
+    for start, stop in _row_blocks(m, cols + 1):
+        rows = stop - start
+        gaps = exp_from_uniform(gen_gaps.random((rows, cols)), 1.0)
+        logs = np.concatenate([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)], axis=1)
+        if not np.all(logs[:, -1] > limit):
+            raise RuntimeError("point budget exhausted before the range end")
+        locs = np.exp(logs)
+        marks = exp_from_uniform(gen_marks.random((rows, cols + 1)), 1.0) * locs
+        x1[start:stop] = marks[:, 0]
+        x2[start:stop] = np.sum(marks * (locs <= 2.0), axis=1)
+        x4[start:stop] = np.sum(marks * (locs <= rho_max), axis=1)
+        counts[start:stop] = np.sum((locs > 1.0) & (locs <= math.e), axis=1)
     reps = [ks_one_sample(x1, _exp_cdf(1.0), "xproc-value-at-1", seed,
                           "value at the base point is unit exponential")]
     ref12 = increment_law(1.0, 2.0).sample(m, spec.sub("ref12"))

@@ -1,5 +1,6 @@
 """Closed-form reference laws: ballot counts, run lengths, races, increments."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ from cgmlab.exact import (AtomTailLaw, MarkedPointProcess, X_value,
                           poisson_competition_A, poisson_competition_B,
                           rho_star_cdf, sample_X_process)
 from cgmlab.rng import RngSpec, exp_from_uniform
-from cgmlab.stats import ks_one_sample, ks_two_sample
-from cgmlab.verification import criterion_10
+from cgmlab import verification
+from cgmlab.stats import TestReport, ks_one_sample, ks_two_sample
+from cgmlab.verification import criterion_10, criterion_11
 
 
 def test_catalan_numbers():
@@ -137,7 +139,7 @@ def test_competition_crossing_mass():
 
 def criterion_10_empirical_before(seed):
     """Criterion 10's race frequencies as computed before its paths were
-    built in place, kept as the oracle."""
+    built in place and drawn in row blocks, kept as the oracle."""
     spec = RngSpec(seed, "criterion10")
     m = 10 ** 6
     sig = np.cumsum(exp_from_uniform(
@@ -148,10 +150,58 @@ def criterion_10_empirical_before(seed):
     return [float(np.mean(lead[:, :n].all(axis=1))) for n in (1, 2, 3)]
 
 
-@pytest.mark.parametrize("seed", [20260822, 7])
-def test_criterion_10_race_frequencies_match_the_cumsum_paths(seed):
+# 70_001 doubles make blocks of 23_333 race rows and 2800 marked-process
+# rows, neither of which divides its sample size.
+@pytest.mark.parametrize("seed, block", [
+    pytest.param(20260822, None, id="20260822"), pytest.param(7, None, id="7"),
+    pytest.param(7, 70_001, id="7-block70001")])
+def test_criterion_10_race_frequencies_match_the_cumsum_paths(seed, block, monkeypatch):
+    if block:
+        monkeypatch.setattr(verification, "_DRAW_BLOCK", block)
     reps = criterion_10(seed).reports[:3]
     assert [r.metadata["empirical"] for r in reps] == criterion_10_empirical_before(seed)
+
+
+def criterion_11_whole_array(seed):
+    """Criterion 11's reports as computed before its rows were drawn in
+    blocks, from whole (m, 25) arrays, kept as the oracle."""
+    spec = RngSpec(seed, "criterion11")
+    m, cols, rho_max = 100000, 24, 4.0
+    gaps = exp_from_uniform(spec.sub("gaps").generator().random((m, cols)), 1.0)
+    logs = np.concatenate([np.zeros((m, 1)), np.cumsum(gaps, axis=1)], axis=1)
+    assert np.all(logs[:, -1] > math.log(rho_max))
+    locs = np.exp(logs)
+    u = spec.sub("marks").generator().random((m, cols + 1))
+    marks = exp_from_uniform(u, 1.0) * locs
+    x1 = marks[:, 0]
+    x2 = np.sum(marks * (locs <= 2.0), axis=1)
+    x4 = np.sum(marks * (locs <= rho_max), axis=1)
+    counts = np.sum((locs > 1.0) & (locs <= math.e), axis=1)
+    reps = [ks_one_sample(x1, lambda x: -np.expm1(-np.asarray(x)),
+                          "xproc-value-at-1", seed,
+                          "value at the base point is unit exponential")]
+    ref12 = increment_law(1.0, 2.0).sample(m, spec.sub("ref12"))
+    reps.append(ks_two_sample(x2 - x1, ref12, "xproc-incr-1-2", seed,
+                              "increment over [1,2] matches the atom-tail law"))
+    ref24 = increment_law(2.0, 4.0).sample(m, spec.sub("ref24"))
+    reps.append(ks_two_sample(x4 - x2, ref24, "xproc-incr-2-4", seed,
+                              "increment over [2,4] matches the atom-tail law"))
+    z = abs(float(np.mean(counts)) - 1.0) * math.sqrt(m)
+    reps.append(TestReport("xproc-count", z, 3.0, m, seed, z < 3.0,
+                           "point count over (1, e] has unit mean",
+                           {"mean": float(np.mean(counts))}))
+    return reps
+
+
+@pytest.mark.parametrize("seed, block", [
+    pytest.param(20260822, None, id="20260822"), pytest.param(99, None, id="99"),
+    pytest.param(99, 70_001, id="99-block70001")])
+def test_criterion_11_blocks_match_the_whole_array(seed, block, monkeypatch):
+    if block:
+        monkeypatch.setattr(verification, "_DRAW_BLOCK", block)
+    got = criterion_11(seed).reports
+    want = criterion_11_whole_array(seed)
+    assert [dataclasses.asdict(r) for r in got] == [dataclasses.asdict(r) for r in want]
 
 
 def test_competition_against_simulation():

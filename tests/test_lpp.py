@@ -108,6 +108,15 @@ def test_brute_force_refuses_too_many_paths():
         brute_force_table(field, (2, 2), (1, 3))
 
 
+@pytest.mark.parametrize("shape", [(1, 1500), (1500, 1)])
+def test_brute_force_walks_paths_longer_than_the_recursion_limit(shape):
+    field = WeightField((0, 0), np.ones(shape))
+    end = (shape[0] - 1, shape[1] - 1)
+    assert brute_force_lpp(field, (0, 0), end) == 1500.0
+    assert brute_force_table(field, (0, 0), end).ravel().tolist() == \
+        [float(k) for k in range(1, 1501)]
+
+
 def test_fill_matches_cumsum_oracle():
     spec = RngSpec(102, "fill")
     for rows, cols in [(40, 90), (90, 40), (64, 64), (1, 50), (50, 1), (2, 2)]:

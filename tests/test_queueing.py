@@ -190,6 +190,25 @@ def test_negative_zero_service_gives_an_equal_zero_sojourn(length):
     assert np.all(np.signbit(svc[differs]))
 
 
+@pytest.mark.parametrize("length", [1000, 5000])
+def test_infinite_arrival_idles_to_the_service(length):
+    # I_k = inf empties the queue: the sojourn there is the service, as in
+    # the float loop, in a stack and in a window swept as chunks.
+    spec = RngSpec(17, f"inf{length}")
+    arr = sample_exp_window(1, length, 1.0, spec.sub("I")).values
+    svc = sample_exp_window(1, length, 0.5, spec.sub("w")).values
+    slot = length // 2 + 3
+    arr[slot] = np.inf
+    out = assert_sweep_is_branch_sweep(0.0, SeqWindow(1, arr), SeqWindow(1, svc))
+    assert out.sojourn.values[slot] == svc[slot]
+    assert not np.isnan(out.sojourn.values).any()
+    stack = np.stack([arr, np.roll(arr, 7)])
+    out = assert_sweep_is_branch_sweep(np.array([0.0, 3.0]), SeqWindow(1, stack),
+                                       SeqWindow(1, np.stack([svc, svc])))
+    assert out.sojourn.values[0, slot] == svc[slot]
+    assert out.sojourn.values[1, slot + 7] == svc[slot + 7]
+
+
 def test_lindley_hand_trace():
     # j_left 1; arrivals 3,1; services 2,4
     # J_k = w_k + (J_{k-1} - I_k)^+ : J_1 = 2+(1-3)^+ = 2, J_2 = 4+(2-1)^+ = 5
