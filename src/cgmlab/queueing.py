@@ -14,11 +14,11 @@ define a two-level strip passage time H whose increments reproduce the
 sweep, a reversal duality, and intertwining identities for iterated
 departure maps.  All of that is checked here at fixed tolerances.
 
-lindley_iterate, queue_Dn and the conservation, duality, T and
-intertwining checks take either one window or a stack of K aligned windows
-of independent instances (see SeqWindow: time on the last axis).  j_left is
-then a float or a (K,) array, and a check's max_abs_error is the maximum
-over all instances.
+lindley_iterate, queue_Dn, strip_lpp_H and the conservation, duality, T,
+intertwining and strip checks take either one window or a stack of K
+aligned windows of independent instances (see SeqWindow: time on the last
+axis).  j_left is then a float or a (K,) array, and a check's
+max_abs_error is the maximum over all instances.
 
 Exactness notes: the checks with tolerance 1e-12 (conservation, exchange,
 duality) rely on every output slot being one rounding of its defining
@@ -54,11 +54,24 @@ loop.  So every slot is the branch bit for bit, chunk boundaries included
 (up to the sign of a zero, as above).
 
 Departures and unused input then follow elementwise from the shifted
-sojourn J_{k-1} through the same branch test, each one IEEE operation on
-the same operands.  Nothing is summed along the time axis, so an idle
-slot's sojourn is exactly its service and busy slots leave exact zeros in
-D - w.  Sum-based identities (strip, T, the intertwining interiors) carry
+sojourn J_{k-1}, computed through out= buffers with no branch mask:
+Itilde_k = max(I_k - J_{k-1}, 0) + w_k and wtilde_k = min(I_k, J_{k-1}).
+This is the branch bit for bit by the argument of the lockstep step: at a
+busy slot (I_k < J_{k-1}) the difference is negative, the maximum is the
+exact +0 and +0 + w_k is w_k; at an idle slot it is the branch's own
+nonnegative I_k - J_{k-1}, added to w_k in one rounding (addition
+commutes); and the minimum picks the operand the branch picks, either one
+on a tie.  The only difference is again the sign of a zero: a -0.0
+service at a busy slot gives +0.0 departures, and a tie between -0.0 and
++0.0 may pick either; all are equal by ==.  An infinite arrival gives an
+infinite departure and the incoming sojourn as unused input, as the
+branch does.  Nothing is summed along the time axis, so an idle slot's
+sojourn is exactly its service and busy slots leave exact zeros in D - w.
+Sum-based identities (strip, T, the intertwining interiors) carry
 prefix-sum rounding and are held to 1e-9.
+
+Identity checks reduce each error piece to its own max |e|; the maximum
+is exact, so no piece needs to be joined to the others first.
 """
 
 from __future__ import annotations
@@ -189,14 +202,30 @@ class IdentityReport:
         return f"{self.name}: max |err| = {self.max_abs_error:.3e} (tol {self.tolerance:.0e}) {tag}"
 
 
-def _check(name, errors, tolerance, **extras) -> IdentityReport:
-    err = float(np.max(np.abs(errors))) if np.size(errors) else 0.0
+def _check(name, pieces, tolerance, **extras) -> IdentityReport:
+    """Report the largest |error| over a list of error arrays."""
+    worst = [np.max(np.abs(e)) for e in pieces if np.size(e)]
+    # np.max, unlike max(), keeps a NaN from any piece
+    err = float(np.max(worst)) if worst else 0.0
     return IdentityReport(name, err, tolerance, err <= tolerance, dict(extras))
 
 
-def _incoming(j_left: float | np.ndarray, sojourn: np.ndarray) -> np.ndarray:
-    """The sojourn entering each slot, [j_left, J_1, ..., J_{n-1}], per instance."""
-    return np.concatenate((np.asarray(j_left)[..., None], sojourn[..., :-1]), axis=-1)
+def _prepend(left, values: np.ndarray) -> np.ndarray:
+    """[left, v_1, v_2, ...] along the last axis; left holds one value per
+    instance (a float for one window, a (K,) array for a stack)."""
+    return np.concatenate((np.asarray(left)[..., None], values), axis=-1)
+
+
+def _append(values: np.ndarray, right) -> np.ndarray:
+    """[v_1, ..., v_n, right] along the last axis, right as _prepend's left."""
+    return np.concatenate((values, np.asarray(right)[..., None]), axis=-1)
+
+
+def _left_values(j_left: float | np.ndarray, arr: np.ndarray) -> float | np.ndarray:
+    """j_left as a float for one window, as a fresh (K,) array for a stack."""
+    if arr.ndim == 1:
+        return float(j_left)
+    return np.broadcast_to(np.asarray(j_left, dtype=np.float64), arr.shape[:1]).copy()
 
 
 # A single window at least this long is swept as a stack of its own chunks
@@ -276,20 +305,17 @@ def lindley_iterate(j_left: float | np.ndarray, arrivals: SeqWindow,
         raise ValueError("empty window")
     arr = arrivals.values
     svc = services.values
-    if arr.ndim == 1:
-        j_left = float(j_left)
-        negative = j_left < 0
-    else:
-        j_left = np.broadcast_to(np.asarray(j_left, dtype=np.float64), arr.shape[:1]).copy()
-        negative = (j_left < 0).any()
-    if negative:
+    j_left = _left_values(j_left, arr)
+    if (j_left < 0).any() if arr.ndim == 2 else j_left < 0:
         raise ValueError("left sojourn value must be nonnegative")
     soj = _sojourn_scan(j_left, arr, svc)
-    j_prev = _incoming(j_left, soj)
-    # idle slot: the queue empties before the arrival completes
-    idle = arr >= j_prev
-    dep = np.where(idle, svc + (arr - j_prev), svc)
-    rel = np.where(idle, j_prev, arr)
+    # D = max(I - J_prev, 0) + w and R = min(I, J_prev), the branch bit for
+    # bit (module exactness notes); R overwrites J_prev's buffer.
+    j_prev = _prepend(j_left, soj[..., :-1])
+    dep = np.subtract(arr, j_prev)
+    np.maximum(dep, 0.0, out=dep)
+    np.add(dep, svc, out=dep)
+    rel = np.minimum(arr, j_prev, out=j_prev)
     off = arrivals.offset
     return QueueOutput(j_left, SeqWindow(off, dep), SeqWindow(off, soj),
                        SeqWindow(off, rel))
@@ -351,15 +377,17 @@ def queue_Dn(sequences: list[SeqWindow],
 class StripTable:
     """Two-level strip passage times H from (m, 0), on k = m .. n.
 
-    level0[m] = 0 and level1[m] = j_left by convention.
+    level0[m] = 0 and level1[m] = j_left by convention (per instance for a
+    stack of windows, j_left then a (K,) array).
     """
 
-    j_left: float
+    j_left: float | np.ndarray
     level0: SeqWindow
     level1: SeqWindow
 
 
-def strip_lpp_H(j_left: float, arrivals: SeqWindow, services: SeqWindow) -> StripTable:
+def strip_lpp_H(j_left: float | np.ndarray, arrivals: SeqWindow,
+                services: SeqWindow) -> StripTable:
     """Strip passage times built from the definitional entry-column maxima.
 
     level0 accumulates arrivals; level1[n] is the larger of (j_left + all
@@ -373,12 +401,14 @@ def strip_lpp_H(j_left: float, arrivals: SeqWindow, services: SeqWindow) -> Stri
     m = arrivals.offset - 1
     arr = arrivals.values
     svc = services.values
-    h0 = np.concatenate([[0.0], np.cumsum(arr)])
-    cw = np.cumsum(svc)
+    j_left = _left_values(j_left, arr)
+    zero = np.zeros(arr.shape[:-1])
+    h0 = _prepend(zero, np.cumsum(arr, axis=-1))
+    cw = np.cumsum(svc, axis=-1)
     # H1[n] = Cw[n] + max(j_left, max_{j<=n} (P_I[j] - Cw[j-1]))
-    best = np.maximum.accumulate(np.maximum(h0[1:] - (cw - svc), j_left))
-    h1 = np.concatenate([[float(j_left)], cw + best])
-    return StripTable(float(j_left), SeqWindow(m, h0), SeqWindow(m, h1))
+    split = np.maximum(h0[..., 1:] - (cw - svc), np.asarray(j_left)[..., None])
+    h1 = _prepend(j_left, cw + np.maximum.accumulate(split, axis=-1))
+    return StripTable(j_left, SeqWindow(m, h0), SeqWindow(m, h1))
 
 
 def check_duality(j_left: float | np.ndarray, arrivals: SeqWindow, services: SeqWindow,
@@ -389,12 +419,12 @@ def check_duality(j_left: float | np.ndarray, arrivals: SeqWindow, services: Seq
     rev_arr = SeqWindow(2 - fwd.departures.end, fwd.departures.values[..., ::-1])
     rev_svc = SeqWindow(rev_arr.offset, fwd.unused.values[..., ::-1])
     back = lindley_iterate(fwd.final_sojourn, rev_arr, rev_svc)
-    exp_soj = _incoming(fwd.j_left, fwd.sojourn.values)[..., ::-1]
-    errors = np.concatenate([
+    exp_soj = _prepend(fwd.j_left, fwd.sojourn.values[..., :-1])[..., ::-1]
+    errors = [
         back.departures.values[..., ::-1] - arrivals.values,
         back.unused.values[..., ::-1] - services.values,
         back.sojourn.values - exp_soj,
-    ], axis=-1)
+    ]
     return _check("duality", errors, tolerance)
 
 
@@ -415,7 +445,7 @@ def check_T_identity(j_left: float | np.ndarray, arrivals: SeqWindow, services: 
 
     t_direct = best_split(arrivals.values, services.values)
     t_dual = best_split(out.unused.values, out.departures.values)
-    return _check("T-identity", t_dual - t_direct, tolerance, value=t_direct)
+    return _check("T-identity", [t_dual - t_direct], tolerance, value=t_direct)
 
 
 def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWindow,
@@ -446,7 +476,7 @@ def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWind
     rhs = queue_Dn(list(reversed(transformed)), fold)
     cut = int(fraction * len(lhs))
     errors = lhs.values[..., cut:] - rhs.values[..., cut:]
-    return _check("intertwining", errors, tolerance, order=len(arrival_seqs),
+    return _check("intertwining", [errors], tolerance, order=len(arrival_seqs),
                   interior=len(lhs) - cut)
 
 
@@ -459,22 +489,23 @@ def check_conservation(j_left: float | np.ndarray, arrivals: SeqWindow, services
     unused input is the smaller of arrival and incoming sojourn.
     """
     out = lindley_iterate(j_left, arrivals, services)
-    j_prev = _incoming(out.j_left, out.sojourn.values)
+    j_prev = _prepend(out.j_left, out.sojourn.values[..., :-1])
     arr = arrivals.values
     svc = services.values
-    errors = np.concatenate([
+    errors = [
         (arr + out.sojourn.values) - (j_prev + out.departures.values),
         (svc + arr) - (out.unused.values + out.departures.values),
         out.unused.values - np.minimum(arr, j_prev),
-    ], axis=-1)
+    ]
     return _check("conservation", errors, tolerance)
 
 
-def check_strip_identities(j_left: float, arrivals: SeqWindow, services: SeqWindow,
+def check_strip_identities(j_left: float | np.ndarray, arrivals: SeqWindow,
+                           services: SeqWindow,
                            tolerance: float = 1e-9) -> IdentityReport:
     """Strip passage-time representations against the sweep outputs.
 
-    Verified on one instance: level-1 increments are the departures and the
+    Verified per instance: level-1 increments are the departures and the
     level gap is the sojourn, at every column; the split form (arrivals to a
     column, sojourn there, departures after) gives the level-1 endpoint for
     every split column; and for every left column the remaining strip value
@@ -485,25 +516,25 @@ def check_strip_identities(j_left: float, arrivals: SeqWindow, services: SeqWind
     out = lindley_iterate(j_left, arrivals, services)
     h0 = table.level0.values
     h1 = table.level1.values
+    dep = out.departures.values
+    soj = out.sojourn.values
+    end = h1[..., -1:]
     errors = [
-        np.diff(h1) - out.departures.values,
-        (h1 - h0)[1:] - out.sojourn.values,
-        [h1[0] - h0[0] - j_left],
+        np.diff(h1, axis=-1) - dep,
+        (h1 - h0)[..., 1:] - soj,
+        h1[..., 0] - h0[..., 0] - out.j_left,
     ]
     # split form: h1[end] = h0[k] + sojourn[k] + sum of departures past k
-    dep_suffix = np.concatenate([np.cumsum(out.departures.values[::-1])[::-1], [0.0]])
-    j_col = np.concatenate([[j_left], out.sojourn.values])
-    errors.append((h0 + j_col + dep_suffix) - h1[-1])
+    zero = np.zeros(dep.shape[:-1])
+    dep_suffix = _append(np.cumsum(dep[..., ::-1], axis=-1)[..., ::-1], zero)
+    errors.append((h0 + _prepend(out.j_left, soj) + dep_suffix) - end)
     # reversed-role form: for every left column l,
     # h1[end] - h0[l] = max(best split of (unused, departures) past l,
     #                       all unused past l + final sojourn)
-    a_pre = np.concatenate([[0.0], np.cumsum(out.unused.values)])
-    revcum = np.cumsum(out.departures.values[::-1])[::-1]
-    comb = a_pre[1:] + revcum
-    suffix_best = np.concatenate(
-        [np.maximum.accumulate(comb[::-1])[::-1], [-np.inf]])
-    rhs = np.maximum(suffix_best - a_pre,
-                     (a_pre[-1] - a_pre) + out.final_sojourn)
-    errors.append((h1[-1] - h0) - rhs)
-    return _check("strip-identities", np.concatenate([np.ravel(e) for e in errors]),
-                  tolerance)
+    a_pre = _prepend(zero, np.cumsum(out.unused.values, axis=-1))
+    comb = a_pre[..., 1:] + dep_suffix[..., :-1]
+    suffix_best = _append(np.maximum.accumulate(comb[..., ::-1], axis=-1)[..., ::-1],
+                          zero - np.inf)
+    rhs = np.maximum(suffix_best - a_pre, (a_pre[..., -1:] - a_pre) + soj[..., -1:])
+    errors.append((end - h0) - rhs)
+    return _check("strip-identities", errors, tolerance)

@@ -7,6 +7,20 @@ refuse small samples rather than silently losing power; the chi-square
 helper merges sparse tail bins; atom masses are checked by a normal
 approximation to the binomial and independence claims by a hard
 correlation bound.
+
+Samples must be finite: every KS helper raises ValueError on a NaN or an
+infinity.  NaN breaks the total order the empirical cdfs rest on, and an
+infinity is no draw from the continuous laws these tests compare.
+
+The two-sample statistic is computed from one stable merge of the two
+sorted samples.  Walking the merge, the counts c_a and c_b of points from
+each sample seen so far are the two empirical cdfs times n and m.  At the
+last member of each tie group (equal values, -0.0 and +0.0 together) they
+are exactly the counts of points <= that value, and the sup is read at
+those group ends only.  They are the integer pairs a binary search of
+every point into both samples (searchsorted, side="right") would give, and
+c_a/n - c_b/m is rounded the same way, so the statistic is that search's
+bit for bit.
 """
 
 from __future__ import annotations
@@ -75,9 +89,15 @@ def _ks_critical(alpha: float) -> float:
     return math.sqrt(-math.log(alpha / 2.0) / 2.0)
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise ValueError("KS tests need a finite sample")
+    return x
+
+
 def ks_distance(sample, cdf) -> float:
     """Sup distance between the empirical cdf of sample and a cdf."""
-    x = np.sort(np.asarray(sample, dtype=np.float64))
+    x = np.sort(_finite(np.asarray(sample, dtype=np.float64)))
     n = len(x)
     if n == 0:
         raise ValueError("empty sample")
@@ -101,15 +121,27 @@ def ks_one_sample(sample, cdf, name: str, seed: int, claim: str = "",
 def ks_two_sample(a, b, name: str, seed: int, claim: str = "",
                   alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Two-sample Kolmogorov-Smirnov test for equality of continuous laws."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
+    a = _finite(np.asarray(a, dtype=np.float64))
+    b = _finite(np.asarray(b, dtype=np.float64))
     n, m = len(a), len(b)
     if min(n, m) < KS_MIN_N:
         raise ValueError(f"KS test needs at least {KS_MIN_N} points per sample")
-    allv = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, allv, side="right") / n
-    cdf_b = np.searchsorted(b, allv, side="right") / m
-    d = float(np.max(np.abs(cdf_a - cdf_b)))
+    # Both samples sorted in one buffer; a stable sort of two sorted runs
+    # is a single linear merge (numpy's timsort finds the runs).
+    merged = np.concatenate([a, b])
+    merged[:n].sort()
+    merged[n:].sort()
+    order = merged.argsort(kind="stable")
+    merged.sort(kind="stable")
+    # the last member of each tie group
+    last = np.empty(n + m, dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=last[:-1])
+    last[-1] = True
+    from_a = order < n
+    cdf_a = np.divide(np.cumsum(from_a, out=order), n, out=merged)
+    cdf_b = np.cumsum(np.logical_not(from_a, out=from_a), out=order) / m
+    gap = np.abs(np.subtract(cdf_a, cdf_b, out=cdf_a), out=cdf_a)
+    d = float(np.max(gap, where=last, initial=0.0))
     threshold = _ks_critical(alpha) * math.sqrt((n + m) / (n * m))
     return TestReport(name, d, threshold, n + m, seed, d < threshold, claim,
                       {"alpha": alpha, "n_a": n, "n_b": m})

@@ -90,9 +90,9 @@ def criterion_1(seed: int, instances: int = 100) -> CriterionResult:
     return CriterionResult(1, seed, [rep])
 
 
-# Criterion 2 checks its instances in stacks of at most this many, so that
-# memory stays bounded whatever the instance count.
-_C2_BLOCK = 256
+# Criteria 2 and 3 check their instances in stacks of at most this many, so
+# that memory stays bounded whatever the instance count.
+_STACK_BLOCK = 256
 
 
 def _draw_exp(row: np.ndarray, mean: float, spec: RngSpec) -> None:
@@ -100,15 +100,22 @@ def _draw_exp(row: np.ndarray, mean: float, spec: RngSpec) -> None:
     _exp_in_place(spec.generator().random(out=row), mean)
 
 
-def _criterion_2_instance(s: RngSpec, rows: np.ndarray) -> float:
-    """Draw one instance's six windows into rows (arrivals, services, lines
-    0-3) and return its j0."""
+def _queue_instance(s: RngSpec, rows: np.ndarray) -> tuple[float, np.random.Generator]:
+    """Draw one random stable queue into rows (arrivals, services) and
+    return its j0 and its generator, carried on for further parameters."""
     gen = s.generator()
     rho = 1.5 + 2.5 * gen.random()
     lam = rho * (0.35 + 0.5 * gen.random())
     j0 = float(exp_from_uniform(gen.random(), 1.0))
     _draw_exp(rows[0], rho, s.sub("I"))
     _draw_exp(rows[1], lam, s.sub("w"))
+    return j0, gen
+
+
+def _criterion_2_instance(s: RngSpec, rows: np.ndarray) -> float:
+    """Draw one instance's six windows into rows (arrivals, services, lines
+    0-3) and return its j0."""
+    j0, gen = _queue_instance(s, rows)
     base = 0.7 + 0.6 * gen.random()
     means = base * np.array([1.0, 1.8 + 0.4 * gen.random(),
                              3.0 + 0.8 * gen.random(), 4.6 + gen.random()])
@@ -117,18 +124,25 @@ def _criterion_2_instance(s: RngSpec, rows: np.ndarray) -> float:
     return j0
 
 
+def _instance_stacks(spec: RngSpec, instances: int, window: int, streams: int, draw):
+    """The instances in blocks of at most _STACK_BLOCK, in order, each block
+    as (j0 array, `streams` stacked SeqWindows).  draw(spec, rows) fills
+    one instance's (streams, window) rows and returns its j0."""
+    for start in range(0, instances, _STACK_BLOCK):
+        count = min(_STACK_BLOCK, instances - start)
+        stack = np.empty((streams, count, window))
+        j0 = np.array([draw(spec.sub(f"i{start + r}"), stack[:, r]) for r in range(count)])
+        yield j0, [SeqWindow(1, rows) for rows in stack]
+
+
 def criterion_2(seed: int, instances: int = 200, window: int = 1000) -> CriterionResult:
     """Queueing identities on random stable instances, checked a block of
     instances at a time as stacks of windows."""
     spec = RngSpec(seed, "criterion2")
     worst = {"conservation": 0.0, "duality": 0.0, "T-identity": 0.0,
              "intertwining-2": 0.0, "intertwining-3": 0.0}
-    for start in range(0, instances, _C2_BLOCK):
-        count = min(_C2_BLOCK, instances - start)
-        stack = np.empty((6, count, window))
-        j0 = np.array([_criterion_2_instance(spec.sub(f"i{start + r}"), stack[:, r])
-                       for r in range(count)])
-        arr, svc, *seqs = (SeqWindow(1, rows) for rows in stack)
+    for j0, (arr, svc, *seqs) in _instance_stacks(spec, instances, window, 6,
+                                                  _criterion_2_instance):
         checks = {
             "conservation": check_conservation(j0, arr, svc),
             "duality": check_duality(j0, arr, svc),
@@ -156,17 +170,12 @@ def criterion_2(seed: int, instances: int = 200, window: int = 1000) -> Criterio
 
 
 def criterion_3(seed: int, instances: int = 100, window: int = 1000) -> CriterionResult:
-    """Strip passage-time representations on random instances."""
+    """Strip passage-time representations on random instances, checked a
+    block of instances at a time as stacks of windows."""
     spec = RngSpec(seed, "criterion3")
     worst = 0.0
-    for r in range(instances):
-        s = spec.sub(f"i{r}")
-        gen = s.generator()
-        rho = 1.5 + 2.5 * gen.random()
-        lam = rho * (0.35 + 0.5 * gen.random())
-        j0 = float(exp_from_uniform(gen.random(), 1.0))
-        arr = sample_exp_window(1, window, rho, s.sub("I"))
-        svc = sample_exp_window(1, window, lam, s.sub("w"))
+    for j0, (arr, svc) in _instance_stacks(spec, instances, window, 2,
+                                           lambda s, rows: _queue_instance(s, rows)[0]):
         worst = max(worst, check_strip_identities(j0, arr, svc).max_abs_error)
     rep = _exact_report("strip-identities", worst, 1e-9, instances, seed,
                         "split, reversed-role, and dual strip values agree")
@@ -406,18 +415,30 @@ def criterion_11(seed: int) -> CriterionResult:
     gen_marks = spec.sub("marks").generator()
     x1, x2, x4 = np.empty(m), np.empty(m), np.empty(m)
     counts = np.empty(m, dtype=np.int64)
+    # One set of block buffers, reused by every block (the last may be short).
+    size = next(_row_blocks(m, cols + 1))[1]
+    gap_buf = np.empty((size, cols))
+    loc_buf, mark_buf, term_buf = (np.empty((size, cols + 1)) for _ in range(3))
+    in_buf, above_buf = (np.empty((size, cols + 1), dtype=bool) for _ in range(2))
     for start, stop in _row_blocks(m, cols + 1):
         rows = stop - start
-        gaps = exp_from_uniform(gen_gaps.random((rows, cols)), 1.0)
-        logs = np.concatenate([np.zeros((rows, 1)), np.cumsum(gaps, axis=1)], axis=1)
-        if not np.all(logs[:, -1] > limit):
+        gaps = _exp_in_place(gen_gaps.random(out=gap_buf[:rows]), 1.0)
+        locs = loc_buf[:rows]
+        locs[:, 0] = 0.0
+        np.cumsum(gaps, axis=1, out=locs[:, 1:])  # the log-locations
+        if not np.all(locs[:, -1] > limit):
             raise RuntimeError("point budget exhausted before the range end")
-        locs = np.exp(logs)
-        marks = exp_from_uniform(gen_marks.random((rows, cols + 1)), 1.0) * locs
+        np.exp(locs, out=locs)
+        marks = _exp_in_place(gen_marks.random(out=mark_buf[:rows]), 1.0)
+        np.multiply(marks, locs, out=marks)
         x1[start:stop] = marks[:, 0]
-        x2[start:stop] = np.sum(marks * (locs <= 2.0), axis=1)
-        x4[start:stop] = np.sum(marks * (locs <= rho_max), axis=1)
-        counts[start:stop] = np.sum((locs > 1.0) & (locs <= math.e), axis=1)
+        inside, terms = in_buf[:rows], term_buf[:rows]
+        for bound, total in ((2.0, x2), (rho_max, x4)):
+            np.less_equal(locs, bound, out=inside)
+            np.sum(np.multiply(marks, inside, out=terms), axis=1, out=total[start:stop])
+        np.less_equal(locs, math.e, out=inside)
+        inside &= np.greater(locs, 1.0, out=above_buf[:rows])
+        np.sum(inside, axis=1, out=counts[start:stop])
     reps = [ks_one_sample(x1, _exp_cdf(1.0), "xproc-value-at-1", seed,
                           "value at the base point is unit exponential")]
     ref12 = increment_law(1.0, 2.0).sample(m, spec.sub("ref12"))

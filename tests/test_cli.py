@@ -1,5 +1,6 @@
 """Command-line entry points: determinism, exits, config handling, dumps."""
 
+import hashlib
 import json
 
 import pytest
@@ -54,8 +55,8 @@ def test_verify_run_is_deterministic(tmp_path, capsys):
 
 
 def test_verify_queueing_spans_instance_blocks(tmp_path):
-    # criterion 2 checks its instances in stacks of at most _C2_BLOCK
-    instances = verification._C2_BLOCK + 1
+    # criterion 2 checks its instances in stacks of at most _STACK_BLOCK
+    instances = verification._STACK_BLOCK + 1
     out = tmp_path / "blocks"
     assert run(["verify-queueing", "--seed", "11", "--out", str(out),
                 "--instances", str(instances), "--window", "40"]) == 0
@@ -64,6 +65,27 @@ def test_verify_queueing_spans_instance_blocks(tmp_path):
     queueing = [row for row in rows if row["name"].startswith("queueing-")]
     assert len(queueing) == 5
     assert all(row["n"] == instances and row["pass"] for row in queueing)
+
+
+# sha256 of each fast suite's reports.jsonl at the default seed.  A
+# speed-up must leave every report bit for bit as it is; a change that moves
+# a statistic on purpose records new digests and says why.  Recorded with
+# numpy 2.4 on x86-64: a build whose exp or log1p rounds differently moves
+# the statistics, and with them these digests.
+FAST_SUITE_DIGESTS = {
+    "verify-queueing": "b54bacbb4cdb2ac03aebcc6be0d294f4123e26c2f4aa539c7d7916a0378cf05a",
+    "verify-multiline": "050ea1d2eaca5fccb92450a65c8cfc32bec25c119dfeb1f30ddbaf34f5488177",
+    "verify-coupled": "9fded2afb839deeaa3b06e4d1cf3323dbffe09438e967aeae4f683077f9dabc6",
+    "verify-exact": "1d23344c1fd7dc5ecd2030580e13870c442c3c52272af86951afaf7e097d9398",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FAST_SUITE_DIGESTS))
+def test_fast_suite_reports_are_pinned(suite, tmp_path, monkeypatch):
+    monkeypatch.delenv("CGMLAB_SEED", raising=False)
+    assert run([suite, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "reports.jsonl").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FAST_SUITE_DIGESTS[suite]
 
 
 def test_thread_count_does_not_change_results(tmp_path):

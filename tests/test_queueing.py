@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cgmlab.rng import RngSpec, SeqWindow, exp_from_uniform, sample_exp_window
 from cgmlab import verification
-from cgmlab.verification import _C2_BLOCK, criterion_2
+from cgmlab.verification import _STACK_BLOCK, criterion_2, criterion_3
 from cgmlab.queueing import (BoundaryPolicy, check_conservation, check_duality,
                              check_intertwining_identity, check_strip_identities,
                              check_T_identity, lindley_iterate, queue_D,
@@ -209,6 +209,43 @@ def test_infinite_arrival_idles_to_the_service(length):
     assert out.sojourn.values[1, slot + 7] == svc[slot + 7]
 
 
+def where_outputs(j_left, arrivals, services, sojourn):
+    """(departures, unused) by a branch mask over the shifted sojourn, with
+    np.where on fresh temporaries: the output stage lindley_iterate had
+    before it computed max(I - J_prev, 0) + w and min(I, J_prev) in place."""
+    arr, svc = arrivals.values, services.values
+    j_prev = np.concatenate((np.asarray(j_left)[..., None], sojourn[..., :-1]), axis=-1)
+    idle = arr >= j_prev
+    return np.where(idle, svc + (arr - j_prev), svc), np.where(idle, j_prev, arr)
+
+
+@pytest.mark.parametrize("length", [1000, 5000])
+def test_outputs_equal_the_where_stage(length):
+    # Bit for bit on a short window, a window swept as chunks and a stack,
+    # with exact ties, and with an infinite arrival in each.
+    spec = RngSpec(19, f"where{length}")
+    gen = spec.generator()
+    arr = sample_exp_window(1, length, 1.0, spec.sub("I")).values
+    svc = sample_exp_window(1, length, 0.7, spec.sub("w")).values
+    arr[length // 3] = np.inf
+    ties = gen.integers(0, 6, (3, length)) / 2.0
+    ties[1, length // 2] = np.inf
+    # (j_left, arrivals, services, least number of ties I_k == J_{k-1})
+    cases = [(0.0, arr, svc, 0), (2.5, arr, svc, 0), (0.0, ties[1], ties[2] / 3.0, 10),
+             (np.array([0.0, 1.5, 40.0]), np.stack([arr, ties[1], arr[::-1]]),
+              np.stack([svc, ties[0] / 2.0, 0.9 * svc]), 10)]
+    for j_left, a, w, min_ties in cases:
+        a, w = SeqWindow(1, a), SeqWindow(1, w)
+        out = lindley_iterate(j_left, a, w)
+        want = where_outputs(out.j_left, a, w, out.sojourn.values)
+        for got, expect in zip((out.departures.values, out.unused.values), want):
+            assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+        assert np.isinf(out.departures.values).any()
+        j_prev = np.concatenate((np.asarray(out.j_left)[..., None],
+                                 out.sojourn.values[..., :-1]), axis=-1)
+        assert np.sum(a.values == j_prev) >= min_ties
+
+
 def test_lindley_hand_trace():
     # j_left 1; arrivals 3,1; services 2,4
     # J_k = w_k + (J_{k-1} - I_k)^+ : J_1 = 2+(1-3)^+ = 2, J_2 = 4+(2-1)^+ = 5
@@ -282,7 +319,8 @@ def test_stacked_checks_equal_max_over_rows():
              for m in (1.0, 2.0, 3.5, 5.0)]
     arr, svc = lines[2], lines[0]
     worst = []
-    for check in (check_conservation, check_duality, check_T_identity):
+    for check in (check_conservation, check_duality, check_T_identity,
+                  check_strip_identities):
         stacked = check(j0, SeqWindow(1, arr), SeqWindow(1, svc))
         rows = [check(j0[r], SeqWindow(1, arr[r]), SeqWindow(1, svc[r])).max_abs_error
                 for r in range(k)]
@@ -300,6 +338,14 @@ def test_stacked_checks_equal_max_over_rows():
         assert stacked.extras == {"order": order, "interior": n - int(0.2 * n)}
         worst.append(max(rows))
     assert all(w > 0.0 for w in worst)
+    # the stacked strip table is each row's table, bit for bit
+    table = strip_lpp_H(j0, SeqWindow(1, arr), SeqWindow(1, svc))
+    assert np.array_equal(table.j_left, j0)
+    for r in range(k):
+        row = strip_lpp_H(j0[r], SeqWindow(1, arr[r]), SeqWindow(1, svc[r]))
+        assert row.j_left == j0[r]
+        assert np.array_equal(table.level0.values[r], row.level0.values)
+        assert np.array_equal(table.level1.values[r], row.level1.values)
 
 
 def test_intertwining_identity_random_streams():
@@ -412,7 +458,7 @@ def criterion_2_per_instance(seed, instances, window):
 
 
 @pytest.mark.parametrize("seed, instances, window",
-                         [(20260822, 20, 1000), (5, _C2_BLOCK + 3, 60)])
+                         [(20260822, 20, 1000), (5, _STACK_BLOCK + 3, 60)])
 def test_criterion_2_matches_per_instance_loop(seed, instances, window):
     # the second case spans two blocks, the last one of three instances
     res = criterion_2(seed, instances, window)
@@ -426,7 +472,7 @@ def test_criterion_2_blocks_cover_every_instance(monkeypatch):
     # With blocks of 4, counts 1 to 9 end on every position in a block.
     # Every instance must reach the checks once, in order: j0 is drawn
     # third from each instance's own stream.
-    monkeypatch.setattr(verification, "_C2_BLOCK", 4)
+    monkeypatch.setattr(verification, "_STACK_BLOCK", 4)
     seen = []
 
     def spy(j0, arr, svc):
@@ -446,3 +492,31 @@ def test_criterion_2_blocks_cover_every_instance(monkeypatch):
         assert np.concatenate(seen).tolist() == want_j0
         want = criterion_2_per_instance(9, instances, 30)
         assert [r.statistic for r in res.reports] == list(want.values())
+
+
+def criterion_3_per_instance(seed, instances, window):
+    """Criterion 3's worst strip error, checking one instance at a time on
+    single windows, as the criterion did before it checked stacks."""
+    spec = RngSpec(seed, "criterion3")
+    worst = 0.0
+    for r in range(instances):
+        s = spec.sub(f"i{r}")
+        gen = s.generator()
+        rho = 1.5 + 2.5 * gen.random()
+        lam = rho * (0.35 + 0.5 * gen.random())
+        j0 = float(exp_from_uniform(gen.random(), 1.0))
+        arr = sample_exp_window(1, window, rho, s.sub("I"))
+        svc = sample_exp_window(1, window, lam, s.sub("w"))
+        worst = max(worst, check_strip_identities(j0, arr, svc).max_abs_error)
+    return worst
+
+
+@pytest.mark.parametrize("seed, instances, window",
+                         [(20260822, 100, 1000), (99, 100, 1000),
+                          (20260822, _STACK_BLOCK + 1, 120)])
+def test_criterion_3_matches_per_instance_loop(seed, instances, window):
+    # the last case spans two blocks, the second of one instance
+    res = criterion_3(seed, instances, window)
+    assert [r.statistic for r in res.reports] == \
+        [criterion_3_per_instance(seed, instances, window)]
+    assert res.reports[0].n == instances and res.passed

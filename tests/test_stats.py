@@ -69,6 +69,57 @@ def test_ks_two_sample_calibration_and_power():
     assert not ks_two_sample(a, c, "shifted", 62).passed
 
 
+def searchsorted_ks_statistic(a, b):
+    """The two-sample statistic from binary searches of every point in both
+    samples: the implementation the merge replaced, kept as its oracle."""
+    a = np.sort(np.asarray(a, dtype=np.float64))
+    b = np.sort(np.asarray(b, dtype=np.float64))
+    allv = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, allv, side="right") / len(a)
+    cdf_b = np.searchsorted(b, allv, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+@pytest.mark.parametrize("n, m", [(KS_MIN_N, KS_MIN_N), (2000, 3001), (4999, 2003)])
+def test_ks_two_sample_equals_the_searchsorted_statistic(n, m):
+    gen = RngSpec(66, f"merge{n}/{m}").generator()
+    signed_zero = lambda k: np.where(gen.random(k) < 0.5, -0.0, 0.0)
+    cases = [
+        # continuous samples, one shifted
+        (exp_from_uniform(gen.random(n), 1.0), exp_from_uniform(gen.random(m), 1.2)),
+        # heavy ties: a handful of half-integers, shared by both samples
+        (gen.integers(0, 6, n) / 2.0, gen.integers(0, 8, m) / 2.0),
+        # an atom at zero made of -0.0 and +0.0, then an exponential tail
+        (np.where(gen.random(n) < 0.4, signed_zero(n), gen.exponential(1.0, n)),
+         np.where(gen.random(m) < 0.6, signed_zero(m), gen.exponential(1.0, m))),
+        # every point in one tie group, and one sample all below the other
+        (np.zeros(n), signed_zero(m)),
+        (gen.random(n) - 2.0, gen.random(m)),
+    ]
+    for a, b in cases:
+        want = searchsorted_ks_statistic(a, b)
+        assert ks_two_sample(a, b, "merge", 66).statistic == want
+        assert ks_two_sample(b, a, "merge", 66).statistic == \
+            searchsorted_ks_statistic(b, a)
+    assert ks_two_sample(np.zeros(n), signed_zero(m), "atom", 66).statistic == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_refuses_non_finite_samples(bad):
+    gen = RngSpec(67, "finite").generator()
+    x = exp_from_uniform(gen.random(3000), 1.0)
+    y = exp_from_uniform(gen.random(3000), 1.0)
+    x[1234] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ks_distance(x, exp1_cdf)
+    with pytest.raises(ValueError, match="finite"):
+        ks_one_sample(x, exp1_cdf, "bad", 67)
+    with pytest.raises(ValueError, match="finite"):
+        ks_two_sample(x, y, "bad", 67)
+    with pytest.raises(ValueError, match="finite"):
+        ks_two_sample(y, x, "bad", 67)
+
+
 def test_chi_square_merges_sparse_tail():
     gen = RngSpec(63, "chi").generator()
     probs = np.array([0.5, 0.3, 0.15, 0.04, 0.009, 0.001])
