@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngSpec, SeqWindow, WeightField, sample_exp_field
-from .lpp import (GTable, GeodesicPath, STEP_E2, _grid_values, _row_step,
-                  backtrack_geodesic, walk_to_corner)
+from .rng import ExpFieldRows, RngSpec, SeqWindow, WeightField
+from .lpp import (CornerFill, GTable, GeodesicPath, STEP_E2, _grid_values, _row_step,
+                  backtrack_geodesic, corner_fill, walk_to_corner)
 from .queueing import lindley_iterate
 from .exact import initial_run_pmf
 
@@ -32,6 +32,7 @@ __all__ = [
     "rho_of_direction",
     "scaled_corner",
     "estimate_busemann_level",
+    "estimate_nested_levels",
     "busemann_geodesic",
     "coalescence_point",
     "competition_interface",
@@ -95,8 +96,10 @@ class BusemannEdgeEstimates:
 
     horizontal[t] estimates the limit increment across ((-t-1, 0), (-t, 0))
     and vertical[t] across ((0, -t-1), (0, -t)); both live on boundary
-    segments of length window.  table and weights are retained only when
-    the estimate was built with keep_table.
+    segments of length window.  They are differences of the table's last
+    window + 1 entries along its two edges through the origin, which is
+    all of the table an estimate keeps unless it was built with
+    keep_table: then table is the full fill and weights its field.
     """
 
     rho: float
@@ -137,6 +140,23 @@ def _slice_to_corner(field: WeightField, m1: int, m2: int) -> np.ndarray:
     return field.values[i0:i0 + m1 + 1, j0:j0 + m2 + 1]
 
 
+def _window(m1: int, m2: int, window: int | None) -> int:
+    w = window if window is not None else max(4, int(0.02 * min(m1, m2)))
+    if w < 1 or w > min(m1, m2):
+        raise ValueError("window must fit inside the corner rectangle")
+    return w
+
+
+def _edge_estimates(rho: float, n: int, corner: tuple[int, int], w: int,
+                    row: np.ndarray, column: np.ndarray,
+                    table: GTable | None = None,
+                    weights: WeightField | None = None) -> BusemannEdgeEstimates:
+    """Estimates from the table's last w + 1 entries along its last row
+    (toward the origin along e2) and its last column (along e1)."""
+    return BusemannEdgeEstimates(rho, n, corner, w, np.diff(column)[::-1].copy(),
+                                 np.diff(row)[::-1].copy(), table, weights)
+
+
 def estimate_busemann_level(rho: float, n: int, spec: RngSpec | None = None,
                             *, field: WeightField | None = None,
                             window: int | None = None,
@@ -149,25 +169,56 @@ def estimate_busemann_level(rho: float, n: int, spec: RngSpec | None = None,
     Without one, a fresh field of exactly the needed size is drawn from spec.
     The window defaults to about two percent of the short side, small
     enough that direction drift along the boundary stays below a percent.
+
+    The table is filled by lpp.corner_fill, which keeps two rows and the
+    last window + 1 entries of each edge through the origin: a shared
+    field is walked row by row, and a fresh one is drawn a block of rows
+    at a time (whole when it is tall).  keep_table fills and keeps the
+    full table and its field instead, with the same increments.
     """
     m1, m2 = scaled_corner(rho, n)
-    if field is None:
-        if spec is None:
-            raise ValueError("need either a field or a spec")
-        field = sample_exp_field(m1 + 1, m2 + 1, 1.0, spec, origin=(-m1, -m2))
-    vals = _slice_to_corner(field, m1, m2)
+    w = _window(m1, m2, window)
+    if field is not None:
+        vals = _slice_to_corner(field, m1, m2)
+    elif spec is None:
+        raise ValueError("need either a field or a spec")
+    else:
+        vals = ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec)
+        if keep_table:
+            vals = vals.whole()
+    if not keep_table:
+        row, column, _ = corner_fill(vals, depth=w + 1)
+        return _edge_estimates(rho, n, (m1, m2), w, row, column)
     g = _grid_values(vals)
-    w = window if window is not None else max(4, int(0.02 * min(m1, m2)))
-    if w < 1 or w > min(m1, m2):
-        raise ValueError("window must fit inside the corner rectangle")
-    horizontal = np.diff(g[m1 - w:m1 + 1, m2])[::-1].copy()
-    vertical = np.diff(g[m1, m2 - w:m2 + 1])[::-1].copy()
-    table = weights = None
-    if keep_table:
-        table = GTable((-m1, -m2), g)
-        weights = WeightField((-m1, -m2), vals)
-    return BusemannEdgeEstimates(rho, n, (m1, m2), w, horizontal, vertical,
-                                 table, weights)
+    return _edge_estimates(rho, n, (m1, m2), w, g[m1, m2 - w:], g[m1 - w:, m2],
+                           GTable((-m1, -m2), g), WeightField((-m1, -m2), vals))
+
+
+def estimate_nested_levels(rho: float, scales, spec: RngSpec,
+                           window: int) -> list[BusemannEdgeEstimates]:
+    """estimate_busemann_level(rho, n, field=F, window=window) for each n
+    in scales, on one field F drawn from spec at the largest scale's
+    corner, bit for bit, without ever holding F.
+
+    F's rows are drawn a block at a time, and each block feeds one
+    lpp.CornerFill per scale, which takes the part of it that lies in that
+    scale's nested corner, the top-right rectangle of F.  The corners must
+    not be tall.
+    """
+    corners = [scaled_corner(rho, n) for n in scales]
+    m1, m2 = max(corners)
+    if m1 > m2:
+        raise ValueError("nested corners are streamed only when not tall")
+    fills = [CornerFill(k1 + 1, k2 + 1, depth=_window(k1, k2, window) + 1)
+             for k1, k2 in corners]
+    start = 0
+    for block in ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec):
+        for (k1, k2), fill in zip(corners, fills):
+            skip = max(0, m1 - k1 - start)
+            fill.feed(block[skip:, m2 - k2:])
+        start += len(block)
+    return [_edge_estimates(rho, n, corner, window, fill.row[-window - 1:], fill.column)
+            for n, corner, fill in zip(scales, corners, fills)]
 
 
 def busemann_geodesic(table: GTable, start: tuple[int, int],
@@ -300,9 +351,9 @@ def rho_star_threshold(weights: WeightField, steps: int | None = None,
         codes = np.empty(len(grid), dtype=np.int8)
         for i, rho in enumerate(grid):
             m1, m2 = scaled_corner(float(rho), n)
-            vals = _slice_to_corner(weights, m1, m2)
-            g = _grid_values(vals)
-            first, _ = walk_to_corner(g, m1, m2, max_steps=1)
+            # One step from the corner reads G[-2:, -2:] only.
+            corner = corner_fill(_slice_to_corner(weights, m1, m2), keep=2).corner
+            first, _ = walk_to_corner(corner, 1, 1, max_steps=1)
             codes[i] = first[0]
         out.grid = grid
         out.grid_steps = codes
@@ -332,13 +383,16 @@ def geodesic_initial_runs(rho: float, n: int, count: int, spec: RngSpec,
     got = 0
     t = 0
     while got < count:
-        field = sample_exp_field(m1 + 1, m2 + 1, 1.0, spec.sub(f"runtab{t}"),
-                                 origin=(-m1, -m2))
-        g = _grid_values(field.values)
+        # g = G[m1 - reach:, m2 - reach:], so (reach, reach) is the corner
+        # (m1, m2).  Every start lies at least max_run + 1 steps from g's
+        # first row and column, so the walks compare the values they
+        # compared on G, and never reach g's edges.
+        g = corner_fill(ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec.sub(f"runtab{t}")),
+                        keep=reach + 1).corner
         for o in offsets:
             if got >= count:
                 break
-            a, b = (m1 + o, m2) if o <= 0 else (m1, m2 - o)
+            a, b = (reach + o, reach) if o <= 0 else (reach, reach - o)
             codes, _ = walk_to_corner(g, a, b, max_steps=max_run + 1)
             hits = np.flatnonzero(codes == STEP_E2)
             runs[got] = int(hits[0]) if len(hits) else max_run

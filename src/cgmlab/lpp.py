@@ -9,6 +9,18 @@ the Busemann estimators is the reflection x -> -x of the same array, so a
 backtracked path toward the array origin reads as a southwest geodesic
 there.
 
+The full table is filled by _grid_values.  Readers of one corner of the
+table (the Busemann edge estimates, walks that start near the far corner,
+the corner value itself) use corner_fill instead: the same row step over
+the field's rows in order, holding two rows at a time and keeping the
+last row, the tail of the last column and, on request, the last k rows,
+each bit for bit what _grid_values fills.  It walks a given field or
+strided view row by row, or draws the rows from an ExpFieldRows source a
+block at a time, so a streamed field is never held whole.  Both fills run
+a tall field (more rows than columns) by rows of its contiguous
+transpose, because the row step is not bit-for-bit transpose-symmetric;
+a tall source is therefore drawn whole.
+
 The limit shape of G along the diagonal is governed by
 g(x) = (sqrt|x1| + sqrt|x2|)^2 for x in the third quadrant, with
 G(-N, -N -> 0) / N approaching g(-1, -1) = 4.
@@ -19,18 +31,22 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .rng import SeqWindow, WeightField
+from .rng import ExpFieldRows, SeqWindow, WeightField
 from .multiclass import MultiConfig
 
 __all__ = [
     "GTable",
     "GeodesicPath",
+    "CornerEdges",
+    "CornerFill",
     "STEP_E1",
     "STEP_E2",
     "lpp_grid",
+    "corner_fill",
     "brute_force_table",
     "brute_force_lpp",
     "shape_function",
@@ -124,6 +140,48 @@ def _row_step(prev: np.ndarray, row: np.ndarray, out: np.ndarray,
     np.add(out, scratch, out=out)
 
 
+class CornerFill:
+    """The corner recursion over rows fed in order, keeping only the last
+    row, the last depth entries of the last column and the last keep rows.
+
+    feed() takes a block of consecutive rows, top to bottom: the first row
+    is filled as its prefix sums, every later one by _row_step from the
+    row before.  After all rows, row is the last row, column the last
+    column's tail and tail the last keep rows.  Rows are filled as given,
+    never transposed; keep = rows makes tail the whole table.
+    """
+
+    def __init__(self, rows: int, cols: int, depth: int = 1, keep: int = 0):
+        if not (1 <= depth <= min(rows, cols) and 0 <= keep <= min(rows, cols)):
+            raise ValueError("depth and keep must fit inside the table")
+        self._rows = rows
+        self._filled = 0
+        self.row = None
+        self.column = np.empty(depth)
+        self.tail = np.empty((keep, cols))
+        self._pair = np.empty((2, cols))
+        self._scratch = np.empty(cols)
+
+    def feed(self, block: np.ndarray) -> None:
+        start = self._filled
+        if start + len(block) > self._rows:
+            raise ValueError("more rows than the table has")
+        tail, column, prev = self.tail, self.column, self.row
+        t0 = self._rows - len(tail)
+        c0 = self._rows - len(column)
+        for i, weights in enumerate(block, start):
+            out = tail[i - t0] if i >= t0 else self._pair[i % 2]
+            if i:
+                _row_step(prev, weights, out, self._scratch)
+            else:
+                np.add.accumulate(weights, out=out)
+            if i >= c0:
+                column[i - c0] = out[-1]
+            prev = out
+        self.row = prev
+        self._filled = start + len(block)
+
+
 def _grid_values(weights: np.ndarray) -> np.ndarray:
     """Fill G[a,b] = max(G[a-1,b], G[a,b-1]) + Y[a,b] over the rectangle."""
     rows, cols = weights.shape
@@ -133,12 +191,44 @@ def _grid_values(weights: np.ndarray) -> np.ndarray:
         # through the transpose.  A contiguous copy keeps each row step on
         # contiguous memory, where the strided view costs a third more.
         return _grid_values(np.ascontiguousarray(weights.T)).T
-    g = np.empty_like(weights)
-    scratch = np.empty(cols, dtype=g.dtype)
-    np.add.accumulate(weights[0], out=g[0])
-    for a in range(1, rows):
-        _row_step(g[a - 1], weights[a], g[a], scratch)
-    return g
+    fill = CornerFill(rows, cols, keep=rows)
+    fill.feed(weights)
+    return fill.tail
+
+
+class CornerEdges(NamedTuple):
+    """G[-1, -depth:], G[-depth:, -1] and G[-keep:, -keep:] of a table G."""
+
+    row: np.ndarray
+    column: np.ndarray
+    corner: np.ndarray
+
+
+def corner_fill(weights: np.ndarray | ExpFieldRows, depth: int = 1,
+                keep: int = 0) -> CornerEdges:
+    """G[-1, -depth:], G[-depth:, -1] and G[-keep:, -keep:] of the table G
+    that _grid_values fills over weights, bit for bit, without holding G.
+
+    weights is a field's values (an array or a strided view, walked row by
+    row) or an ExpFieldRows source, drawn a block at a time.  A tall field
+    is filled through its contiguous transpose, as _grid_values fills it,
+    so a tall source is drawn whole.
+    """
+    rows, cols = weights.shape
+    tall = rows > cols
+    if tall:
+        if isinstance(weights, ExpFieldRows):
+            weights = weights.whole()
+        weights = np.ascontiguousarray(weights.T)
+        rows, cols = cols, rows
+    fill = CornerFill(rows, cols, depth, keep)
+    blocks = weights if isinstance(weights, ExpFieldRows) else (weights,)
+    for block in blocks:
+        fill.feed(block)
+    corner = fill.tail[:, cols - keep:]
+    if tall:
+        return CornerEdges(fill.column, fill.row[-depth:], corner.T)
+    return CornerEdges(fill.row[-depth:], fill.column, corner)
 
 
 def lpp_grid(weights: WeightField) -> GTable:

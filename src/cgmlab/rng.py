@@ -11,6 +11,10 @@ under a shared spec).
 
 Exponentials are drawn by inverse CDF, value = -mean * ln(U) with U in
 (0, 1], so the draw is a monotone function of the uniform.
+
+A field can also be drawn a block of rows at a time (ExpFieldRows): one
+generator carries the stream from block to block, so the rows are bit for
+bit those of the whole-field draw, and only one block is ever held.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ __all__ = [
     "RngSpec",
     "WeightField",
     "SeqWindow",
+    "ExpFieldRows",
     "sample_exp_field",
     "sample_exp_window",
     "sample_uniform",
@@ -166,14 +171,57 @@ def sample_uniform(shape, spec: RngSpec) -> np.ndarray:
     return spec.generator().random(shape)
 
 
-def sample_exp_field(rows: int, cols: int, mean: float, spec: RngSpec,
-                     origin: tuple[int, int] = (0, 0)) -> WeightField:
-    """I.i.d. exponential weights with the given mean on a rows x cols rectangle."""
+def _check_field(rows: int, cols: int, mean: float) -> None:
     if rows <= 0 or cols <= 0:
         raise ValueError("field dimensions must be positive")
     if not mean > 0:
         raise ValueError("mean must be positive")
+
+
+def sample_exp_field(rows: int, cols: int, mean: float, spec: RngSpec,
+                     origin: tuple[int, int] = (0, 0)) -> WeightField:
+    """I.i.d. exponential weights with the given mean on a rows x cols rectangle."""
+    _check_field(rows, cols, mean)
     return WeightField(origin, _exp_in_place(sample_uniform((rows, cols), spec), mean))
+
+
+# Rows an ExpFieldRows block holds: 384 KB of a 1501-wide field.
+_ROW_BLOCK = 32
+
+
+@dataclass(frozen=True)
+class ExpFieldRows:
+    """The rows of sample_exp_field(rows, cols, mean, spec).values, drawn in
+    order, _ROW_BLOCK rows at a time.
+
+    Iterating yields (k, cols) blocks, k = _ROW_BLOCK except for a shorter
+    last block.  Every block is a view of one buffer that the next block
+    overwrites, so read a block before asking for the next one.
+    """
+
+    rows: int
+    cols: int
+    mean: float
+    spec: RngSpec
+
+    def __post_init__(self):
+        _check_field(self.rows, self.cols, self.mean)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows, self.cols
+
+    def __iter__(self):
+        gen = self.spec.generator()
+        step = _ROW_BLOCK
+        buf = np.empty((min(step, self.rows), self.cols))
+        for start in range(0, self.rows, step):
+            rows = buf[:min(step, self.rows - start)]
+            yield _exp_in_place(gen.random(out=rows), self.mean)
+
+    def whole(self) -> np.ndarray:
+        """All rows at once: sample_exp_field's values."""
+        return sample_exp_field(self.rows, self.cols, self.mean, self.spec).values
 
 
 def sample_exp_window(offset: int, length: int, mean: float, spec: RngSpec) -> SeqWindow:

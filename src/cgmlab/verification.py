@@ -23,15 +23,16 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .rng import (RngSpec, SeqWindow, _exp_in_place, exp_from_uniform, sample_exp_field,
-                  sample_exp_window)
-from .lpp import lpp_grid, brute_force_table
+from .rng import (ExpFieldRows, RngSpec, SeqWindow, _exp_in_place, exp_from_uniform,
+                  sample_exp_field, sample_exp_window)
+from .lpp import brute_force_table, corner_fill, lpp_grid
 from .queueing import (BoundaryPolicy, check_conservation, check_duality,
                        check_T_identity, check_intertwining_identity,
                        check_strip_identities)
 from .multiclass import MultiConfig, coupled_step, multiline_step, sample_mu_rho
-from .busemann import (estimate_busemann_level, geodesic_initial_runs,
-                       initial_run_statistics, rho_star_threshold, scaled_corner)
+from .busemann import (estimate_busemann_level, estimate_nested_levels,
+                       geodesic_initial_runs, initial_run_statistics,
+                       rho_star_threshold)
 from .exact import (catalan_number, catalan_triangle, increment_law,
                     initial_run_pmf, poisson_competition_A, poisson_competition_B,
                     rho_star_cdf)
@@ -226,7 +227,6 @@ def criterion_5(seed: int) -> CriterionResult:
 
 
 def _busemann_harvest(rho: float, n: int, target: int, spec: RngSpec):
-    m1, m2 = scaled_corner(rho, n)
     hs, vs, rows = [], [], []
     t = 0
     got = 0
@@ -263,17 +263,17 @@ def criterion_6(seed: int) -> CriterionResult:
     # either scale sits at its sampling floor, so the doubled scale is
     # measured on four times the edges; a diverging estimator would still
     # push the full-scale distance above the half-scale one.
+    # Each shared 1501x1501 field is drawn and filled a block of rows at a
+    # time, together with its nested 751x751 corner when that is read.
     h15, v15, h30, v30 = [], [], [], []
     for r in range(268):
-        big = sample_exp_field(1501, 1501, 1.0, spec.sub(f"probe{r}"),
-                               origin=(-1500, -1500))
-        e30 = estimate_busemann_level(2.0, 3000, field=big, window=30)
+        e30, *e15 = estimate_nested_levels(2.0, (3000, 1500) if r < 67 else (3000,),
+                                           spec.sub(f"probe{r}"), window=30)
         h30.append(e30.horizontal)
         v30.append(e30.vertical)
-        if r < 67:
-            e15 = estimate_busemann_level(2.0, 1500, field=big, window=30)
-            h15.append(e15.horizontal)
-            v15.append(e15.vertical)
+        for e in e15:
+            h15.append(e.horizontal)
+            v15.append(e.vertical)
     d15 = max(ks_distance(np.concatenate(h15), _exp_cdf(2.0)),
               ks_distance(np.concatenate(v15), _exp_cdf(2.0)))
     d30 = max(ks_distance(np.concatenate(h30), _exp_cdf(2.0)),
@@ -493,8 +493,8 @@ def criterion_13(seed: int) -> CriterionResult:
     n = 1500
     vals = []
     for r in range(20):
-        field = sample_exp_field(n + 1, n + 1, 1.0, spec.sub(f"s{r}"))
-        vals.append(float(lpp_grid(field).values[-1, -1]) / n)
+        corner = corner_fill(ExpFieldRows(n + 1, n + 1, 1.0, spec.sub(f"s{r}"))).row
+        vals.append(float(corner[-1]) / n)
     vals = np.asarray(vals)
     low = int(np.sum(vals < 3.8))
     if low:

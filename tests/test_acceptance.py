@@ -6,8 +6,12 @@ aggregate at the primary seed must stay at 95 percent or better.  Wall
 times are held to fixed per-criterion budgets.
 """
 
+import hashlib
 import time
 
+import pytest
+
+from cgmlab import cli
 from cgmlab.verification import (BACKUP_SEED_OFFSETS, DEFAULT_MASTER_SEED,
                                  run_criterion)
 
@@ -113,3 +117,22 @@ def test_primary_seed_report_aggregate():
     frac = good / total
     print(f"primary-seed reports: {good}/{total} passed ({frac:.1%})")
     assert frac >= 0.95
+
+
+# sha256 of the primary-seed reports of the slow table-filling criteria,
+# written as the CLI writes reports.jsonl; read off the cached ladder runs,
+# so pinning them costs no extra run.  Recorded, like the fast suites'
+# digests in test_cli.py, with numpy 2.4 on x86-64.
+SLOW_REPORT_DIGESTS = {
+    6: "3af638d2928d4297cda0612d50ef49ba434acf256931c5e9a6c198347e609529",
+    8: "0143a2c11ee4b2a506c74923a67af26f18caa5c167a52a7aec96a15daeb59b0f",
+    13: "0322b9f1b2c4371a5c792e0aef4ff6ffd05739ff170a85998f1eafdf40c11305",
+}
+
+
+@pytest.mark.parametrize("index", sorted(SLOW_REPORT_DIGESTS))
+def test_slow_criterion_reports_are_pinned(index, tmp_path):
+    primary, _ = outcome(index)
+    path = tmp_path / "reports.jsonl"
+    cli._write_reports(path, [primary])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SLOW_REPORT_DIGESTS[index]

@@ -6,12 +6,12 @@ import pytest
 from cgmlab.busemann import (BusemannEdgeEstimates, Direction,
                              busemann_geodesic, coalescence_point,
                              competition_interface, direction_of_rho,
-                             estimate_busemann_level, geodesic_initial_runs,
-                             initial_run_statistics, rho_of_direction,
-                             rho_star_threshold, scaled_corner,
-                             wait_indicator_run)
+                             estimate_busemann_level, estimate_nested_levels,
+                             geodesic_initial_runs, initial_run_statistics,
+                             rho_of_direction, rho_star_threshold,
+                             scaled_corner, wait_indicator_run)
 from cgmlab.exact import initial_run_pmf
-from cgmlab.lpp import STEP_E1, STEP_E2, backtrack_geodesic
+from cgmlab.lpp import STEP_E1, STEP_E2, backtrack_geodesic, walk_to_corner
 from cgmlab.multiclass import sample_mu_rho
 from cgmlab.queueing import BoundaryPolicy
 from cgmlab.rng import (RngSpec, SeqWindow, WeightField, exp_from_uniform,
@@ -71,6 +71,45 @@ def test_unit_square_additivity():
         via_e1 = (t.at((x1, x2 - 1)) - lo) + (t.at((x1, x2)) - t.at((x1, x2 - 1)))
         via_e2 = (t.at((x1 - 1, x2)) - lo) + (t.at((x1, x2)) - t.at((x1 - 1, x2)))
         assert via_e1 == pytest.approx(via_e2, abs=1e-9)
+
+
+def same_estimates(a, b):
+    return (a.corner == b.corner and a.window == b.window
+            and np.array_equal(a.horizontal, b.horizontal)
+            and np.array_equal(a.vertical, b.vertical))
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
+def test_estimate_without_table_equals_full_fill(rho):
+    # the streamed corner fill against keep_table's full fill, bit for bit,
+    # on a fresh field drawn from the spec and on a nested corner of a
+    # larger shared field
+    spec = RngSpec(43, "stream").sub(f"rho{rho}")
+    for window in (None, 5):
+        full = estimate_busemann_level(rho, 400, spec, window=window, keep_table=True)
+        bare = estimate_busemann_level(rho, 400, spec, window=window)
+        assert bare.table is None and same_estimates(bare, full)
+    shared = sample_exp_field(420, 420, 1.0, spec.sub("shared"), origin=(-419, -419))
+    full = estimate_busemann_level(rho, 400, field=shared, window=7, keep_table=True)
+    assert same_estimates(estimate_busemann_level(rho, 400, field=shared, window=7), full)
+
+
+def test_nested_levels_equal_shared_field_estimates():
+    spec = RngSpec(44, "nested")
+    for rho, scales in ((2.0, (600, 300)), (3.0, (500, 90, 500)), (2.0, (41,))):
+        m1, m2 = scaled_corner(rho, max(scales))
+        field = sample_exp_field(m1 + 1, m2 + 1, 1.0, spec.sub(f"{rho}"),
+                                 origin=(-m1, -m2))
+        got = estimate_nested_levels(rho, scales, spec.sub(f"{rho}"), window=6)
+        assert len(got) == len(scales)
+        for n, est in zip(scales, got):
+            assert est.n == n
+            ref = estimate_busemann_level(rho, n, field=field, window=6)
+            assert same_estimates(est, ref)
+    with pytest.raises(ValueError):
+        estimate_nested_levels(1.5, (300,), spec, window=6)
+    with pytest.raises(ValueError):
+        estimate_nested_levels(2.0, (300, 10), spec, window=6)
 
 
 def test_recovery_residual_vanishes():
@@ -310,6 +349,12 @@ def test_threshold_estimate_and_grid_crossing():
     assert np.isfinite(out.crossing)
     with pytest.raises(ValueError):
         rho_star_threshold(field, grid=[2.0, 1.5])
+    # the first step off each corner's full table, as it was read before
+    # the grid kept only the corner's last two rows
+    for rho, code in zip(out.grid, out.grid_steps):
+        m1, m2 = scaled_corner(float(rho), n)
+        g = cumsum_fill(field.values[n - m1:, n - m2:])
+        assert code == walk_to_corner(g, m1, m2, max_steps=1)[0][0]
 
 
 def test_initial_run_histogram_and_masses():
@@ -324,6 +369,37 @@ def test_initial_run_histogram_and_masses():
     assert abs(f0 - 0.5) < 3.0 * np.sqrt(0.25 / 300.0)
     with pytest.raises(ValueError):
         geodesic_initial_runs(2.0, 100, 10, RngSpec(35, "bad"))
+
+
+def full_table_initial_runs(rho, n, count, spec, spacing, starts_per_table, max_run):
+    """geodesic_initial_runs as it was before it kept only the rows its
+    walks read: every walk on the full table, kept as the oracle."""
+    m1, m2 = scaled_corner(rho, n)
+    offsets = [spacing * (i - (starts_per_table - 1) // 2)
+               for i in range(starts_per_table)]
+    runs = []
+    t = 0
+    while len(runs) < count:
+        field = sample_exp_field(m1 + 1, m2 + 1, 1.0, spec.sub(f"runtab{t}"))
+        g = cumsum_fill(field.values)
+        for o in offsets[:count - len(runs)]:
+            a, b = (m1 + o, m2) if o <= 0 else (m1, m2 - o)
+            codes, _ = walk_to_corner(g, a, b, max_steps=max_run + 1)
+            hits = np.flatnonzero(codes == STEP_E2)
+            runs.append(int(hits[0]) if len(hits) else max_run)
+        t += 1
+    return runs
+
+
+@pytest.mark.parametrize("rho, n, spacing, starts", [
+    (2.0, 200, 24, 3), (1.5, 400, 10, 4), (4.0, 300, 8, 5), (2.0, 62, 12, 5)])
+def test_initial_runs_match_full_table_walks(rho, n, spacing, starts):
+    # (2.0, 62, 12, 5) puts the walks' reach at the corner's whole side
+    spec = RngSpec(45, "runs-oracle").sub(f"{rho}/{n}")
+    runs = geodesic_initial_runs(rho, n, 37, spec, spacing=spacing,
+                                 starts_per_table=starts, max_run=6)
+    assert runs.tolist() == full_table_initial_runs(rho, n, 37, spec, spacing,
+                                                    starts, 6)
 
 
 def test_wait_indicator_run_hand_trace():

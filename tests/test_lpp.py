@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgmlab.rng import RngSpec, SeqWindow, WeightField, sample_exp_field, sample_exp_window
-from cgmlab.lpp import (GTable, STEP_E1, STEP_E2, _grid_values,
-                        backtrack_geodesic, brute_force_lpp, brute_force_table,
+from cgmlab import rng
+from cgmlab.rng import (ExpFieldRows, RngSpec, SeqWindow, WeightField, sample_exp_field,
+                        sample_exp_window)
+from cgmlab.lpp import (CornerFill, GTable, STEP_E1, STEP_E2, _grid_values,
+                        backtrack_geodesic, corner_fill, brute_force_lpp, brute_force_table,
                         lpp_grid, shape_function, stationary_halfplane_lpp,
                         walk_to_corner)
 from cgmlab.multiclass import MultiConfig
@@ -128,6 +130,61 @@ def test_fill_matches_cumsum_oracle():
     # and the reversed view the competition interface fills
     for view in (big[m - 45:, m - 70:], big[m - 70:, m - 45:], big[::-1, ::-1]):
         assert np.array_equal(_grid_values(view), cumsum_fill(view))
+
+
+def assert_corner_fill_is_full_fill(weights, source=None):
+    """corner_fill on weights (or on source, which draws weights) keeps
+    edges and corner blocks bit for bit equal to the full fill's."""
+    g = _grid_values(weights)
+    assert np.array_equal(g, cumsum_fill(weights))
+    short = min(weights.shape)
+    for depth in sorted({1, 2, short} & set(range(1, short + 1))):
+        for keep in sorted({0, 1, 2, short} & set(range(short + 1))):
+            row, column, corner = corner_fill(weights if source is None else source,
+                                              depth, keep)
+            assert np.array_equal(row, g[-1, g.shape[1] - depth:])
+            assert np.array_equal(column, g[g.shape[0] - depth:, -1])
+            assert np.array_equal(corner, g[g.shape[0] - keep:, g.shape[1] - keep:])
+
+
+SHAPES = [(40, 90), (64, 64), (90, 40), (1, 50), (50, 1), (2, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+def test_corner_fill_matches_full_fill(rows, cols, monkeypatch):
+    # streamed in blocks of 7 rows, which divides no row count here but 1
+    monkeypatch.setattr(rng, "_ROW_BLOCK", 7)
+    spec = RngSpec(105, "corner").sub(f"{rows}x{cols}")
+    vals = sample_exp_field(rows, cols, 1.0, spec).values
+    assert_corner_fill_is_full_fill(vals)
+    assert_corner_fill_is_full_fill(vals, ExpFieldRows(rows, cols, 1.0, spec))
+
+
+def test_corner_fill_on_nested_views():
+    m = 120
+    big = sample_exp_field(m, m, 1.0, RngSpec(106, "corner-views")).values
+    for n1, n2 in [(45, 70), (70, 45), (60, 60), (1, 30), (30, 1)]:
+        assert_corner_fill_is_full_fill(big[m - n1:, m - n2:])
+    assert_corner_fill_is_full_fill(big[::-1, ::-1])
+
+
+def test_row_fill_keeps_last_rows_fed_in_any_blocks():
+    vals = sample_exp_field(30, 50, 1.0, RngSpec(107, "row-fill")).values
+    g = _grid_values(vals)
+    for cuts in ([30], [1, 29], [7] * 4 + [2], [13, 0, 17]):
+        fill = CornerFill(30, 50, depth=9, keep=11)
+        start = 0
+        for size in cuts:
+            fill.feed(vals[start:start + size])
+            start += size
+        assert np.array_equal(fill.row, g[-1])
+        assert np.array_equal(fill.column, g[-9:, -1])
+        assert np.array_equal(fill.tail, g[-11:])
+    with pytest.raises(ValueError):
+        fill.feed(vals[:1])
+    for depth, keep in ((0, 0), (31, 0), (1, 31), (1, -1)):
+        with pytest.raises(ValueError):
+            CornerFill(30, 50, depth, keep)
 
 
 def test_geodesic_weight_sum_equals_passage_time():

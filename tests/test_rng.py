@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cgmlab.rng import (RngSpec, SeqWindow, WeightField, exp_from_uniform,
+from cgmlab import rng
+from cgmlab.rng import (ExpFieldRows, RngSpec, SeqWindow, WeightField, exp_from_uniform,
                         sample_exp_field, sample_exp_window, sample_uniform)
 
 
@@ -58,6 +59,29 @@ def test_monotone_coupling_between_means():
     small = sample_exp_window(0, 1000, 1.0, spec)
     large = sample_exp_window(0, 1000, 2.5, spec)
     np.testing.assert_allclose(large.values, 2.5 * small.values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rows, cols, block", [
+    (70, 13, 32), (64, 5, 32), (50, 9, 7), (9, 50, 1), (1, 40, 32), (1, 1, 3), (5, 3, 100)])
+def test_field_rows_are_slices_of_the_whole_draw(rows, cols, block, monkeypatch):
+    monkeypatch.setattr(rng, "_ROW_BLOCK", block)
+    spec = RngSpec(21, "rows").sub(f"{rows}x{cols}")
+    whole = sample_exp_field(rows, cols, 2.5, spec).values
+    source = ExpFieldRows(rows, cols, 2.5, spec)
+    assert source.shape == (rows, cols)
+    start = 0
+    for part in source:
+        assert part.shape == (min(block, rows - start), cols)
+        assert np.array_equal(part, whole[start:start + len(part)])
+        start += len(part)
+    assert start == rows
+    assert np.array_equal(source.whole(), whole)
+
+
+def test_field_rows_validation():
+    for args in ((0, 4, 1.0), (4, 0, 1.0), (4, 4, 0.0)):
+        with pytest.raises(ValueError):
+            ExpFieldRows(*args, RngSpec(1, "x"))
 
 
 def test_window_indexing():

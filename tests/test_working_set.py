@@ -1,4 +1,5 @@
-"""Memory guards: the sample-heavy fast criteria hold a bounded working set.
+"""Memory guards: the sample-heavy criteria and the corner readers hold a
+bounded working set.
 
 Peaks are read with tracemalloc, which numpy reports its array buffers to,
 at the pinned default seed.  Criteria 10 and 11 draw their rows in blocks
@@ -7,14 +8,19 @@ draws); criterion 2 draws its windows straight into one stack per block of
 instances (about 26 MiB, against 38 MiB when it stacked a list of windows).
 The two-sample KS test works from one merged buffer: about 5 MiB for two
 100 000-point samples, against 9.2 MiB when it binary-searched every point
-into full-length cdf arrays.
+into full-length cdf arrays.  A corner estimate keeps two table rows and
+its edges (about 0.04 MiB on a 1501x1501 field, against 17 MiB for the
+full table), and a streamed field is held one 32-row block at a time:
+criterion 13 and one doubling-probe field of criterion 6 peak near 0.4
+MiB, against 34 MiB for a whole field and its table.
 """
 
 import tracemalloc
 
 import pytest
 
-from cgmlab.rng import RngSpec, exp_from_uniform
+from cgmlab.busemann import estimate_busemann_level, estimate_nested_levels
+from cgmlab.rng import RngSpec, exp_from_uniform, sample_exp_field
 from cgmlab.stats import ks_two_sample
 from cgmlab.verification import run_criterion
 
@@ -28,7 +34,7 @@ def traced_peak(call, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("index, bound_mib", [(10, 5), (11, 34), (2, 34)])
+@pytest.mark.parametrize("index, bound_mib", [(10, 5), (11, 34), (2, 34), (13, 2)])
 def test_criterion_peak_stays_bounded(index, bound_mib):
     assert traced_peak(run_criterion, index) < bound_mib * 2 ** 20
 
@@ -38,3 +44,15 @@ def test_ks_two_sample_peak_stays_bounded():
     a = exp_from_uniform(gen.random(100_000), 1.0)
     b = exp_from_uniform(gen.random(100_000), 1.0)
     assert traced_peak(ks_two_sample, a, b, "peak", 5) < 8.5 * 2 ** 20
+
+
+def test_corner_estimates_hold_no_table():
+    big = sample_exp_field(1501, 1501, 1.0, RngSpec(6, "corner-peak"),
+                           origin=(-1500, -1500))
+    peak = traced_peak(lambda: estimate_busemann_level(2.0, 3000, field=big, window=30))
+    assert peak < 2 ** 20
+
+
+def test_doubling_probe_field_is_never_held_whole():
+    assert traced_peak(estimate_nested_levels, 2.0, (3000, 1500),
+                       RngSpec(6, "probe-peak"), 30) < 2 ** 20
