@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import ExpFieldRows, RngSpec, SeqWindow, WeightField
-from .lpp import (CornerFill, GTable, GeodesicPath, STEP_E2, _grid_values, _row_step,
+from .lpp import (CornerFill, GTable, GeodesicPath, STEP_E2, _row_step,
                   backtrack_geodesic, corner_fill, walk_to_corner)
 from .queueing import lindley_iterate
 from .exact import initial_run_pmf
@@ -98,8 +98,7 @@ class BusemannEdgeEstimates:
     and vertical[t] across ((0, -t-1), (0, -t)); both live on boundary
     segments of length window.  They are differences of the table's last
     window + 1 entries along its two edges through the origin, which is
-    all of the table an estimate keeps unless it was built with
-    keep_table: then table is the full fill and weights its field.
+    all of the table an estimate keeps.
     """
 
     rho: float
@@ -108,24 +107,6 @@ class BusemannEdgeEstimates:
     window: int
     horizontal: np.ndarray
     vertical: np.ndarray
-    table: GTable | None = None
-    weights: WeightField | None = None
-
-    def recovery_residual(self, depth: int = 32) -> float:
-        """Largest deviation of min(horizontal, vertical) increments from
-        the vertex weight over an interior block near the origin."""
-        if self.table is None or self.weights is None:
-            raise ValueError("estimate was built without keep_table")
-        g = self.table.values
-        y = self.weights.values
-        rows, cols = g.shape
-        d1 = min(depth, rows - 1)
-        d2 = min(depth, cols - 1)
-        block = g[rows - d1:, cols - d2:]
-        west = g[rows - d1 - 1:-1, cols - d2:]
-        south = g[rows - d1:, cols - d2 - 1:-1]
-        resid = block - np.maximum(west, south) - y[rows - d1:, cols - d2:]
-        return float(np.max(np.abs(resid)))
 
 
 def _slice_to_corner(field: WeightField, m1: int, m2: int) -> np.ndarray:
@@ -148,19 +129,16 @@ def _window(m1: int, m2: int, window: int | None) -> int:
 
 
 def _edge_estimates(rho: float, n: int, corner: tuple[int, int], w: int,
-                    row: np.ndarray, column: np.ndarray,
-                    table: GTable | None = None,
-                    weights: WeightField | None = None) -> BusemannEdgeEstimates:
+                    row: np.ndarray, column: np.ndarray) -> BusemannEdgeEstimates:
     """Estimates from the table's last w + 1 entries along its last row
     (toward the origin along e2) and its last column (along e1)."""
     return BusemannEdgeEstimates(rho, n, corner, w, np.diff(column)[::-1].copy(),
-                                 np.diff(row)[::-1].copy(), table, weights)
+                                 np.diff(row)[::-1].copy())
 
 
 def estimate_busemann_level(rho: float, n: int, spec: RngSpec | None = None,
                             *, field: WeightField | None = None,
-                            window: int | None = None,
-                            keep_table: bool = False) -> BusemannEdgeEstimates:
+                            window: int | None = None) -> BusemannEdgeEstimates:
     """Estimate limit increments at parameter rho from a corner table at scale n.
 
     With a shared field (covering [-m1, 0] x [-m2, 0] with zero at its
@@ -173,8 +151,7 @@ def estimate_busemann_level(rho: float, n: int, spec: RngSpec | None = None,
     The table is filled by lpp.corner_fill, which keeps two rows and the
     last window + 1 entries of each edge through the origin: a shared
     field is walked row by row, and a fresh one is drawn a block of rows
-    at a time (whole when it is tall).  keep_table fills and keeps the
-    full table and its field instead, with the same increments.
+    at a time (whole when it is tall).
     """
     m1, m2 = scaled_corner(rho, n)
     w = _window(m1, m2, window)
@@ -184,14 +161,8 @@ def estimate_busemann_level(rho: float, n: int, spec: RngSpec | None = None,
         raise ValueError("need either a field or a spec")
     else:
         vals = ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec)
-        if keep_table:
-            vals = vals.whole()
-    if not keep_table:
-        row, column, _ = corner_fill(vals, depth=w + 1)
-        return _edge_estimates(rho, n, (m1, m2), w, row, column)
-    g = _grid_values(vals)
-    return _edge_estimates(rho, n, (m1, m2), w, g[m1, m2 - w:], g[m1 - w:, m2],
-                           GTable((-m1, -m2), g), WeightField((-m1, -m2), vals))
+    row, column, _ = corner_fill(vals, depth=w + 1)
+    return _edge_estimates(rho, n, (m1, m2), w, row, column)
 
 
 def estimate_nested_levels(rho: float, scales, spec: RngSpec,

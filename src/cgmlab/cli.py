@@ -20,8 +20,7 @@ from .lpp import lpp_grid, backtrack_geodesic
 from .busemann import competition_interface
 from .multiclass import sample_mu_rho
 from .queueing import BoundaryPolicy
-from .verification import (BACKUP_SEED_OFFSETS, DEFAULT_MASTER_SEED,
-                           CriterionResult, run_criterion)
+from .verification import DEFAULT_MASTER_SEED, CriterionResult, seed_ladder
 
 __all__ = ["main"]
 
@@ -105,13 +104,9 @@ def _run_verify(args, indices) -> int:
     failed = []
 
     def run_one(index: int) -> CriterionResult:
-        last = None
-        for off in BACKUP_SEED_OFFSETS:
-            last = run_criterion(index, args.seed + off,
-                                 **_overrides_for(args, index))
-            if last.passed:
-                break
-        return last
+        # the ladder's last attempt: its first pass, or its last seed
+        attempts = list(seed_ladder(index, args.seed, **_overrides_for(args, index)))
+        return attempts[-1][0]
 
     if args.threads > 1:
         from concurrent.futures import ThreadPoolExecutor

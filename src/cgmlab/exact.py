@@ -93,17 +93,13 @@ def initial_run_pmf(rho: float, n: int) -> float:
 
 def initial_run_pmf2(lam: float, rho: float, n: int) -> float:
     """Two-parameter run-length law for service mean lam against arrival
-    mean rho, lam < rho (lam = 1 recovers initial_run_pmf)."""
+    mean rho, lam < rho (lam = 1 recovers initial_run_pmf): the chance
+    (rho - lam) / rho of the atom times poisson_competition_A(n, lam, rho)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if not 0 < lam < rho:
         raise ValueError("need 0 < lam < rho")
-    head = (rho - lam) / rho
-    if n == 0:
-        return head
-    # sum_{k=0}^{n-1} C(n-1,k) rho^k lam^n / (lam+rho)^{n+k}
-    total = _triangle_weighted_sum(n - 1, math.log(rho), math.log(lam + rho))
-    return head * total * math.exp(n * math.log(lam) - math.log(lam + rho))
+    return (rho - lam) / rho * poisson_competition_A(n, lam, rho)
 
 
 def poisson_competition_A(n: int, alpha: float, beta: float) -> float:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngSpec, SeqWindow, sample_exp_window, same_window
-from .queueing import BoundaryPolicy, DEFAULT_POLICY, IdentityReport, lindley_iterate, _check
+from .queueing import (BoundaryPolicy, DEFAULT_POLICY, IdentityReport, lindley_iterate,
+                       _check, _fold, _unused_chain)
 
 __all__ = [
     "MultiConfig",
@@ -106,14 +107,8 @@ def multiline_step(config: MultiConfig, services: SeqWindow,
     the end so the chained stages stay aligned.
     """
     same_window(config.line(0), services)
-    w = services
-    out_lines = []
-    for i in range(config.n_lines):
-        arr = config.line(i)
-        j0 = policy.resolve_j_left(arr, w, f"multiline{i}")
-        out = lindley_iterate(j0, arr, w)
-        out_lines.append(out.departures.values)
-        w = out.unused
+    lines = [config.line(i) for i in range(config.n_lines)]
+    out_lines = [d.values for d in _unused_chain(lines, services, policy, "multiline")]
     fresh = MultiConfig(config.offset, np.vstack(out_lines), config.rates)
     return _trim_config(fresh, policy.trim_count(config.length))
 
@@ -131,13 +126,11 @@ def coupled_step(config: MultiConfig, services: SeqWindow,
     return _trim_config(fresh, policy.trim_count(config.length))
 
 
-def _fold_line(line_windows: list[SeqWindow], policy: BoundaryPolicy, tag: str) -> SeqWindow:
-    """Iterated departures of line_windows[0] through the rest as services."""
-    acc = line_windows[0]
-    for j, svc in enumerate(line_windows[1:], start=1):
-        j0 = policy.resolve_j_left(acc, svc, f"{tag}/stage{j}")
-        acc = lindley_iterate(j0, acc, svc).departures
-    return acc
+def _fold_lines(lines: list[SeqWindow], policy: BoundaryPolicy, tag: str) -> list[np.ndarray]:
+    """Values of line i folded through lines i-1, ..., 0 as services, line 0
+    as it is, untrimmed; line i's stages are labelled f"{tag}{i}/stage{j}"."""
+    return [lines[0].values] + [_fold(lines[i::-1], policy, f"{tag}{i}/stage").values
+                                for i in range(1, len(lines))]
 
 
 def dmap(config: MultiConfig, policy: BoundaryPolicy = DEFAULT_POLICY) -> MultiConfig:
@@ -150,11 +143,9 @@ def dmap(config: MultiConfig, policy: BoundaryPolicy = DEFAULT_POLICY) -> MultiC
     means = config.values.mean(axis=1)
     if np.any(np.diff(means) <= 0):
         warnings.warn("line means should be strictly increasing for a stable fold")
-    out_lines = [config.values[0]]
-    for i in range(1, config.n_lines):
-        chain = [config.line(j) for j in range(i, -1, -1)]
-        out_lines.append(_fold_line(chain, policy, f"dmap{i}").values)
-    fresh = MultiConfig(config.offset, np.vstack(out_lines), config.rates)
+    lines = [config.line(i) for i in range(config.n_lines)]
+    fresh = MultiConfig(config.offset, np.vstack(_fold_lines(lines, policy, "dmap")),
+                        config.rates)
     return _trim_config(fresh, policy.trim_count(config.length))
 
 
@@ -179,11 +170,8 @@ def sample_mu_rho(rates, offset: int, length: int, spec: RngSpec,
     group = {r: g for g, r in enumerate(distinct)}
     lines = [sample_exp_window(offset, length, r, spec.sub(f"line{g}"))
              for g, r in enumerate(distinct)]
-    folded = [lines[0]]
-    for g in range(1, len(distinct)):
-        chain = [lines[j] for j in range(g, -1, -1)]
-        folded.append(_fold_line(chain, policy, f"mu{g}"))
-    values = np.vstack([folded[group[r]].values for r in rates])
+    folded = _fold_lines(lines, policy, "mu")
+    values = np.vstack([folded[group[r]] for r in rates])
     fresh = MultiConfig(offset, values, rates)
     return _trim_config(fresh, policy.trim_count(length))
 

@@ -366,11 +366,33 @@ def queue_Dn(sequences: list[SeqWindow],
     if not sequences:
         raise ValueError("need at least one sequence")
     same_window(*sequences)
+    acc = _fold(sequences, policy, "Dn")
+    return _trim(acc, policy.trim_count(len(acc)))
+
+
+def _fold(sequences: list[SeqWindow], policy: BoundaryPolicy, tag: str) -> SeqWindow:
+    """queue_Dn untrimmed: sequences[0] departs through each of the rest in
+    turn, the left edge of the queue against sequences[j - 1] resolved
+    under the label f"{tag}{j}"."""
     acc = sequences[0]
     for j, svc in enumerate(sequences[1:], start=2):
-        j0 = policy.resolve_j_left(acc, svc, f"Dn{j}")
+        j0 = policy.resolve_j_left(acc, svc, f"{tag}{j}")
         acc = lindley_iterate(j0, acc, svc).departures
-    return _trim(acc, policy.trim_count(len(acc)))
+    return acc
+
+
+def _unused_chain(lines: list[SeqWindow], services: SeqWindow,
+                  policy: BoundaryPolicy, tag: str) -> list[SeqWindow]:
+    """Departures of each line against the unused input of the line before,
+    the first line against services, untrimmed; line i's left edge is
+    resolved under the label f"{tag}{i}"."""
+    w = services
+    departures = []
+    for i, arr in enumerate(lines):
+        out = lindley_iterate(policy.resolve_j_left(arr, w, f"{tag}{i}"), arr, w)
+        departures.append(out.departures)
+        w = out.unused
+    return departures
 
 
 @dataclass(eq=False)
@@ -467,13 +489,8 @@ def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWind
     fold = BoundaryPolicy.given(0.0)
     lhs = queue_Dn(list(arrival_seqs) + [services], fold)
     # Chain the unused input upward from the bottom stream.
-    w = services
-    transformed = []
-    for arr in reversed(arrival_seqs):
-        out = lindley_iterate(0.0, arr, w)
-        transformed.append(out.departures)
-        w = out.unused
-    rhs = queue_Dn(list(reversed(transformed)), fold)
+    transformed = _unused_chain(arrival_seqs[::-1], services, fold, "intertwining")
+    rhs = queue_Dn(transformed[::-1], fold)
     cut = int(fraction * len(lhs))
     errors = lhs.values[..., cut:] - rhs.values[..., cut:]
     return _check("intertwining", [errors], tolerance, order=len(arrival_seqs),

@@ -18,6 +18,7 @@ windows.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
@@ -45,6 +46,7 @@ __all__ = [
     "CRITERIA",
     "CriterionResult",
     "run_criterion",
+    "seed_ladder",
 ]
 
 DEFAULT_MASTER_SEED = 20260822
@@ -522,3 +524,18 @@ def run_criterion(index: int, seed: int = DEFAULT_MASTER_SEED,
     if index not in CRITERIA:
         raise ValueError(f"unknown criterion {index}")
     return CRITERIA[index](seed, **overrides)
+
+
+def seed_ladder(index: int, seed: int = DEFAULT_MASTER_SEED, **overrides):
+    """Run one criterion up its seed ladder, seed + each BACKUP_SEED_OFFSETS.
+
+    Yields (result, wall seconds) for each attempt and stops after the
+    first that passes; a caller that wants to stop sooner (say, at a wall
+    budget) stops iterating.
+    """
+    for off in BACKUP_SEED_OFFSETS:
+        t0 = time.perf_counter()
+        result = run_criterion(index, seed + off, **overrides)
+        yield result, time.perf_counter() - t0
+        if result.passed:
+            return

@@ -11,7 +11,7 @@ from cgmlab.busemann import (BusemannEdgeEstimates, Direction,
                              rho_of_direction, rho_star_threshold,
                              scaled_corner, wait_indicator_run)
 from cgmlab.exact import initial_run_pmf
-from cgmlab.lpp import STEP_E1, STEP_E2, backtrack_geodesic, walk_to_corner
+from cgmlab.lpp import STEP_E1, STEP_E2, backtrack_geodesic, lpp_grid, walk_to_corner
 from cgmlab.multiclass import sample_mu_rho
 from cgmlab.queueing import BoundaryPolicy
 from cgmlab.rng import (RngSpec, SeqWindow, WeightField, exp_from_uniform,
@@ -51,10 +51,27 @@ def test_scaled_corner_sums_to_scale():
             assert abs(m1 + m2 - n) <= 1
 
 
+def corner_table(rho, n, spec):
+    """The full corner table that estimate_busemann_level(rho, n, spec)
+    reads its edges from, and its field: the same draw, filled whole."""
+    m1, m2 = scaled_corner(rho, n)
+    field = sample_exp_field(m1 + 1, m2 + 1, 1.0, spec, origin=(-m1, -m2))
+    return lpp_grid(field), field
+
+
+def table_estimates(rho, n, table, window):
+    """The increments along the last window + 1 entries of a full table's
+    two edges through the origin."""
+    g = table.values
+    m1, m2 = g.shape[0] - 1, g.shape[1] - 1
+    return BusemannEdgeEstimates(rho, n, (m1, m2), window,
+                                 np.diff(g[m1 - window:, m2])[::-1],
+                                 np.diff(g[m1, m2 - window:])[::-1])
+
+
 def test_estimator_matches_table_differences():
-    e = estimate_busemann_level(2.0, 120, RngSpec(36, "tab"), window=8,
-                                keep_table=True)
-    t = e.table
+    e = estimate_busemann_level(2.0, 120, RngSpec(36, "tab"), window=8)
+    t, _ = corner_table(2.0, 120, RngSpec(36, "tab"))
     for k in range(8):
         h = t.at((-k, 0)) - t.at((-k - 1, 0))
         v = t.at((0, -k)) - t.at((0, -k - 1))
@@ -63,9 +80,7 @@ def test_estimator_matches_table_differences():
 
 
 def test_unit_square_additivity():
-    e = estimate_busemann_level(2.0, 120, RngSpec(36, "tab"), window=8,
-                                keep_table=True)
-    t = e.table
+    t, _ = corner_table(2.0, 120, RngSpec(36, "tab"))
     for x1, x2 in ((-3, -4), (-10, -2), (-1, -1)):
         lo = t.at((x1 - 1, x2 - 1))
         via_e1 = (t.at((x1, x2 - 1)) - lo) + (t.at((x1, x2)) - t.at((x1, x2 - 1)))
@@ -81,17 +96,19 @@ def same_estimates(a, b):
 
 @pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
 def test_estimate_without_table_equals_full_fill(rho):
-    # the streamed corner fill against keep_table's full fill, bit for bit,
-    # on a fresh field drawn from the spec and on a nested corner of a
-    # larger shared field
+    # the streamed corner fill against the full fill, bit for bit, on a
+    # fresh field drawn from the spec and on a nested corner of a larger
+    # shared field
     spec = RngSpec(43, "stream").sub(f"rho{rho}")
+    table, _ = corner_table(rho, 400, spec)
     for window in (None, 5):
-        full = estimate_busemann_level(rho, 400, spec, window=window, keep_table=True)
         bare = estimate_busemann_level(rho, 400, spec, window=window)
-        assert bare.table is None and same_estimates(bare, full)
+        assert same_estimates(bare, table_estimates(rho, 400, table, bare.window))
     shared = sample_exp_field(420, 420, 1.0, spec.sub("shared"), origin=(-419, -419))
-    full = estimate_busemann_level(rho, 400, field=shared, window=7, keep_table=True)
-    assert same_estimates(estimate_busemann_level(rho, 400, field=shared, window=7), full)
+    m1, m2 = scaled_corner(rho, 400)
+    table = lpp_grid(WeightField((-m1, -m2), shared.values[-m1 - 1:, -m2 - 1:]))
+    assert same_estimates(estimate_busemann_level(rho, 400, field=shared, window=7),
+                          table_estimates(rho, 400, table, 7))
 
 
 def test_nested_levels_equal_shared_field_estimates():
@@ -113,11 +130,14 @@ def test_nested_levels_equal_shared_field_estimates():
 
 
 def test_recovery_residual_vanishes():
-    e = estimate_busemann_level(1.7, 150, RngSpec(37, "reco"), keep_table=True)
-    assert e.recovery_residual() < 1e-9
-    bare = estimate_busemann_level(1.7, 60, RngSpec(37, "reco2"))
-    with pytest.raises(ValueError):
-        bare.recovery_residual()
+    # near the origin every weight is its table value less the larger of
+    # the west and south values: the smaller of the two increments into a
+    # site recovers its weight
+    table, field = corner_table(1.7, 150, RngSpec(37, "reco"))
+    g, y = table.values, field.values
+    west, south = g[-33:-1, -32:], g[-32:, -33:-1]
+    resid = g[-32:, -32:] - np.maximum(west, south) - y[-32:, -32:]
+    assert np.max(np.abs(resid)) < 1e-9
 
 
 def test_estimate_validation():
@@ -180,17 +200,17 @@ def test_increment_independence_along_boundary():
 
 
 def test_geodesic_walk_follows_min_rule():
-    e = estimate_busemann_level(2.0, 200, RngSpec(40, "walk"), keep_table=True)
-    t = e.table
+    t, _ = corner_table(2.0, 200, RngSpec(40, "walk"))
+    m1, m2 = scaled_corner(2.0, 200)
     path = busemann_geodesic(t, (0, 0))
     pts = path.points()
-    assert pts[-1] == (-e.corner[0], -e.corner[1])
+    assert pts[-1] == (-m1, -m2)
     assert not path.truncated
     for p, step in zip(pts, path.steps):
         x1, x2 = p
-        if x1 == -e.corner[0]:
+        if x1 == -m1:
             assert step == STEP_E2
-        elif x2 == -e.corner[1]:
+        elif x2 == -m2:
             assert step == STEP_E1
         else:
             west = t.at((x1 - 1, x2))
@@ -206,21 +226,21 @@ def test_path_weight_sum_and_coalescence_difference():
     # along every walk the weights add up to the table value, and a pair of
     # walks differs exactly by the weight sums before their meeting point
     spec = RngSpec(41, "coal")
+    m1, m2 = scaled_corner(2.0, 400)
     interior = 0
     for r in range(25):
-        e = estimate_busemann_level(2.0, 400, spec.sub(f"c{r}"),
-                                    keep_table=True)
-        p1 = busemann_geodesic(e.table, (0, 0))
-        p2 = busemann_geodesic(e.table, (0, -1))
-        total = sum(e.weights.at(p) for p in p1.points())
-        assert total == pytest.approx(e.table.at((0, 0)), abs=1e-9)
+        table, weights = corner_table(2.0, 400, spec.sub(f"c{r}"))
+        p1 = busemann_geodesic(table, (0, 0))
+        p2 = busemann_geodesic(table, (0, -1))
+        total = sum(weights.at(p) for p in p1.points())
+        assert total == pytest.approx(table.at((0, 0)), abs=1e-9)
         z = coalescence_point(p1, p2)
         assert z is not None
-        if z != (-e.corner[0], -e.corner[1]):
+        if z != (-m1, -m2):
             interior += 1
-        s1 = sum(e.weights.at(p) for p in p1.points()[:p1.points().index(z)])
-        s2 = sum(e.weights.at(p) for p in p2.points()[:p2.points().index(z)])
-        diff = e.table.at((0, 0)) - e.table.at((0, -1))
+        s1 = sum(weights.at(p) for p in p1.points()[:p1.points().index(z)])
+        s2 = sum(weights.at(p) for p in p2.points()[:p2.points().index(z)])
+        diff = table.at((0, 0)) - table.at((0, -1))
         assert diff == pytest.approx(s1 - s2, abs=1e-9)
     assert interior >= 20
 

@@ -179,6 +179,19 @@ def test_simulate_lpp_dump(tmp_path):
     assert run(["simulate-lpp", "--n", "1", "--out", str(tmp_path / "x")]) == 2
 
 
+# sha256 of sample-mu's mu.csv at the default seed, recorded as the fast
+# suites' digests above: the departure fold must leave the sample as it is.
+SAMPLE_MU_DIGEST = "f7919929a83af9427b9857560a3aee3bb9569ae3058e111603ef8ab82895ddf0"
+
+
+def test_sample_mu_output_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv("CGMLAB_SEED", raising=False)
+    assert run(["sample-mu", "--rates", "1.5,2,4", "--length", "2000",
+                "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "mu.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SAMPLE_MU_DIGEST
+
+
 def test_sample_mu_dump(tmp_path):
     out = tmp_path / "mu"
     assert run(["sample-mu", "--seed", "11", "--rates", "2,3",

@@ -1,5 +1,5 @@
-"""Memory guards: the sample-heavy criteria and the corner readers hold a
-bounded working set.
+"""Memory guards: the sample-heavy criteria, the departure folds and the
+corner readers hold a bounded working set.
 
 Peaks are read with tracemalloc, which numpy reports its array buffers to,
 at the pinned default seed.  Criteria 10 and 11 draw their rows in blocks
@@ -8,7 +8,10 @@ draws); criterion 2 draws its windows straight into one stack per block of
 instances (about 26 MiB, against 38 MiB when it stacked a list of windows).
 The two-sample KS test works from one merged buffer: about 5 MiB for two
 100 000-point samples, against 9.2 MiB when it binary-searched every point
-into full-length cdf arrays.  A corner estimate keeps two table rows and
+into full-length cdf arrays.  Criteria 4, 5 and 7 fold their lines through
+the departure map one line at a time and stack the folded lines once
+(about 14, 15 and 20 MiB; criterion 7 reads 24 MiB when every line is
+stacked first and then regrouped by fancy indexing).  A corner estimate keeps two table rows and
 its edges (about 0.04 MiB on a 1501x1501 field, against 17 MiB for the
 full table), and a streamed field is held one 32-row block at a time:
 criterion 13 and one doubling-probe field of criterion 6 peak near 0.4
@@ -34,7 +37,8 @@ def traced_peak(call, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("index, bound_mib", [(10, 5), (11, 34), (2, 34), (13, 2)])
+@pytest.mark.parametrize("index, bound_mib", [(10, 5), (11, 34), (2, 34), (13, 2),
+                                              (4, 16), (5, 17), (7, 22)])
 def test_criterion_peak_stays_bounded(index, bound_mib):
     assert traced_peak(run_criterion, index) < bound_mib * 2 ** 20
 
