@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import ExpFieldRows, RngSpec, SeqWindow, WeightField
-from .lpp import (CornerFill, GTable, GeodesicPath, STEP_E2, _row_step,
-                  backtrack_geodesic, corner_fill, walk_to_corner)
+from .lpp import (CornerFill, GTable, GeodesicPath, STEP_E2, _prefix_sums,
+                  _row_step, backtrack_geodesic, corner_fill, walk_to_corner)
 from .queueing import lindley_iterate
 from .exact import initial_run_pmf
 
@@ -151,7 +151,7 @@ def estimate_busemann_level(rho: float, n: int, spec: RngSpec | None = None,
     The table is filled by lpp.corner_fill, which keeps two rows and the
     last window + 1 entries of each edge through the origin: a shared
     field is walked row by row, and a fresh one is drawn a block of rows
-    at a time (whole when it is tall).
+    at a time (into its contiguous transpose when it is tall).
     """
     m1, m2 = scaled_corner(rho, n)
     w = _window(m1, m2, window)
@@ -263,7 +263,7 @@ def competition_interface(weights: WeightField, steps: int | None = None) -> np.
     if tall:
         flip = np.ascontiguousarray(flip.T)
     here, ahead, scratch = np.empty((3, steps + 1))
-    np.add.accumulate(flip[0, :steps + 1], out=here)
+    _prefix_sums(flip[0, :steps + 1], here)
     _row_step(here[:steps], flip[1, :steps], ahead[:steps], scratch[:steps])
     p = q = 0
     pts = [(0, 0)]
@@ -334,6 +334,12 @@ def rho_star_threshold(weights: WeightField, steps: int | None = None,
     return out
 
 
+# Run tables geodesic_initial_runs fills in lockstep.  At criterion 8's
+# 401 columns a stacked row is 51 KB, long enough to amortise the row
+# step's per-call cost, and a drawn block of the stack is 1.6 MB.
+_RUN_STACK = 16
+
+
 def geodesic_initial_runs(rho: float, n: int, count: int, spec: RngSpec,
                           spacing: int = 48, starts_per_table: int = 5,
                           max_run: int = 64) -> np.ndarray:
@@ -343,6 +349,15 @@ def geodesic_initial_runs(rho: float, n: int, count: int, spec: RngSpec,
     symmetrically on the two boundary segments through the origin, far
     enough apart that their runs are effectively independent.  Runs are
     censored at max_run.
+
+    Table t is drawn from its own stream spec.sub(f"runtab{t}").  The
+    tables are filled _RUN_STACK at a time as one stack through
+    lpp.corner_fill: every row step runs once over the stacked rows,
+    which at these widths costs little more per call than one table's row,
+    and each member keeps only the corner its walks read.  The row step
+    takes its running maximum with fmax, which equals maximum on the
+    finite values a fill accepts (weights must be finite), so every run
+    is bit for bit what one table at a time gives.
     """
     m1, m2 = scaled_corner(rho, n)
     offsets = [spacing * (i - (starts_per_table - 1) // 2)
@@ -350,26 +365,28 @@ def geodesic_initial_runs(rho: float, n: int, count: int, spec: RngSpec,
     reach = max(abs(o) for o in offsets) + max_run + 1
     if reach > min(m1, m2):
         raise ValueError("starts and run cap do not fit inside the table")
-    runs = np.empty(count, dtype=np.int64)
-    got = 0
-    t = 0
-    while got < count:
-        # g = G[m1 - reach:, m2 - reach:], so (reach, reach) is the corner
-        # (m1, m2).  Every start lies at least max_run + 1 steps from g's
-        # first row and column, so the walks compare the values they
-        # compared on G, and never reach g's edges.
-        g = corner_fill(ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec.sub(f"runtab{t}")),
-                        keep=reach + 1).corner
-        for o in offsets:
-            if got >= count:
-                break
-            a, b = (reach + o, reach) if o <= 0 else (reach, reach - o)
-            codes, _ = walk_to_corner(g, a, b, max_steps=max_run + 1)
-            hits = np.flatnonzero(codes == STEP_E2)
-            runs[got] = int(hits[0]) if len(hits) else max_run
-            got += 1
-        t += 1
-    return runs
+    # g = G[m1 - reach:, m2 - reach:], so (reach, reach) is the corner
+    # (m1, m2).  Every start lies at least max_run + 1 steps from g's
+    # first row and column, so the walks compare the values they compared
+    # on G, and never reach g's edges.
+    starts = [(reach + o, reach) if o <= 0 else (reach, reach - o) for o in offsets]
+    tables = -(-count // starts_per_table)
+    runs = []
+    for first in range(0, tables, _RUN_STACK):
+        sources = [ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec.sub(f"runtab{t}"))
+                   for t in range(first, min(first + _RUN_STACK, tables))]
+        # A comprehension, so that no corner outlives its stack's walks.
+        runs += [_initial_run(g, a, b, max_run)
+                 for g in corner_fill(sources, keep=reach + 1).corner for a, b in starts]
+    return np.array(runs[:count], dtype=np.int64)
+
+
+def _initial_run(g: np.ndarray, a: int, b: int, max_run: int) -> int:
+    """The walk's number of -e1 steps before its first -e2 step, censored
+    at max_run."""
+    codes, _ = walk_to_corner(g, a, b, max_steps=max_run + 1)
+    hits = np.flatnonzero(codes == STEP_E2)
+    return int(hits[0]) if len(hits) else max_run
 
 
 def initial_run_statistics(runs: np.ndarray, rho: float,

@@ -19,7 +19,23 @@ strided view row by row, or draws the rows from an ExpFieldRows source a
 block at a time, so a streamed field is never held whole.  Both fills run
 a tall field (more rows than columns) by rows of its contiguous
 transpose, because the row step is not bit-for-bit transpose-symmetric;
-a tall source is therefore drawn whole.
+a tall source is therefore gathered whole into its transpose, a block at
+a time.
+
+One row step, _row_step, fills every row: one table's row, or the rows
+of a stack of K tables of one shape at once, a (K, cols) array worked
+along its last axis.  corner_fill fills a list of sources as such a
+stack, each member drawn into its own slot of one block buffer, so the
+per-call cost of the step's ufuncs is paid once per K rows of narrow
+tables; _grid_values is the one-table case that keeps every row.  The
+step's running maximum is taken with fmax, a faster loop than maximum.
+The two differ only where an operand is NaN (fmax drops it, maximum
+keeps it) and in which of two equal zeros of opposite sign they return,
+which reaches a passage time only through weights of -0.0.  So weights
+must be finite: every fill refuses a row whose sum is not finite, which
+is exactly a row that holds a NaN or infinite weight (or whose sum
+overflows), raising ValueError before a dropped NaN could turn into
+finite, wrong passage times.
 
 The limit shape of G along the diagonal is governed by
 g(x) = (sqrt|x1| + sqrt|x2|)^2 for x in the third quadrant, with
@@ -124,43 +140,74 @@ class GeodesicPath:
         return int(hits[0]) if len(hits) else len(self.steps)
 
 
+def _prefix_sums(row: np.ndarray, out: np.ndarray) -> None:
+    """out = the running sums of row along its last axis: the first row of
+    a table, or of each table of a stack.
+
+    Refuses a row whose sum is not finite, which is a row that holds a NaN
+    or infinite weight (or whose sum overflows); a row of width 0 passes.
+    """
+    np.add.accumulate(row, axis=-1, out=out)
+    if out.ndim == 1:
+        finite = not len(out) or math.isfinite(out[-1])
+    else:
+        finite = not out.shape[-1] or all(map(math.isfinite, out[:, -1].tolist()))
+    if not finite:
+        raise ValueError("weights must be finite: a row holds a NaN or "
+                         "infinite weight, or its sum overflows")
+
+
 def _row_step(prev: np.ndarray, row: np.ndarray, out: np.ndarray,
               scratch: np.ndarray) -> None:
-    """out[k] = max_{j<=k} (prev[j] + sum row[j..k]), without allocating.
+    """out[..., k] = max_{j<=k} (prev[..., j] + sum row[..., j..k]), without
+    allocating.
 
     With CY the prefix sums of row this is CY[k] + max_{j<=k} (prev[j] -
     CY[j-1]), CY[j-1] = CY[j] - row[j].  One step is a table row of the
     corner recursion (prev is the previous row) or a level of the strip
-    recursion.  scratch has the length of row and may not alias out.
+    recursion; on (K, cols) arrays it is one row of each of K tables.
+    scratch has the shape of out and may not alias it.  Rows must be
+    finite (see _prefix_sums); on finite values fmax is maximum.
     """
-    np.add.accumulate(row, out=out)
+    _prefix_sums(row, out)
     np.subtract(out, row, out=scratch)
     np.subtract(prev, scratch, out=scratch)
-    np.maximum.accumulate(scratch, out=scratch)
+    np.fmax.accumulate(scratch, axis=-1, out=scratch)
     np.add(out, scratch, out=out)
 
 
 class CornerFill:
     """The corner recursion over rows fed in order, keeping only the last
-    row, the last depth entries of the last column and the last keep rows.
+    row, the last depth entries of the last column and a corner of the
+    last rows.
+
+    cols is the width of a row, or (K, width) for a stack of K tables of
+    the same shape filled in lockstep: row i of the stack is row i of each
+    table, and every array below carries the stack axis just before the
+    column axis.  keep is the number of last rows kept whole, or a pair
+    (r, c) that keeps the last c columns of the last r rows.
 
     feed() takes a block of consecutive rows, top to bottom: the first row
     is filled as its prefix sums, every later one by _row_step from the
     row before.  After all rows, row is the last row, column the last
-    column's tail and tail the last keep rows.  Rows are filled as given,
+    column's tail and tail the kept corner.  Rows are filled as given,
     never transposed; keep = rows makes tail the whole table.
     """
 
-    def __init__(self, rows: int, cols: int, depth: int = 1, keep: int = 0):
-        if not (1 <= depth <= min(rows, cols) and 0 <= keep <= min(rows, cols)):
+    def __init__(self, rows: int, cols: int | tuple[int, int], depth: int = 1,
+                 keep: int | tuple[int, int] = 0):
+        shape = cols if isinstance(cols, tuple) else (cols,)
+        width = shape[-1]
+        r, c = keep if isinstance(keep, tuple) else (keep, width)
+        if not (1 <= depth <= min(rows, width) and 0 <= r <= rows and 0 <= c <= width):
             raise ValueError("depth and keep must fit inside the table")
         self._rows = rows
         self._filled = 0
         self.row = None
-        self.column = np.empty(depth)
-        self.tail = np.empty((keep, cols))
-        self._pair = np.empty((2, cols))
-        self._scratch = np.empty(cols)
+        self.column = np.empty((depth, *shape[:-1]))
+        self.tail = np.empty((r, *shape[:-1], c))
+        self._pair = np.empty((2, *shape))
+        self._scratch = np.empty(shape)
 
     def feed(self, block: np.ndarray) -> None:
         start = self._filled
@@ -169,14 +216,19 @@ class CornerFill:
         tail, column, prev = self.tail, self.column, self.row
         t0 = self._rows - len(tail)
         c0 = self._rows - len(column)
+        # Whole kept rows are filled in place; a narrower corner is copied
+        # out of the two-row buffer.
+        cut = self._scratch.shape[-1] - tail.shape[-1]
         for i, weights in enumerate(block, start):
-            out = tail[i - t0] if i >= t0 else self._pair[i % 2]
+            out = tail[i - t0] if i >= t0 and not cut else self._pair[i % 2]
             if i:
                 _row_step(prev, weights, out, self._scratch)
             else:
-                np.add.accumulate(weights, out=out)
+                _prefix_sums(weights, out)
             if i >= c0:
-                column[i - c0] = out[-1]
+                column[i - c0] = out[..., -1]
+            if i >= t0 and cut:
+                tail[i - t0] = out[..., cut:]
             prev = out
         self.row = prev
         self._filled = start + len(block)
@@ -197,38 +249,61 @@ def _grid_values(weights: np.ndarray) -> np.ndarray:
 
 
 class CornerEdges(NamedTuple):
-    """G[-1, -depth:], G[-depth:, -1] and G[-keep:, -keep:] of a table G."""
+    """G[-1, -depth:], G[-depth:, -1] and G[-keep:, -keep:] of a table G,
+    or of each table of a stack, along a leading stack axis."""
 
     row: np.ndarray
     column: np.ndarray
     corner: np.ndarray
 
 
-def corner_fill(weights: np.ndarray | ExpFieldRows, depth: int = 1,
-                keep: int = 0) -> CornerEdges:
+def _row_blocks(weights, tall: bool):
+    """Consecutive blocks of the rows corner_fill feeds: of the field, or
+    of its contiguous transpose when tall; (n, K, cols) for a stack."""
+    if isinstance(weights, np.ndarray):
+        yield np.ascontiguousarray(weights.T) if tall else weights
+    elif isinstance(weights, ExpFieldRows):
+        yield from (weights.transposed(),) if tall else weights
+    elif tall:
+        stack = np.empty((len(weights), *weights[0].shape[::-1]))
+        for source, slot in zip(weights, stack):
+            source.transposed(slot)
+        yield stack.swapaxes(0, 1)
+    else:
+        # Each member draws its blocks into its own slot of one buffer.
+        stack = np.empty((len(weights), *weights[0].block_shape))
+        for drawn in zip(*map(ExpFieldRows.blocks, weights, stack)):
+            yield stack[:, :len(drawn[0])].swapaxes(0, 1)
+
+
+def corner_fill(weights: np.ndarray | ExpFieldRows | list[ExpFieldRows],
+                depth: int = 1, keep: int = 0) -> CornerEdges:
     """G[-1, -depth:], G[-depth:, -1] and G[-keep:, -keep:] of the table G
     that _grid_values fills over weights, bit for bit, without holding G.
 
     weights is a field's values (an array or a strided view, walked row by
-    row) or an ExpFieldRows source, drawn a block at a time.  A tall field
-    is filled through its contiguous transpose, as _grid_values fills it,
-    so a tall source is drawn whole.
+    row), an ExpFieldRows source, drawn a block at a time, or a list of
+    sources of one shape, filled as a stack in lockstep; a stack's edges
+    and corners are indexed by member first.  A tall field is filled
+    through its contiguous transpose, as _grid_values fills it, so a tall
+    source is gathered whole into its transpose.
     """
-    rows, cols = weights.shape
+    stack = isinstance(weights, list)
+    rows, cols = weights[0].shape if stack else weights.shape
+    if stack and any(source.shape != (rows, cols) for source in weights):
+        raise ValueError("a stack's fields must have one shape")
     tall = rows > cols
     if tall:
-        if isinstance(weights, ExpFieldRows):
-            weights = weights.whole()
-        weights = np.ascontiguousarray(weights.T)
         rows, cols = cols, rows
-    fill = CornerFill(rows, cols, depth, keep)
-    blocks = weights if isinstance(weights, ExpFieldRows) else (weights,)
-    for block in blocks:
+    fill = CornerFill(rows, (len(weights), cols) if stack else cols, depth, (keep, keep))
+    for block in _row_blocks(weights, tall):
         fill.feed(block)
-    corner = fill.tail[:, cols - keep:]
+    row = fill.row[..., cols - depth:]
+    column = np.moveaxis(fill.column, 0, -1)
+    corner = np.moveaxis(fill.tail, 0, -2)
     if tall:
-        return CornerEdges(fill.column, fill.row[-depth:], corner.T)
-    return CornerEdges(fill.row[-depth:], fill.column, corner)
+        return CornerEdges(column, row, corner.swapaxes(-1, -2))
+    return CornerEdges(row, column, corner)
 
 
 def lpp_grid(weights: WeightField) -> GTable:
@@ -358,17 +433,16 @@ def stationary_halfplane_lpp(initial: MultiConfig, weights: WeightField) -> list
         raise ValueError("weight field and initial window lengths differ")
     if length == 0:
         raise ValueError("empty window")
+    g, nxt, scratch = np.empty((3, *initial.values.shape))
+    _prefix_sums(initial.values, g)
     means = initial.values.mean(axis=1)
     if np.any(means <= 1.0):
         warnings.warn("initial increments should have Cesaro mean above the bulk mean 1")
     out = [initial]
-    g = np.cumsum(initial.values, axis=1)
-    nxt = np.empty_like(g)
-    scratch = np.empty(length)
     for t in range(1, levels + 1):
-        row = weights.values[:, t - 1]
-        for i in range(g.shape[0]):
-            _row_step(g[i], row, nxt[i], scratch)
+        # one step of the stack of lines, every line reading the same level
+        row = np.broadcast_to(weights.values[:, t - 1], g.shape)
+        _row_step(g, row, nxt, scratch)
         g, nxt = nxt, g
         incr = np.diff(g, axis=1, prepend=0.0)
         out.append(MultiConfig(initial.offset, incr, rates=initial.rates))

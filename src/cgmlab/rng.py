@@ -14,7 +14,10 @@ Exponentials are drawn by inverse CDF, value = -mean * ln(U) with U in
 
 A field can also be drawn a block of rows at a time (ExpFieldRows): one
 generator carries the stream from block to block, so the rows are bit for
-bit those of the whole-field draw, and only one block is ever held.
+bit those of the whole-field draw, and only one block is ever held.  The
+blocks can be drawn into a caller's buffer (one member's slot of a stack
+of fields drawn in lockstep), or gathered into the field's contiguous
+transpose without holding the field itself.
 """
 
 from __future__ import annotations
@@ -211,17 +214,35 @@ class ExpFieldRows:
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
 
-    def __iter__(self):
+    @property
+    def block_shape(self) -> tuple[int, int]:
+        """Shape of the buffer the blocks are drawn into."""
+        return min(_ROW_BLOCK, self.rows), self.cols
+
+    def blocks(self, buf: np.ndarray | None = None):
+        """Iterate the blocks, each drawn into the leading rows of buf, a
+        C-contiguous array of block_shape (a new one when None)."""
         gen = self.spec.generator()
         step = _ROW_BLOCK
-        buf = np.empty((min(step, self.rows), self.cols))
+        if buf is None:
+            buf = np.empty(self.block_shape)
         for start in range(0, self.rows, step):
             rows = buf[:min(step, self.rows - start)]
             yield _exp_in_place(gen.random(out=rows), self.mean)
 
-    def whole(self) -> np.ndarray:
-        """All rows at once: sample_exp_field's values."""
-        return sample_exp_field(self.rows, self.cols, self.mean, self.spec).values
+    def __iter__(self):
+        return self.blocks()
+
+    def transposed(self, out: np.ndarray | None = None) -> np.ndarray:
+        """sample_exp_field's values transposed, as a C-contiguous (cols,
+        rows) array, drawn a block at a time into out (a new one when None)."""
+        if out is None:
+            out = np.empty((self.cols, self.rows))
+        start = 0
+        for block in self:
+            out[:, start:start + len(block)] = block.T
+            start += len(block)
+        return out
 
 
 def sample_exp_window(offset: int, length: int, mean: float, spec: RngSpec) -> SeqWindow:

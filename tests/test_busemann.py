@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cgmlab import busemann
 from cgmlab.busemann import (BusemannEdgeEstimates, Direction,
                              busemann_geodesic, coalescence_point,
                              competition_interface, direction_of_rho,
@@ -420,6 +421,47 @@ def test_initial_runs_match_full_table_walks(rho, n, spacing, starts):
                                  starts_per_table=starts, max_run=6)
     assert runs.tolist() == full_table_initial_runs(rho, n, 37, spec, spacing,
                                                     starts, 6)
+
+
+@pytest.mark.parametrize("stack", [1, 2, 3, 64])
+@pytest.mark.parametrize("rho, n, spacing, starts", [
+    (2.0, 200, 24, 3), (1.5, 400, 10, 4), (4.0, 300, 8, 5)])
+def test_stacked_initial_runs_match_full_table_walks(stack, rho, n, spacing, starts,
+                                                     monkeypatch):
+    # 37 runs take 13, 10 and 8 tables: one table per stack, stacks of 2
+    # and 3 with a ragged last one where the count does not divide, and
+    # one stack larger than the count; rho 1.5 makes the corners tall and
+    # rho 4.0 wide
+    monkeypatch.setattr(busemann, "_RUN_STACK", stack)
+    spec = RngSpec(46, "runs-stack").sub(f"{rho}/{n}")
+    runs = geodesic_initial_runs(rho, n, 37, spec, spacing=spacing,
+                                 starts_per_table=starts, max_run=6)
+    assert runs.dtype == np.int64
+    assert runs.tolist() == full_table_initial_runs(rho, n, 37, spec, spacing,
+                                                    starts, 6)
+    assert geodesic_initial_runs(rho, n, 0, spec, spacing=spacing,
+                                 starts_per_table=starts, max_run=6).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_competition_interface_refuses_non_finite_weights(bad):
+    # the weight at a point of the interface is read by the fill of its
+    # row: the origin, the first step, a middle and the last point, on
+    # wide, square and tall fields
+    spec = RngSpec(47, "cif-non-finite")
+    for r, (rows, cols) in enumerate([(41, 41), (30, 75), (75, 30)]):
+        field = sample_exp_field(rows, cols, 1.0, spec.sub(f"f{r}"),
+                                 origin=(1 - rows, 1 - cols))
+        pts = competition_interface(field)
+        for x1, x2 in pts[[0, 1, len(pts) // 2, -1]]:
+            vals = field.values.copy()
+            vals[x1 - 1, x2 - 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                competition_interface(WeightField(field.origin, vals))
+    # constant weights tie every comparison, so the walk descends on every
+    # step and its last row step is zero wide
+    pts = competition_interface(WeightField((-4, -4), np.ones((5, 5))))
+    assert pts[-1].tolist() == [-3, 0]
 
 
 def test_wait_indicator_run_hand_trace():

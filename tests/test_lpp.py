@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from cgmlab import rng
 from cgmlab.rng import (ExpFieldRows, RngSpec, SeqWindow, WeightField, sample_exp_field,
                         sample_exp_window)
-from cgmlab.lpp import (CornerFill, GTable, STEP_E1, STEP_E2, _grid_values,
-                        backtrack_geodesic, corner_fill, brute_force_lpp, brute_force_table,
-                        lpp_grid, shape_function, stationary_halfplane_lpp,
+from cgmlab.lpp import (CornerFill, GTable, STEP_E1, STEP_E2, _grid_values, _prefix_sums,
+                        _row_step, backtrack_geodesic, corner_fill, brute_force_lpp,
+                        brute_force_table, lpp_grid, shape_function, stationary_halfplane_lpp,
                         walk_to_corner)
 from cgmlab.multiclass import MultiConfig
 from cgmlab.queueing import BoundaryPolicy, queue_D
@@ -30,6 +30,20 @@ def cumsum_fill(weights):
         csum = np.cumsum(row)
         g[a] = csum + np.maximum.accumulate(g[a - 1] - (csum - row))
     return g
+
+
+def maximum_row_step(prev, row, out, scratch):
+    """_row_step as it was before it took stacks and its running maximum
+    with fmax, kept as the oracle: one row, maximum.accumulate."""
+    np.add.accumulate(row, out=out)
+    np.subtract(out, row, out=scratch)
+    np.subtract(prev, scratch, out=scratch)
+    np.maximum.accumulate(scratch, out=scratch)
+    np.add(out, scratch, out=out)
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
 
 
 def test_two_by_two_ones():
@@ -270,3 +284,122 @@ def test_halfplane_levels_match_cumsum_oracle():
         csum = np.cumsum(row)
         g = csum + np.maximum.accumulate(g - (csum - row), axis=1)
         assert np.array_equal(levels[t].values, np.diff(g, axis=1, prepend=0.0))
+
+
+@pytest.mark.parametrize("stack", [(), (1,), (3,), (16,)])
+def test_row_step_matches_maximum_oracle_bit_for_bit(stack):
+    # continuous weights, and integer ones (zeros included) that make the
+    # running maximum tie often
+    gen = RngSpec(108, "row-step").generator()
+    for cols in (1, 2, 7, 401):
+        shape = (*stack, cols)
+        for draw in (lambda: gen.exponential(1.0, shape),
+                     lambda: gen.integers(0, 3, shape).astype(np.float64)):
+            prev = np.cumsum(draw(), axis=-1) + draw()
+            row = draw()
+            out, scratch = np.empty((2, *shape))
+            _row_step(prev, row, out, scratch)
+            want = np.empty(shape)
+            for p, r, w in zip(prev.reshape(-1, cols), row.reshape(-1, cols),
+                               want.reshape(-1, cols)):
+                maximum_row_step(p, r, w, np.empty(cols))
+            assert np.array_equal(bits(out), bits(want))
+
+
+@pytest.mark.parametrize("members", [1, 3, 16])
+def test_stacked_fill_matches_separate_fills(members):
+    rows, cols = 30, 50
+    spec = RngSpec(109, "stacked-fill")
+    fields = [sample_exp_field(rows, cols, 1.0, spec.sub(f"m{k}")).values
+              for k in range(members)]
+    tables = [_grid_values(f) for f in fields]
+    for f, g in zip(fields, tables):
+        assert np.array_equal(g, cumsum_fill(f))
+    # rows of the stack are (members, cols), strided as a drawn stack is
+    stack = np.stack(fields).swapaxes(0, 1)
+    for cuts in ([30], [1, 29], [7] * 4 + [2], [13, 0, 17]):
+        for depth, keep in ((1, 0), (9, 11), (30, 30), (2, (5, 3)), (4, (30, 50)), (1, (0, 7))):
+            fill = CornerFill(rows, (members, cols), depth, keep)
+            start = 0
+            for size in cuts:
+                fill.feed(stack[start:start + size])
+                start += size
+            r, c = keep if isinstance(keep, tuple) else (keep, cols)
+            assert fill.row.shape == (members, cols)
+            assert fill.tail.shape == (r, members, c)
+            for k, g in enumerate(tables):
+                assert np.array_equal(bits(fill.row[k]), bits(g[-1]))
+                assert np.array_equal(bits(fill.column[:, k]), bits(g[rows - depth:, -1]))
+                assert np.array_equal(bits(fill.tail[:, k]), bits(g[rows - r:, cols - c:]))
+    with pytest.raises(ValueError):
+        CornerFill(rows, (members, cols), 1, (31, 5))
+    with pytest.raises(ValueError):
+        CornerFill(rows, (members, cols), 1, (5, 51))
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+def test_corner_fill_on_a_stack_of_sources(rows, cols, monkeypatch):
+    # each member is the fill of its own source, tall or wide, drawn in
+    # blocks of 7 rows into its slot of the stack
+    monkeypatch.setattr(rng, "_ROW_BLOCK", 7)
+    spec = RngSpec(110, "stacked-sources").sub(f"{rows}x{cols}")
+    sources = [ExpFieldRows(rows, cols, 1.0, spec.sub(f"m{k}")) for k in range(3)]
+    tables = [_grid_values(sample_exp_field(rows, cols, 1.0, s.spec).values)
+              for s in sources]
+    short = min(rows, cols)
+    for depth in sorted({1, 2, short} & set(range(1, short + 1))):
+        for keep in sorted({0, 1, 2, short} & set(range(short + 1))):
+            row, column, corner = corner_fill(sources, depth, keep)
+            for k, g in enumerate(tables):
+                assert np.array_equal(row[k], g[-1, cols - depth:])
+                assert np.array_equal(column[k], g[rows - depth:, -1])
+                assert np.array_equal(corner[k], g[rows - keep:, cols - keep:])
+    with pytest.raises(ValueError):
+        corner_fill([sources[0], ExpFieldRows(rows + 1, cols, 1.0, spec)])
+
+
+def _with(values, cell, bad):
+    out = values.copy()
+    out[cell] = bad
+    return out
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fills_refuse_non_finite_weights(bad):
+    # A NaN that fmax dropped would turn into finite, wrong passage times
+    # in later rows, so every fill refuses a row whose sum is not finite:
+    # the first row, a later one, and the last cell of the table.
+    spec = RngSpec(111, "non-finite")
+    vals = sample_exp_field(12, 20, 1.0, spec).values
+    for cell in ((0, 0), (0, 19), (5, 3), (11, 19)):
+        wide = _with(vals, cell, bad)
+        for field in (wide, wide.T, wide[::-1, ::-1]):
+            with pytest.raises(ValueError, match="finite"):
+                lpp_grid(WeightField((0, 0), field))
+            with pytest.raises(ValueError, match="finite"):
+                corner_fill(field, depth=2, keep=2)
+        stack = np.stack([vals, wide, vals], axis=1)
+        with pytest.raises(ValueError, match="finite"):
+            CornerFill(12, (3, 20)).feed(stack)
+    # a stack member drawn with infinite mean has infinite weights
+    members = [ExpFieldRows(12, 20, mean, spec.sub(f"m{k}"))
+               for k, mean in enumerate((1.0, np.inf))]
+    with pytest.raises(ValueError, match="finite"):
+        corner_fill(members, keep=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_halfplane_levels_refuse_non_finite_weights(bad):
+    spec = RngSpec(112, "half-non-finite")
+    init = MultiConfig.from_lines([sample_exp_window(0, 30, 2.0, spec.sub("I"))])
+    bulk = sample_exp_field(30, 4, 1.0, spec.sub("w"), origin=(0, 1))
+    with pytest.raises(ValueError, match="finite"):
+        stationary_halfplane_lpp(MultiConfig(0, _with(init.values, (0, 7), bad)), bulk)
+    with pytest.raises(ValueError, match="finite"):
+        stationary_halfplane_lpp(init, WeightField((0, 1), _with(bulk.values, (7, 2), bad)))
+
+
+def test_zero_width_rows_pass_the_finite_check():
+    for shape in ((0,), (3, 0)):
+        _prefix_sums(np.empty(shape), np.empty(shape))
+    _row_step(np.empty((2, 0)), np.empty((2, 0)), np.empty((2, 0)), np.empty((2, 0)))

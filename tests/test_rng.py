@@ -75,7 +75,8 @@ def test_field_rows_are_slices_of_the_whole_draw(rows, cols, block, monkeypatch)
         assert np.array_equal(part, whole[start:start + len(part)])
         start += len(part)
     assert start == rows
-    assert np.array_equal(source.whole(), whole)
+    gathered = source.transposed()
+    assert gathered.flags.c_contiguous and np.array_equal(gathered, whole.T)
 
 
 def test_field_rows_validation():

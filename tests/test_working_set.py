@@ -15,14 +15,23 @@ stacked first and then regrouped by fancy indexing).  A corner estimate keeps tw
 its edges (about 0.04 MiB on a 1501x1501 field, against 17 MiB for the
 full table), and a streamed field is held one 32-row block at a time:
 criterion 13 and one doubling-probe field of criterion 6 peak near 0.4
-MiB, against 34 MiB for a whole field and its table.
+MiB, against 34 MiB for a whole field and its table.  A tall corner is
+drawn a block at a time into its contiguous transpose: 2.86 MiB for one
+rho = 1.5 estimate at scale 1500 (bound 3.25 MiB), against 5.5 MiB when
+the whole field was drawn and then transposed.  Criterion 8 fills its run
+tables 16 at a time: one drawn block of the stack (1.6 MB) and each
+member's 107x107 corner (1.5 MB) make 3.2 MiB for the 30 tables of the
+benchmark's call (bound 3.6 MiB), against 0.8 MiB one table at a time and
+about 7.3 MiB when each member drew into a block buffer of its own and the
+stack was copied from those.
 """
 
 import tracemalloc
 
 import pytest
 
-from cgmlab.busemann import estimate_busemann_level, estimate_nested_levels
+from cgmlab.busemann import (estimate_busemann_level, estimate_nested_levels,
+                             geodesic_initial_runs)
 from cgmlab.rng import RngSpec, exp_from_uniform, sample_exp_field
 from cgmlab.stats import ks_two_sample
 from cgmlab.verification import run_criterion
@@ -60,3 +69,14 @@ def test_corner_estimates_hold_no_table():
 def test_doubling_probe_field_is_never_held_whole():
     assert traced_peak(estimate_nested_levels, 2.0, (3000, 1500),
                        RngSpec(6, "probe-peak"), 30) < 2 ** 20
+
+
+def test_tall_corner_estimate_holds_only_the_transpose():
+    peak = traced_peak(estimate_busemann_level, 1.5, 1500, RngSpec(6, "tall-peak"))
+    assert peak < 3.25 * 2 ** 20
+
+
+def test_stacked_run_tables_keep_one_block_and_their_corners():
+    peak = traced_peak(geodesic_initial_runs, 2.0, 800, 150, RngSpec(8, "runs-peak"),
+                       48, 5, 9)
+    assert peak < 3.6 * 2 ** 20
