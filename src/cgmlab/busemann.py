@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import ExpFieldRows, RngSpec, SeqWindow, WeightField
-from .lpp import (CornerFill, GTable, GeodesicPath, STEP_E2, _prefix_sums,
+from .lpp import (CornerFill, GTable, GeodesicPath, STEP_E2, _fill_rows, _prefix_sums,
                   _row_step, backtrack_geodesic, corner_fill, walk_to_corner)
 from .queueing import lindley_iterate
 from .exact import initial_run_pmf
@@ -59,9 +59,6 @@ class Direction:
         if self.e1 >= 0.0 or self.e2 >= 0.0:
             raise ValueError("direction must point into the open third quadrant")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e1, self.e2])
-
 
 def direction_of_rho(rho: float) -> Direction:
     """Characteristic direction for horizontal-increment mean rho > 1."""
@@ -97,8 +94,9 @@ class BusemannEdgeEstimates:
     horizontal[t] estimates the limit increment across ((-t-1, 0), (-t, 0))
     and vertical[t] across ((0, -t-1), (0, -t)); both live on boundary
     segments of length window.  They are differences of the table's last
-    window + 1 entries along its two edges through the origin, which is
-    all of the table an estimate keeps.
+    window + 1 entries along its two edges through the origin, read off
+    the (window + 1)-square corner at the origin, which is all of the
+    table an estimate keeps.
     """
 
     rho: float
@@ -128,12 +126,13 @@ def _window(m1: int, m2: int, window: int | None) -> int:
     return w
 
 
-def _edge_estimates(rho: float, n: int, corner: tuple[int, int], w: int,
-                    row: np.ndarray, column: np.ndarray) -> BusemannEdgeEstimates:
-    """Estimates from the table's last w + 1 entries along its last row
-    (toward the origin along e2) and its last column (along e1)."""
-    return BusemannEdgeEstimates(rho, n, corner, w, np.diff(column)[::-1].copy(),
-                                 np.diff(row)[::-1].copy())
+def _edge_estimates(rho: float, n: int, corner: tuple[int, int],
+                    g: np.ndarray) -> BusemannEdgeEstimates:
+    """Estimates from g, the table's (w + 1)-square corner at the origin:
+    differences along its last column (toward the origin along e1) and
+    its last row (along e2)."""
+    return BusemannEdgeEstimates(rho, n, corner, len(g) - 1,
+                                 np.diff(g[:, -1])[::-1].copy(), np.diff(g[-1])[::-1].copy())
 
 
 def estimate_busemann_level(rho: float, n: int, spec: RngSpec | None = None,
@@ -148,10 +147,10 @@ def estimate_busemann_level(rho: float, n: int, spec: RngSpec | None = None,
     The window defaults to about two percent of the short side, small
     enough that direction drift along the boundary stays below a percent.
 
-    The table is filled by lpp.corner_fill, which keeps two rows and the
-    last window + 1 entries of each edge through the origin: a shared
-    field is walked row by row, and a fresh one is drawn a block of rows
-    at a time (into its contiguous transpose when it is tall).
+    The table is filled by lpp.corner_fill, which holds two rows and keeps
+    the (window + 1)-square corner at the origin, both edges of which the
+    estimates read: a shared field is walked row by row, and a fresh one
+    is drawn a block of rows at a time.
     """
     m1, m2 = scaled_corner(rho, n)
     w = _window(m1, m2, window)
@@ -161,8 +160,7 @@ def estimate_busemann_level(rho: float, n: int, spec: RngSpec | None = None,
         raise ValueError("need either a field or a spec")
     else:
         vals = ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec)
-    row, column, _ = corner_fill(vals, depth=w + 1)
-    return _edge_estimates(rho, n, (m1, m2), w, row, column)
+    return _edge_estimates(rho, n, (m1, m2), corner_fill(vals, w + 1))
 
 
 def estimate_nested_levels(rho: float, scales, spec: RngSpec,
@@ -173,14 +171,15 @@ def estimate_nested_levels(rho: float, scales, spec: RngSpec,
 
     F's rows are drawn a block at a time, and each block feeds one
     lpp.CornerFill per scale, which takes the part of it that lies in that
-    scale's nested corner, the top-right rectangle of F.  The corners must
-    not be tall.
+    scale's nested corner, the top-right rectangle of F, and keeps its
+    (window + 1)-square corner at the origin.  The corners must not be
+    tall, since CornerFill fills rows as given.
     """
     corners = [scaled_corner(rho, n) for n in scales]
     m1, m2 = max(corners)
     if m1 > m2:
         raise ValueError("nested corners are streamed only when not tall")
-    fills = [CornerFill(k1 + 1, k2 + 1, depth=_window(k1, k2, window) + 1)
+    fills = [CornerFill(k1 + 1, k2 + 1, _window(k1, k2, window) + 1)
              for k1, k2 in corners]
     start = 0
     for block in ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec):
@@ -188,7 +187,7 @@ def estimate_nested_levels(rho: float, scales, spec: RngSpec,
             skip = max(0, m1 - k1 - start)
             fill.feed(block[skip:, m2 - k2:])
         start += len(block)
-    return [_edge_estimates(rho, n, corner, window, fill.row[-window - 1:], fill.column)
+    return [_edge_estimates(rho, n, corner, fill.corner)
             for n, corner, fill in zip(scales, corners, fills)]
 
 
@@ -250,18 +249,15 @@ def competition_interface(weights: WeightField, steps: int | None = None) -> np.
         steps = limit
     if steps < 1 or steps > limit:
         raise ValueError("interface steps must fit inside the field")
-    # R[i, j] = L(-i, -j) is filled in the orientation _grid_values fills
-    # values[::-1, ::-1] in, so every value compared is bit for bit the
-    # same: by rows, or by columns through a contiguous transpose when the
-    # field is tall.  F is R in that orientation and the walk stands at
-    # F[p, q], (p, q) = (i, j), or (j, i) when tall.  A step reads
+    # R[i, j] = L(-i, -j) is filled in the orientation lpp's row source
+    # gives values[::-1, ::-1], so every value compared is bit for bit the
+    # one lpp_grid fills: by rows, or by the rows of a contiguous transpose
+    # when the field is tall.  F is R in that orientation and the walk
+    # stands at F[p, q], (p, q) = (i, j), or (j, i) when tall.  A step reads
     # F[p + 1, q] and F[p, q + 1], so only rows p and p + 1 are kept, and
     # row p + 1 is filled when the walk moves onto row p.  After k steps
     # p + q = k, so row p is read no further than index steps - p.
-    tall = r > c
-    flip = weights.values[::-1, ::-1]
-    if tall:
-        flip = np.ascontiguousarray(flip.T)
+    tall, (flip,) = _fill_rows(weights.values[::-1, ::-1])
     here, ahead, scratch = np.empty((3, steps + 1))
     _prefix_sums(flip[0, :steps + 1], here)
     _row_step(here[:steps], flip[1, :steps], ahead[:steps], scratch[:steps])
@@ -323,7 +319,7 @@ def rho_star_threshold(weights: WeightField, steps: int | None = None,
         for i, rho in enumerate(grid):
             m1, m2 = scaled_corner(float(rho), n)
             # One step from the corner reads G[-2:, -2:] only.
-            corner = corner_fill(_slice_to_corner(weights, m1, m2), keep=2).corner
+            corner = corner_fill(_slice_to_corner(weights, m1, m2), 2)
             first, _ = walk_to_corner(corner, 1, 1, max_steps=1)
             codes[i] = first[0]
         out.grid = grid
@@ -377,7 +373,7 @@ def geodesic_initial_runs(rho: float, n: int, count: int, spec: RngSpec,
                    for t in range(first, min(first + _RUN_STACK, tables))]
         # A comprehension, so that no corner outlives its stack's walks.
         runs += [_initial_run(g, a, b, max_run)
-                 for g in corner_fill(sources, keep=reach + 1).corner for a, b in starts]
+                 for g in corner_fill(sources, reach + 1) for a, b in starts]
     return np.array(runs[:count], dtype=np.int64)
 
 

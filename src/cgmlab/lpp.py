@@ -9,26 +9,26 @@ the Busemann estimators is the reflection x -> -x of the same array, so a
 backtracked path toward the array origin reads as a southwest geodesic
 there.
 
-The full table is filled by _grid_values.  Readers of one corner of the
-table (the Busemann edge estimates, walks that start near the far corner,
-the corner value itself) use corner_fill instead: the same row step over
-the field's rows in order, holding two rows at a time and keeping the
-last row, the tail of the last column and, on request, the last k rows,
-each bit for bit what _grid_values fills.  It walks a given field or
-strided view row by row, or draws the rows from an ExpFieldRows source a
-block at a time, so a streamed field is never held whole.  Both fills run
-a tall field (more rows than columns) by rows of its contiguous
-transpose, because the row step is not bit-for-bit transpose-symmetric;
-a tall source is therefore gathered whole into its transpose, a block at
-a time.
+Every fill is corner_fill: the row step over the rows of a field in
+order, holding two rows at a time and keeping one corner G[-r:, -c:] of
+the table, bit for bit, without holding the rest.  Readers of the table
+read one corner of it (the Busemann edge estimates, walks that start near
+the far corner, the corner value itself), and lpp_grid is the case that
+keeps all of it.  The rows come from one row source, _fill_rows: a given
+field or strided view whole, or an ExpFieldRows source drawn a block at a
+time, so a streamed field is never held whole.  It alone decides the fill
+orientation: a tall field (more rows than columns) is filled by the rows
+of its contiguous transpose, because the row step is not bit-for-bit
+transpose-symmetric, and a tall source is gathered into that transpose a
+block at a time.
 
 One row step, _row_step, fills every row: one table's row, or the rows
 of a stack of K tables of one shape at once, a (K, cols) array worked
 along its last axis.  corner_fill fills a list of sources as such a
 stack, each member drawn into its own slot of one block buffer, so the
 per-call cost of the step's ufuncs is paid once per K rows of narrow
-tables; _grid_values is the one-table case that keeps every row.  The
-step's running maximum is taken with fmax, a faster loop than maximum.
+tables.  The step's running maximum is taken with fmax, a faster loop
+than maximum.
 The two differ only where an operand is NaN (fmax drops it, maximum
 keeps it) and in which of two equal zeros of opposite sign they return,
 which reaches a passage time only through weights of -0.0.  So weights
@@ -47,17 +47,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .rng import ExpFieldRows, SeqWindow, WeightField
+from .rng import ExpFieldRows, WeightField
 from .multiclass import MultiConfig
 
 __all__ = [
     "GTable",
     "GeodesicPath",
-    "CornerEdges",
     "CornerFill",
     "STEP_E1",
     "STEP_E2",
@@ -177,35 +175,30 @@ def _row_step(prev: np.ndarray, row: np.ndarray, out: np.ndarray,
 
 
 class CornerFill:
-    """The corner recursion over rows fed in order, keeping only the last
-    row, the last depth entries of the last column and a corner of the
-    last rows.
+    """The corner recursion over rows fed in order, keeping only the
+    corner G[-r:, -c:] of the table.
 
     cols is the width of a row, or (K, width) for a stack of K tables of
     the same shape filled in lockstep: row i of the stack is row i of each
-    table, and every array below carries the stack axis just before the
-    column axis.  keep is the number of last rows kept whole, or a pair
-    (r, c) that keeps the last c columns of the last r rows.
+    table, and corner carries the stack axis just before the column axis,
+    (r, K, c).  keep is r = c, or the pair (r, c).
 
     feed() takes a block of consecutive rows, top to bottom: the first row
     is filled as its prefix sums, every later one by _row_step from the
-    row before.  After all rows, row is the last row, column the last
-    column's tail and tail the kept corner.  Rows are filled as given,
-    never transposed; keep = rows makes tail the whole table.
+    row before.  Rows are filled as given, never transposed; keeping whole
+    rows fills them in place, so keep = (rows, width) is the whole table.
     """
 
-    def __init__(self, rows: int, cols: int | tuple[int, int], depth: int = 1,
-                 keep: int | tuple[int, int] = 0):
+    def __init__(self, rows: int, cols: int | tuple[int, int],
+                 keep: int | tuple[int, int]):
         shape = cols if isinstance(cols, tuple) else (cols,)
-        width = shape[-1]
-        r, c = keep if isinstance(keep, tuple) else (keep, width)
-        if not (1 <= depth <= min(rows, width) and 0 <= r <= rows and 0 <= c <= width):
-            raise ValueError("depth and keep must fit inside the table")
+        r, c = keep if isinstance(keep, tuple) else (keep, keep)
+        if not (1 <= r <= rows and 1 <= c <= shape[-1]):
+            raise ValueError("keep must fit inside the table")
         self._rows = rows
         self._filled = 0
-        self.row = None
-        self.column = np.empty((depth, *shape[:-1]))
-        self.tail = np.empty((r, *shape[:-1], c))
+        self._prev = None
+        self.corner = np.empty((r, *shape[:-1], c))
         self._pair = np.empty((2, *shape))
         self._scratch = np.empty(shape)
 
@@ -213,102 +206,90 @@ class CornerFill:
         start = self._filled
         if start + len(block) > self._rows:
             raise ValueError("more rows than the table has")
-        tail, column, prev = self.tail, self.column, self.row
-        t0 = self._rows - len(tail)
-        c0 = self._rows - len(column)
+        corner, prev = self.corner, self._prev
+        t0 = self._rows - len(corner)
         # Whole kept rows are filled in place; a narrower corner is copied
         # out of the two-row buffer.
-        cut = self._scratch.shape[-1] - tail.shape[-1]
+        cut = self._scratch.shape[-1] - corner.shape[-1]
         for i, weights in enumerate(block, start):
-            out = tail[i - t0] if i >= t0 and not cut else self._pair[i % 2]
+            out = corner[i - t0] if i >= t0 and not cut else self._pair[i % 2]
             if i:
                 _row_step(prev, weights, out, self._scratch)
             else:
                 _prefix_sums(weights, out)
-            if i >= c0:
-                column[i - c0] = out[..., -1]
             if i >= t0 and cut:
-                tail[i - t0] = out[..., cut:]
+                corner[i - t0] = out[..., cut:]
             prev = out
-        self.row = prev
+        self._prev = prev
         self._filled = start + len(block)
 
 
-def _grid_values(weights: np.ndarray) -> np.ndarray:
-    """Fill G[a,b] = max(G[a-1,b], G[a,b-1]) + Y[a,b] over the rectangle."""
-    rows, cols = weights.shape
-    if rows > cols:
-        # Loop over the shorter axis.  The recursion is transpose-symmetric
-        # but its row step is not, bit for bit, so tall fills always go
-        # through the transpose.  A contiguous copy keeps each row step on
-        # contiguous memory, where the strided view costs a third more.
-        return _grid_values(np.ascontiguousarray(weights.T)).T
-    fill = CornerFill(rows, cols, keep=rows)
-    fill.feed(weights)
-    return fill.tail
+def _fill_rows(weights):
+    """(tall, blocks): the one statement of the fill orientation, and the
+    consecutive blocks of rows a fill runs over.
 
-
-class CornerEdges(NamedTuple):
-    """G[-1, -depth:], G[-depth:, -1] and G[-keep:, -keep:] of a table G,
-    or of each table of a stack, along a leading stack axis."""
-
-    row: np.ndarray
-    column: np.ndarray
-    corner: np.ndarray
-
-
-def _row_blocks(weights, tall: bool):
-    """Consecutive blocks of the rows corner_fill feeds: of the field, or
-    of its contiguous transpose when tall; (n, K, cols) for a stack."""
-    if isinstance(weights, np.ndarray):
-        yield np.ascontiguousarray(weights.T) if tall else weights
-    elif isinstance(weights, ExpFieldRows):
-        yield from (weights.transposed(),) if tall else weights
-    elif tall:
-        stack = np.empty((len(weights), *weights[0].shape[::-1]))
-        for source, slot in zip(weights, stack):
-            source.transposed(slot)
-        yield stack.swapaxes(0, 1)
-    else:
-        # Each member draws its blocks into its own slot of one buffer.
-        stack = np.empty((len(weights), *weights[0].block_shape))
-        for drawn in zip(*map(ExpFieldRows.blocks, weights, stack)):
-            yield stack[:, :len(drawn[0])].swapaxes(0, 1)
-
-
-def corner_fill(weights: np.ndarray | ExpFieldRows | list[ExpFieldRows],
-                depth: int = 1, keep: int = 0) -> CornerEdges:
-    """G[-1, -depth:], G[-depth:, -1] and G[-keep:, -keep:] of the table G
-    that _grid_values fills over weights, bit for bit, without holding G.
-
-    weights is a field's values (an array or a strided view, walked row by
-    row), an ExpFieldRows source, drawn a block at a time, or a list of
-    sources of one shape, filled as a stack in lockstep; a stack's edges
-    and corners are indexed by member first.  A tall field is filled
-    through its contiguous transpose, as _grid_values fills it, so a tall
-    source is gathered whole into its transpose.
+    A tall field (more rows than columns) is filled by the rows of its
+    contiguous transpose, because the row step is not bit-for-bit
+    transpose-symmetric; on the copy each step also runs on contiguous
+    memory, where a strided view costs a third more.  An array or strided
+    view comes as one block.  An ExpFieldRows source is drawn a block at a
+    time, or gathered into its transpose a block at a time when tall.  A
+    list of sources of one shape is a stack: each member is drawn into its
+    own slot of one buffer, and the blocks are (n, K, cols).
     """
     stack = isinstance(weights, list)
     rows, cols = weights[0].shape if stack else weights.shape
-    if stack and any(source.shape != (rows, cols) for source in weights):
-        raise ValueError("a stack's fields must have one shape")
     tall = rows > cols
+    if isinstance(weights, np.ndarray):
+        return tall, [np.ascontiguousarray(weights.T) if tall else weights]
+    sources = weights if stack else [weights]
+    if any(source.shape != (rows, cols) for source in sources):
+        raise ValueError("a stack's fields must have one shape")
+
+    def rows_of(buf):
+        # Rows of the stack from its members' slots, or the one member's.
+        return buf.swapaxes(0, 1) if stack else buf[0]
+
     if tall:
-        rows, cols = cols, rows
-    fill = CornerFill(rows, (len(weights), cols) if stack else cols, depth, (keep, keep))
-    for block in _row_blocks(weights, tall):
+        buf = np.empty((len(sources), cols, rows))
+        for source, slot in zip(sources, buf):
+            start = 0
+            for block in source:
+                slot[:, start:start + len(block)] = block.T
+                start += len(block)
+        return tall, [rows_of(buf)]
+    buf = np.empty((len(sources), *sources[0].block_shape))
+    return tall, (rows_of(buf[:, :len(drawn[0])])
+                  for drawn in zip(*map(ExpFieldRows.blocks, sources, buf)))
+
+
+def corner_fill(weights: np.ndarray | ExpFieldRows | list[ExpFieldRows],
+                keep: int | tuple[int, int]) -> np.ndarray:
+    """The corner G[-r:, -c:] of the table G of passage times over weights,
+    keep = r = c or (r, c), without holding the rest of G.
+
+    weights is a field's values (an array or a strided view), an
+    ExpFieldRows source, drawn a block at a time, or a list of sources of
+    one shape, filled as a stack in lockstep; a stack's corners are
+    indexed by member first, (K, r, c).  The rows and their orientation
+    come from _fill_rows.
+    """
+    tall, blocks = _fill_rows(weights)
+    stack = isinstance(weights, list)
+    rows, cols = weights[0].shape if stack else weights.shape
+    r, c = keep if isinstance(keep, tuple) else (keep, keep)
+    if tall:
+        rows, cols, r, c = cols, rows, c, r
+    fill = CornerFill(rows, (len(weights), cols) if stack else cols, (r, c))
+    for block in blocks:
         fill.feed(block)
-    row = fill.row[..., cols - depth:]
-    column = np.moveaxis(fill.column, 0, -1)
-    corner = np.moveaxis(fill.tail, 0, -2)
-    if tall:
-        return CornerEdges(column, row, corner.swapaxes(-1, -2))
-    return CornerEdges(row, column, corner)
+    corner = fill.corner.swapaxes(0, 1) if stack else fill.corner
+    return corner.swapaxes(-1, -2) if tall else corner
 
 
 def lpp_grid(weights: WeightField) -> GTable:
     """Passage times from the field's southwest array corner to every point."""
-    return GTable(weights.origin, _grid_values(weights.values))
+    return GTable(weights.origin, corner_fill(weights.values, weights.shape))
 
 
 def brute_force_table(weights: WeightField, start: tuple[int, int],

@@ -16,8 +16,8 @@ A field can also be drawn a block of rows at a time (ExpFieldRows): one
 generator carries the stream from block to block, so the rows are bit for
 bit those of the whole-field draw, and only one block is ever held.  The
 blocks can be drawn into a caller's buffer (one member's slot of a stack
-of fields drawn in lockstep), or gathered into the field's contiguous
-transpose without holding the field itself.
+of fields drawn in lockstep).  Which way round a table fill reads the
+rows is lpp's to decide, not the source's.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class RngSpec:
             self.master_seed, spawn_key=(_label_key(self.label), self.replica)
         )
         return np.random.Generator(np.random.Philox(seq))
-
-    def with_label(self, label: str) -> "RngSpec":
-        return replace(self, label=label)
 
     def sub(self, suffix: str) -> "RngSpec":
         """Derive a stream for a sub-experiment, keeping seed and replica."""
@@ -232,17 +229,6 @@ class ExpFieldRows:
 
     def __iter__(self):
         return self.blocks()
-
-    def transposed(self, out: np.ndarray | None = None) -> np.ndarray:
-        """sample_exp_field's values transposed, as a C-contiguous (cols,
-        rows) array, drawn a block at a time into out (a new one when None)."""
-        if out is None:
-            out = np.empty((self.cols, self.rows))
-        start = 0
-        for block in self:
-            out[:, start:start + len(block)] = block.T
-            start += len(block)
-        return out
 
 
 def sample_exp_window(offset: int, length: int, mean: float, spec: RngSpec) -> SeqWindow:

@@ -495,8 +495,8 @@ def criterion_13(seed: int) -> CriterionResult:
     n = 1500
     vals = []
     for r in range(20):
-        corner = corner_fill(ExpFieldRows(n + 1, n + 1, 1.0, spec.sub(f"s{r}"))).row
-        vals.append(float(corner[-1]) / n)
+        corner = corner_fill(ExpFieldRows(n + 1, n + 1, 1.0, spec.sub(f"s{r}")), 1)
+        vals.append(float(corner[-1, -1]) / n)
     vals = np.asarray(vals)
     low = int(np.sum(vals < 3.8))
     if low:

@@ -129,6 +129,7 @@ def test_primary_seed_report_aggregate():
 SLOW_REPORT_DIGESTS = {
     6: "3af638d2928d4297cda0612d50ef49ba434acf256931c5e9a6c198347e609529",
     8: "0143a2c11ee4b2a506c74923a67af26f18caa5c167a52a7aec96a15daeb59b0f",
+    9: "2ac107c2c1f3f0ddcbe57bd75bdf6513a917e35a8961d515cfea27ad74839de9",
     13: "0322b9f1b2c4371a5c792e0aef4ff6ffd05739ff170a85998f1eafdf40c11305",
 }
 

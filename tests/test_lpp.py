@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cgmlab import rng
 from cgmlab.rng import (ExpFieldRows, RngSpec, SeqWindow, WeightField, sample_exp_field,
                         sample_exp_window)
-from cgmlab.lpp import (CornerFill, GTable, STEP_E1, STEP_E2, _grid_values, _prefix_sums,
+from cgmlab.lpp import (CornerFill, GTable, STEP_E1, STEP_E2, _prefix_sums,
                         _row_step, backtrack_geodesic, corner_fill, brute_force_lpp,
                         brute_force_table, lpp_grid, shape_function, stationary_halfplane_lpp,
                         walk_to_corner)
@@ -137,28 +137,37 @@ def test_fill_matches_cumsum_oracle():
     spec = RngSpec(102, "fill")
     for rows, cols in [(40, 90), (90, 40), (64, 64), (1, 50), (50, 1), (2, 2)]:
         vals = sample_exp_field(rows, cols, 1.0, spec.sub(f"{rows}x{cols}")).values
-        assert np.array_equal(_grid_values(vals), cumsum_fill(vals))
+        assert np.array_equal(lpp_grid(WeightField((0, 0), vals)).values, cumsum_fill(vals))
     m = 120
     big = sample_exp_field(m, m, 1.0, spec.sub("big")).values
     # nested corners as strided views, as a shared field hands them out,
     # and the reversed view the competition interface fills
     for view in (big[m - 45:, m - 70:], big[m - 70:, m - 45:], big[::-1, ::-1]):
-        assert np.array_equal(_grid_values(view), cumsum_fill(view))
+        assert np.array_equal(lpp_grid(WeightField((0, 0), view)).values, cumsum_fill(view))
+
+
+def keeps(rows, cols):
+    """Square keeps of 1, 2 and the short side, and ragged (r, c) ones up
+    to the whole table, that fit a rows x cols table."""
+    short = min(rows, cols)
+    square = sorted({1, 2, short} & set(range(1, short + 1)))
+    ragged = {(1, cols), (rows, 1), (rows, cols), (min(2, rows), min(5, cols)),
+              (min(5, rows), min(2, cols))}
+    return square + sorted(ragged)
+
+
+def corner_of(g, keep):
+    r, c = keep if isinstance(keep, tuple) else (keep, keep)
+    return g[g.shape[0] - r:, g.shape[1] - c:]
 
 
 def assert_corner_fill_is_full_fill(weights, source=None):
     """corner_fill on weights (or on source, which draws weights) keeps
-    edges and corner blocks bit for bit equal to the full fill's."""
-    g = _grid_values(weights)
-    assert np.array_equal(g, cumsum_fill(weights))
-    short = min(weights.shape)
-    for depth in sorted({1, 2, short} & set(range(1, short + 1))):
-        for keep in sorted({0, 1, 2, short} & set(range(short + 1))):
-            row, column, corner = corner_fill(weights if source is None else source,
-                                              depth, keep)
-            assert np.array_equal(row, g[-1, g.shape[1] - depth:])
-            assert np.array_equal(column, g[g.shape[0] - depth:, -1])
-            assert np.array_equal(corner, g[g.shape[0] - keep:, g.shape[1] - keep:])
+    every corner bit for bit equal to the oracle's full fill."""
+    g = cumsum_fill(weights)
+    for keep in keeps(*weights.shape):
+        corner = corner_fill(weights if source is None else source, keep)
+        assert np.array_equal(bits(corner), bits(corner_of(g, keep)))
 
 
 SHAPES = [(40, 90), (64, 64), (90, 40), (1, 50), (50, 1), (2, 2), (1, 1)]
@@ -184,21 +193,22 @@ def test_corner_fill_on_nested_views():
 
 def test_row_fill_keeps_last_rows_fed_in_any_blocks():
     vals = sample_exp_field(30, 50, 1.0, RngSpec(107, "row-fill")).values
-    g = _grid_values(vals)
+    g = cumsum_fill(vals)
     for cuts in ([30], [1, 29], [7] * 4 + [2], [13, 0, 17]):
-        fill = CornerFill(30, 50, depth=9, keep=11)
-        start = 0
-        for size in cuts:
-            fill.feed(vals[start:start + size])
-            start += size
-        assert np.array_equal(fill.row, g[-1])
-        assert np.array_equal(fill.column, g[-9:, -1])
-        assert np.array_equal(fill.tail, g[-11:])
+        for keep in (1, 11, 30, (9, 50), (30, 50), (11, 3)):
+            fill = CornerFill(30, 50, keep)
+            start = 0
+            for size in cuts:
+                fill.feed(vals[start:start + size])
+                start += size
+            assert np.array_equal(bits(fill.corner), bits(corner_of(g, keep)))
     with pytest.raises(ValueError):
         fill.feed(vals[:1])
-    for depth, keep in ((0, 0), (31, 0), (1, 31), (1, -1)):
+    for keep in (0, -1, 31, (0, 5), (5, 0), (31, 5), (5, 51)):
         with pytest.raises(ValueError):
-            CornerFill(30, 50, depth, keep)
+            CornerFill(30, 50, keep)
+        with pytest.raises(ValueError):
+            corner_fill(vals, keep)
 
 
 def test_geodesic_weight_sum_equals_passage_time():
@@ -312,29 +322,25 @@ def test_stacked_fill_matches_separate_fills(members):
     spec = RngSpec(109, "stacked-fill")
     fields = [sample_exp_field(rows, cols, 1.0, spec.sub(f"m{k}")).values
               for k in range(members)]
-    tables = [_grid_values(f) for f in fields]
-    for f, g in zip(fields, tables):
-        assert np.array_equal(g, cumsum_fill(f))
+    tables = [cumsum_fill(f) for f in fields]
     # rows of the stack are (members, cols), strided as a drawn stack is
     stack = np.stack(fields).swapaxes(0, 1)
     for cuts in ([30], [1, 29], [7] * 4 + [2], [13, 0, 17]):
-        for depth, keep in ((1, 0), (9, 11), (30, 30), (2, (5, 3)), (4, (30, 50)), (1, (0, 7))):
-            fill = CornerFill(rows, (members, cols), depth, keep)
+        for keep in (1, 11, 30, (5, 3), (30, 50), (1, 7), (30, 1)):
+            fill = CornerFill(rows, (members, cols), keep)
             start = 0
             for size in cuts:
                 fill.feed(stack[start:start + size])
                 start += size
-            r, c = keep if isinstance(keep, tuple) else (keep, cols)
-            assert fill.row.shape == (members, cols)
-            assert fill.tail.shape == (r, members, c)
+            r, c = keep if isinstance(keep, tuple) else (keep, keep)
+            assert fill.corner.shape == (r, members, c)
             for k, g in enumerate(tables):
-                assert np.array_equal(bits(fill.row[k]), bits(g[-1]))
-                assert np.array_equal(bits(fill.column[:, k]), bits(g[rows - depth:, -1]))
-                assert np.array_equal(bits(fill.tail[:, k]), bits(g[rows - r:, cols - c:]))
+                assert np.array_equal(bits(fill.corner[:, k]), bits(corner_of(g, keep)))
     with pytest.raises(ValueError):
-        CornerFill(rows, (members, cols), 1, (31, 5))
-    with pytest.raises(ValueError):
-        CornerFill(rows, (members, cols), 1, (5, 51))
+        fill.feed(stack[:1])
+    for keep in (0, (31, 5), (5, 51)):
+        with pytest.raises(ValueError):
+            CornerFill(rows, (members, cols), keep)
 
 
 @pytest.mark.parametrize("rows, cols", SHAPES)
@@ -344,18 +350,15 @@ def test_corner_fill_on_a_stack_of_sources(rows, cols, monkeypatch):
     monkeypatch.setattr(rng, "_ROW_BLOCK", 7)
     spec = RngSpec(110, "stacked-sources").sub(f"{rows}x{cols}")
     sources = [ExpFieldRows(rows, cols, 1.0, spec.sub(f"m{k}")) for k in range(3)]
-    tables = [_grid_values(sample_exp_field(rows, cols, 1.0, s.spec).values)
+    tables = [cumsum_fill(sample_exp_field(rows, cols, 1.0, s.spec).values)
               for s in sources]
-    short = min(rows, cols)
-    for depth in sorted({1, 2, short} & set(range(1, short + 1))):
-        for keep in sorted({0, 1, 2, short} & set(range(short + 1))):
-            row, column, corner = corner_fill(sources, depth, keep)
-            for k, g in enumerate(tables):
-                assert np.array_equal(row[k], g[-1, cols - depth:])
-                assert np.array_equal(column[k], g[rows - depth:, -1])
-                assert np.array_equal(corner[k], g[rows - keep:, cols - keep:])
+    for keep in keeps(rows, cols):
+        corners = corner_fill(sources, keep)
+        assert len(corners) == len(sources)
+        for corner, g in zip(corners, tables):
+            assert np.array_equal(bits(corner), bits(corner_of(g, keep)))
     with pytest.raises(ValueError):
-        corner_fill([sources[0], ExpFieldRows(rows + 1, cols, 1.0, spec)])
+        corner_fill([sources[0], ExpFieldRows(rows + 1, cols, 1.0, spec)], 1)
 
 
 def _with(values, cell, bad):
@@ -377,15 +380,15 @@ def test_fills_refuse_non_finite_weights(bad):
             with pytest.raises(ValueError, match="finite"):
                 lpp_grid(WeightField((0, 0), field))
             with pytest.raises(ValueError, match="finite"):
-                corner_fill(field, depth=2, keep=2)
+                corner_fill(field, 2)
         stack = np.stack([vals, wide, vals], axis=1)
         with pytest.raises(ValueError, match="finite"):
-            CornerFill(12, (3, 20)).feed(stack)
+            CornerFill(12, (3, 20), 1).feed(stack)
     # a stack member drawn with infinite mean has infinite weights
     members = [ExpFieldRows(12, 20, mean, spec.sub(f"m{k}"))
                for k, mean in enumerate((1.0, np.inf))]
     with pytest.raises(ValueError, match="finite"):
-        corner_fill(members, keep=2)
+        corner_fill(members, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

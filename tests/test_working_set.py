@@ -11,19 +11,22 @@ The two-sample KS test works from one merged buffer: about 5 MiB for two
 into full-length cdf arrays.  Criteria 4, 5 and 7 fold their lines through
 the departure map one line at a time and stack the folded lines once
 (about 14, 15 and 20 MiB; criterion 7 reads 24 MiB when every line is
-stacked first and then regrouped by fancy indexing).  A corner estimate keeps two table rows and
-its edges (about 0.04 MiB on a 1501x1501 field, against 17 MiB for the
-full table), and a streamed field is held one 32-row block at a time:
-criterion 13 and one doubling-probe field of criterion 6 peak near 0.4
-MiB, against 34 MiB for a whole field and its table.  A tall corner is
-drawn a block at a time into its contiguous transpose: 2.86 MiB for one
-rho = 1.5 estimate at scale 1500 (bound 3.25 MiB), against 5.5 MiB when
-the whole field was drawn and then transposed.  Criterion 8 fills its run
-tables 16 at a time: one drawn block of the stack (1.6 MB) and each
-member's 107x107 corner (1.5 MB) make 3.2 MiB for the 30 tables of the
-benchmark's call (bound 3.6 MiB), against 0.8 MiB one table at a time and
-about 7.3 MiB when each member drew into a block buffer of its own and the
-stack was copied from those.
+stacked first and then regrouped by fancy indexing).  Every corner reader
+fills through lpp.corner_fill, which holds two table rows and keeps one
+corner: an estimate keeps the (window + 1)-square corner whose edges it
+reads (about 0.04 MiB on a 1501x1501 field, against 17 MiB for the full
+table), and a streamed field is held one 32-row block at a time:
+criterion 13 (a 1x1 corner) and one doubling-probe field of criterion 6
+peak near 0.4 MiB, against 34 MiB for a whole field and its table.  A
+tall source is gathered a block at a time into its contiguous transpose,
+the rows lpp fills a tall field by: 2.86 MiB for one rho = 1.5 estimate
+at scale 1500 (bound 3.25 MiB), against 5.5 MiB when the whole field was
+drawn and then transposed.  Criterion 8 fills its run tables 16 at a
+time: one drawn block of the stack (1.6 MB) and each member's 107x107
+corner (1.5 MB) make 3.2 MiB for the 30 tables of the benchmark's call
+(bound 3.6 MiB), against 0.8 MiB one table at a time and about 7.3 MiB
+when each member drew into a block buffer of its own and the stack was
+copied from those.
 """
 
 import tracemalloc
