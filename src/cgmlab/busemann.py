@@ -371,18 +371,11 @@ def geodesic_initial_runs(rho: float, n: int, count: int, spec: RngSpec,
     for first in range(0, tables, _RUN_STACK):
         sources = [ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec.sub(f"runtab{t}"))
                    for t in range(first, min(first + _RUN_STACK, tables))]
-        # A comprehension, so that no corner outlives its stack's walks.
-        runs += [_initial_run(g, a, b, max_run)
+        # A comprehension, so that no corner outlives its stack's walks.  A
+        # walk of max_run steps reads its run censored at max_run.
+        runs += [GeodesicPath((a, b), *walk_to_corner(g, a, b, max_run)).initial_e1_run()
                  for g in corner_fill(sources, reach + 1) for a, b in starts]
     return np.array(runs[:count], dtype=np.int64)
-
-
-def _initial_run(g: np.ndarray, a: int, b: int, max_run: int) -> int:
-    """The walk's number of -e1 steps before its first -e2 step, censored
-    at max_run."""
-    codes, _ = walk_to_corner(g, a, b, max_steps=max_run + 1)
-    hits = np.flatnonzero(codes == STEP_E2)
-    return int(hits[0]) if len(hits) else max_run
 
 
 def initial_run_statistics(runs: np.ndarray, rho: float,

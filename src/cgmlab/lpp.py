@@ -22,12 +22,14 @@ of its contiguous transpose, because the row step is not bit-for-bit
 transpose-symmetric, and a tall source is gathered into that transpose a
 block at a time.
 
-One row step, _row_step, fills every row: one table's row, or the rows
-of a stack of K tables of one shape at once, a (K, cols) array worked
-along its last axis.  corner_fill fills a list of sources as such a
-stack, each member drawn into its own slot of one block buffer, so the
-per-call cost of the step's ufuncs is paid once per K rows of narrow
-tables.  The step's running maximum is taken with fmax, a faster loop
+One row step, _row_step, fills every row of every max-plus recursion in
+the package: the corner tables here, the levels of
+stationary_halfplane_lpp, and queueing's two-level strip table.  It
+fills one table's row, or the rows of a stack of K tables of one shape
+at once, a (K, cols) array worked along its last axis.  corner_fill
+fills a list of sources as such a stack, each member drawn into its own
+slot of one block buffer, so the per-call cost of the step's ufuncs is
+paid once per K rows of narrow tables.  The step's running maximum is taken with fmax, a faster loop
 than maximum.
 The two differ only where an operand is NaN (fmax drops it, maximum
 keeps it) and in which of two equal zeros of opposite sign they return,
@@ -46,12 +48,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .rng import ExpFieldRows, WeightField
-from .multiclass import MultiConfig
+
+if TYPE_CHECKING:
+    from .multiclass import MultiConfig
 
 __all__ = [
     "GTable",
@@ -162,8 +167,9 @@ def _row_step(prev: np.ndarray, row: np.ndarray, out: np.ndarray,
 
     With CY the prefix sums of row this is CY[k] + max_{j<=k} (prev[j] -
     CY[j-1]), CY[j-1] = CY[j] - row[j].  One step is a table row of the
-    corner recursion (prev is the previous row) or a level of the strip
-    recursion; on (K, cols) arrays it is one row of each of K tables.
+    corner recursion (prev is the previous row), a level of the half-plane
+    recursion, or level 1 of queueing's strip table; on (K, cols) arrays
+    it is one row of each of K tables.
     scratch has the shape of out and may not alias it.  Rows must be
     finite (see _prefix_sums); on finite values fmax is maximum.
     """
@@ -425,6 +431,5 @@ def stationary_halfplane_lpp(initial: MultiConfig, weights: WeightField) -> list
         row = np.broadcast_to(weights.values[:, t - 1], g.shape)
         _row_step(g, row, nxt, scratch)
         g, nxt = nxt, g
-        incr = np.diff(g, axis=1, prepend=0.0)
-        out.append(MultiConfig(initial.offset, incr, rates=initial.rates))
+        out.append(replace(initial, values=np.diff(g, axis=1, prepend=0.0)))
     return out

@@ -92,12 +92,6 @@ class MultiConfig:
         return MultiConfig(start, self.values[:, start - self.offset :], self.rates)
 
 
-def _trim_config(config: MultiConfig, count: int) -> MultiConfig:
-    if count == 0:
-        return config
-    return MultiConfig(config.offset + count, config.values[:, count:], config.rates)
-
-
 def multiline_step(config: MultiConfig, services: SeqWindow,
                    policy: BoundaryPolicy = DEFAULT_POLICY) -> MultiConfig:
     """One multiline update: line i departs against the unused input of line i-1.
@@ -109,8 +103,7 @@ def multiline_step(config: MultiConfig, services: SeqWindow,
     same_window(config.line(0), services)
     lines = [config.line(i) for i in range(config.n_lines)]
     out_lines = [d.values for d in _unused_chain(lines, services, policy, "multiline")]
-    fresh = MultiConfig(config.offset, np.vstack(out_lines), config.rates)
-    return _trim_config(fresh, policy.trim_count(config.length))
+    return policy.trim(MultiConfig(config.offset, np.vstack(out_lines), config.rates))
 
 
 def coupled_step(config: MultiConfig, services: SeqWindow,
@@ -122,8 +115,7 @@ def coupled_step(config: MultiConfig, services: SeqWindow,
         arr = config.line(i)
         j0 = policy.resolve_j_left(arr, services, f"coupled{i}")
         out_lines.append(lindley_iterate(j0, arr, services).departures.values)
-    fresh = MultiConfig(config.offset, np.vstack(out_lines), config.rates)
-    return _trim_config(fresh, policy.trim_count(config.length))
+    return policy.trim(MultiConfig(config.offset, np.vstack(out_lines), config.rates))
 
 
 def _fold_lines(lines: list[SeqWindow], policy: BoundaryPolicy, tag: str) -> list[np.ndarray]:
@@ -144,9 +136,8 @@ def dmap(config: MultiConfig, policy: BoundaryPolicy = DEFAULT_POLICY) -> MultiC
     if np.any(np.diff(means) <= 0):
         warnings.warn("line means should be strictly increasing for a stable fold")
     lines = [config.line(i) for i in range(config.n_lines)]
-    fresh = MultiConfig(config.offset, np.vstack(_fold_lines(lines, policy, "dmap")),
-                        config.rates)
-    return _trim_config(fresh, policy.trim_count(config.length))
+    folded = _fold_lines(lines, policy, "dmap")
+    return policy.trim(MultiConfig(config.offset, np.vstack(folded), config.rates))
 
 
 def sample_mu_rho(rates, offset: int, length: int, spec: RngSpec,
@@ -172,8 +163,7 @@ def sample_mu_rho(rates, offset: int, length: int, spec: RngSpec,
              for g, r in enumerate(distinct)]
     folded = _fold_lines(lines, policy, "mu")
     values = np.vstack([folded[group[r]] for r in rates])
-    fresh = MultiConfig(offset, values, rates)
-    return _trim_config(fresh, policy.trim_count(length))
+    return policy.trim(MultiConfig(offset, values, rates))
 
 
 @dataclass(eq=False)
@@ -225,9 +215,9 @@ def build_triangular_arrays(config: MultiConfig,
         xi[i][i] = eta[i][i]
     arr = TriArray(config.offset, eta, xi, config.rates)
     if validate and n > 1:
-        direct = dmap(config, BoundaryPolicy.given(0.0))
-        cut = int(0.2 * config.length)
-        err = np.max(np.abs(arr.diagonal().values[:, cut:] - direct.values[:, cut:]))
+        burn = BoundaryPolicy.burn_in(0.2)
+        direct = burn.trim(dmap(config, BoundaryPolicy.given(0.0)))
+        err = np.max(np.abs(burn.trim(arr.diagonal()).values - direct.values))
         if err > tolerance:
             raise AssertionError(
                 f"triangular array diagonal deviates from the departure fold by {err:.3e}")
@@ -238,14 +228,14 @@ def check_intertwining_dynamics(config: MultiConfig, services: SeqWindow,
                                 fraction: float = 0.2,
                                 tolerance: float = 1e-9) -> IdentityReport:
     """Coupled step after the departure fold equals the fold after the
-    multiline step, on the post-burn-in interior."""
+    multiline step, on the interior that BoundaryPolicy.burn_in(fraction)
+    keeps (a fraction outside [0, 1) is refused)."""
+    burn = BoundaryPolicy.burn_in(fraction)
     empty = BoundaryPolicy.given(0.0)
-    lhs = coupled_step(dmap(config, empty), services, empty)
-    rhs = dmap(multiline_step(config, services, empty), empty)
-    cut = int(fraction * lhs.length)
-    errors = lhs.values[:, cut:] - rhs.values[:, cut:]
-    return _check("intertwining-dynamics", errors, tolerance,
-                  lines=config.n_lines, interior=lhs.length - cut)
+    lhs = burn.trim(coupled_step(dmap(config, empty), services, empty))
+    rhs = burn.trim(dmap(multiline_step(config, services, empty), empty))
+    return _check("intertwining-dynamics", lhs.values - rhs.values, tolerance,
+                  lines=config.n_lines, interior=lhs.length)
 
 
 @dataclass(eq=False)

@@ -14,6 +14,11 @@ define a two-level strip passage time H whose increments reproduce the
 sweep, a reversal duality, and intertwining identities for iterated
 departure maps.  All of that is checked here at fixed tolerances.
 
+The strip table H is lpp's max-plus recursion on two rows, filled by
+lpp's own code: level 0 is the prefix sums of [0, I], and level 1 is one
+lpp row step from [j_left, level 0 past its first column] over [0, w].
+So it takes finite arrivals and services only, as every table fill does.
+
 lindley_iterate, queue_Dn, strip_lpp_H and the conservation, duality, T,
 intertwining and strip checks take either one window or a stack of K
 aligned windows of independent instances (see SeqWindow: time on the last
@@ -83,6 +88,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import RngSpec, SeqWindow, exp_from_uniform, same_window
+from .lpp import _prefix_sums, _row_step
 
 __all__ = [
     "QueueOutput",
@@ -140,7 +146,7 @@ class BoundaryPolicy:
     def __post_init__(self):
         if self.kind not in ("given", "stationary", "burn_in"):
             raise ValueError(f"unknown boundary policy kind {self.kind!r}")
-        if self.kind == "given" and self.j_left < 0:
+        if self.kind == "given" and not self.j_left >= 0:
             raise ValueError("left sojourn value must be nonnegative")
         if self.kind == "burn_in" and not 0 <= self.fraction < 1:
             raise ValueError("burn-in fraction must lie in [0, 1)")
@@ -178,10 +184,14 @@ class BoundaryPolicy:
             raise ValueError("stationary boundary needs service mean < arrival mean")
         rate = 1.0 / lam - 1.0 / rho
         u = self.rng.sub(tag).generator().random()
-        return float(exp_from_uniform(np.asarray(u), 1.0 / rate))
+        return float(exp_from_uniform(u, 1.0 / rate))
 
-    def trim_count(self, length: int) -> int:
-        return int(self.fraction * length) if self.kind == "burn_in" else 0
+    def trim(self, window):
+        """window, a SeqWindow or a MultiConfig, without the burn-in prefix
+        of int(fraction * length) slots; other kinds keep it whole."""
+        if self.kind != "burn_in":
+            return window
+        return window.suffix(window.offset + int(self.fraction * window.values.shape[-1]))
 
 
 DEFAULT_POLICY = BoundaryPolicy.burn_in(0.2)
@@ -222,10 +232,15 @@ def _append(values: np.ndarray, right) -> np.ndarray:
 
 
 def _left_values(j_left: float | np.ndarray, arr: np.ndarray) -> float | np.ndarray:
-    """j_left as a float for one window, as a fresh (K,) array for a stack."""
+    """j_left as a float for one window, as a fresh (K,) array for a stack;
+    refuses a negative or NaN value."""
     if arr.ndim == 1:
-        return float(j_left)
-    return np.broadcast_to(np.asarray(j_left, dtype=np.float64), arr.shape[:1]).copy()
+        j = float(j_left)
+    else:
+        j = np.broadcast_to(np.asarray(j_left, dtype=np.float64), arr.shape[:1]).copy()
+    if not np.all(j >= 0):
+        raise ValueError("left sojourn value must be nonnegative")
+    return j
 
 
 # A single window at least this long is swept as a stack of its own chunks
@@ -306,8 +321,6 @@ def lindley_iterate(j_left: float | np.ndarray, arrivals: SeqWindow,
     arr = arrivals.values
     svc = services.values
     j_left = _left_values(j_left, arr)
-    if (j_left < 0).any() if arr.ndim == 2 else j_left < 0:
-        raise ValueError("left sojourn value must be nonnegative")
     soj = _sojourn_scan(j_left, arr, svc)
     # D = max(I - J_prev, 0) + w and R = min(I, J_prev), the branch bit for
     # bit (module exactness notes); R overwrites J_prev's buffer.
@@ -321,38 +334,30 @@ def lindley_iterate(j_left: float | np.ndarray, arrivals: SeqWindow,
                        SeqWindow(off, rel))
 
 
-def _policy_run(arrivals, services, policy, tag) -> tuple[QueueOutput, int]:
+def _policy_run(arrivals, services, policy, tag) -> QueueOutput:
     if arrivals.mean() <= services.mean():
         warnings.warn("queue inputs violate the drift condition (arrival mean "
                       "<= service mean); outputs may be boundary dominated")
-    j0 = policy.resolve_j_left(arrivals, services, tag)
-    out = lindley_iterate(j0, arrivals, services)
-    return out, policy.trim_count(len(arrivals))
-
-
-def _trim(window: SeqWindow, count: int) -> SeqWindow:
-    return window if count == 0 else window.suffix(window.offset + count)
+    return lindley_iterate(policy.resolve_j_left(arrivals, services, tag),
+                           arrivals, services)
 
 
 def queue_D(arrivals: SeqWindow, services: SeqWindow,
             policy: BoundaryPolicy = DEFAULT_POLICY) -> SeqWindow:
     """Departure increments; under a burn-in policy the prefix is discarded."""
-    out, cut = _policy_run(arrivals, services, policy, "D")
-    return _trim(out.departures, cut)
+    return policy.trim(_policy_run(arrivals, services, policy, "D").departures)
 
 
 def queue_S(arrivals: SeqWindow, services: SeqWindow,
             policy: BoundaryPolicy = DEFAULT_POLICY) -> SeqWindow:
     """Sojourn values over the window."""
-    out, cut = _policy_run(arrivals, services, policy, "S")
-    return _trim(out.sojourn, cut)
+    return policy.trim(_policy_run(arrivals, services, policy, "S").sojourn)
 
 
 def queue_R(arrivals: SeqWindow, services: SeqWindow,
             policy: BoundaryPolicy = DEFAULT_POLICY) -> SeqWindow:
     """Unused input min(I_k, J_{k-1}), the service sequence handed downstream."""
-    out, cut = _policy_run(arrivals, services, policy, "R")
-    return _trim(out.unused, cut)
+    return policy.trim(_policy_run(arrivals, services, policy, "R").unused)
 
 
 def queue_Dn(sequences: list[SeqWindow],
@@ -366,8 +371,7 @@ def queue_Dn(sequences: list[SeqWindow],
     if not sequences:
         raise ValueError("need at least one sequence")
     same_window(*sequences)
-    acc = _fold(sequences, policy, "Dn")
-    return _trim(acc, policy.trim_count(len(acc)))
+    return policy.trim(_fold(sequences, policy, "Dn"))
 
 
 def _fold(sequences: list[SeqWindow], policy: BoundaryPolicy, tag: str) -> SeqWindow:
@@ -410,26 +414,29 @@ class StripTable:
 
 def strip_lpp_H(j_left: float | np.ndarray, arrivals: SeqWindow,
                 services: SeqWindow) -> StripTable:
-    """Strip passage times built from the definitional entry-column maxima.
+    """Strip passage times, two rows of the max-plus recursion.
 
     level0 accumulates arrivals; level1[n] is the larger of (j_left + all
     services) and the best split (arrivals up to a column j, then services
-    from j on).  Increments of level1 reproduce the departure sweep, which
-    is the cross-check the tests perform.
+    from j on).  Both are filled by lpp's row code: level0 as the prefix
+    sums of [0, I], level1 as one row step from [j_left, level0[1:]] over
+    [0, w].  Increments of level1 reproduce the departure sweep, which is
+    the cross-check the tests perform.  Raises ValueError on a NaN or
+    infinite arrival or service, as every table fill does.
     """
     same_window(arrivals, services)
     if len(arrivals) == 0:
         raise ValueError("empty window")
     m = arrivals.offset - 1
     arr = arrivals.values
-    svc = services.values
     j_left = _left_values(j_left, arr)
     zero = np.zeros(arr.shape[:-1])
-    h0 = _prepend(zero, np.cumsum(arr, axis=-1))
-    cw = np.cumsum(svc, axis=-1)
-    # H1[n] = Cw[n] + max(j_left, max_{j<=n} (P_I[j] - Cw[j-1]))
-    split = np.maximum(h0[..., 1:] - (cw - svc), np.asarray(j_left)[..., None])
-    h1 = _prepend(j_left, cw + np.maximum.accumulate(split, axis=-1))
+    shape = (*arr.shape[:-1], len(arrivals) + 1)
+    h0, h1 = np.empty((2, *shape))
+    _prefix_sums(_prepend(zero, arr), h0)
+    # H1[n] = Cw[n] + max(j_left, max_{j<=n} (H0[j] - Cw[j-1]))
+    _row_step(_prepend(j_left, h0[..., 1:]), _prepend(zero, services.values), h1,
+              np.empty(shape))
     return StripTable(j_left, SeqWindow(m, h0), SeqWindow(m, h1))
 
 
@@ -481,20 +488,21 @@ def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWind
     where each w^(j+1) is the unused input R(I^j, w^j).  With two arrival
     streams this is the bracket exchange identity for nested departure
     maps.  Finite windows start empty at the west edge, so agreement is
-    asserted on the interior after a burn-in fraction.
+    asserted on the interior that BoundaryPolicy.burn_in(fraction) keeps,
+    which refuses a fraction outside [0, 1).
     """
     if not arrival_seqs:
         raise ValueError("need at least one arrival sequence")
     same_window(*arrival_seqs, services)
+    burn = BoundaryPolicy.burn_in(fraction)
     fold = BoundaryPolicy.given(0.0)
     lhs = queue_Dn(list(arrival_seqs) + [services], fold)
     # Chain the unused input upward from the bottom stream.
     transformed = _unused_chain(arrival_seqs[::-1], services, fold, "intertwining")
     rhs = queue_Dn(transformed[::-1], fold)
-    cut = int(fraction * len(lhs))
-    errors = lhs.values[..., cut:] - rhs.values[..., cut:]
-    return _check("intertwining", [errors], tolerance, order=len(arrival_seqs),
-                  interior=len(lhs) - cut)
+    lhs, rhs = burn.trim(lhs), burn.trim(rhs)
+    return _check("intertwining", [lhs.values - rhs.values], tolerance,
+                  order=len(arrival_seqs), interior=len(lhs))
 
 
 def check_conservation(j_left: float | np.ndarray, arrivals: SeqWindow, services: SeqWindow,

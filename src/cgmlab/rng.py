@@ -15,9 +15,10 @@ Exponentials are drawn by inverse CDF, value = -mean * ln(U) with U in
 A field can also be drawn a block of rows at a time (ExpFieldRows): one
 generator carries the stream from block to block, so the rows are bit for
 bit those of the whole-field draw, and only one block is ever held.  The
-blocks can be drawn into a caller's buffer (one member's slot of a stack
-of fields drawn in lockstep).  Which way round a table fill reads the
-rows is lpp's to decide, not the source's.
+blocks can be drawn into a caller's buffer, whose length sets the rows
+per block (one member's slot of a stack of fields drawn in lockstep, or
+a sample block of a fast criterion).  Which way round a table fill reads
+the rows is lpp's to decide, not the source's.
 """
 
 from __future__ import annotations
@@ -153,17 +154,17 @@ def same_window(*windows: SeqWindow) -> None:
             raise ValueError("windows are not aligned")
 
 
-def exp_from_uniform(u: np.ndarray, mean: float) -> np.ndarray:
-    # U' = 1 - u lies in (0, 1]; -mean*ln(U') = -mean*log1p(-u).
-    return -mean * np.log1p(-u)
-
-
 def _exp_in_place(u: np.ndarray, mean: float) -> np.ndarray:
-    # exp_from_uniform's arithmetic, step for step, overwriting the sampler's
-    # own uniform array so no temporary of its size is allocated.
+    # U' = 1 - u lies in (0, 1]; -mean*ln(U') = -mean*log1p(-u), written over
+    # the sampler's own uniform array so no temporary of its size is allocated.
     np.negative(u, out=u)
     np.log1p(u, out=u)
     return np.multiply(u, -mean, out=u)
+
+
+def exp_from_uniform(u: np.ndarray, mean: float) -> np.ndarray:
+    """The exponential with the given mean at uniforms u, on a float64 copy."""
+    return _exp_in_place(np.array(u, dtype=np.float64), mean)
 
 
 def sample_uniform(shape, spec: RngSpec) -> np.ndarray:
@@ -192,11 +193,12 @@ _ROW_BLOCK = 32
 @dataclass(frozen=True)
 class ExpFieldRows:
     """The rows of sample_exp_field(rows, cols, mean, spec).values, drawn in
-    order, _ROW_BLOCK rows at a time.
+    order, a block of rows at a time.
 
     Iterating yields (k, cols) blocks, k = _ROW_BLOCK except for a shorter
-    last block.  Every block is a view of one buffer that the next block
-    overwrites, so read a block before asking for the next one.
+    last block; blocks(buf) draws len(buf) rows per block instead.  Every
+    block is a view of one buffer that the next block overwrites, so read
+    a block before asking for the next one.
     """
 
     rows: int
@@ -218,11 +220,12 @@ class ExpFieldRows:
 
     def blocks(self, buf: np.ndarray | None = None):
         """Iterate the blocks, each drawn into the leading rows of buf, a
-        C-contiguous array of block_shape (a new one when None)."""
+        C-contiguous (k, cols) array (a new one of block_shape when None):
+        len(buf) rows per block, the last block possibly shorter."""
         gen = self.spec.generator()
-        step = _ROW_BLOCK
         if buf is None:
             buf = np.empty(self.block_shape)
+        step = len(buf)
         for start in range(0, self.rows, step):
             rows = buf[:min(step, self.rows - start)]
             yield _exp_in_place(gen.random(out=rows), self.mean)

@@ -8,9 +8,10 @@ of two fixed backup seeds; the aggregate primary-seed pass rate must stay
 at 95 percent or higher.
 
 The sample-heavy fast criteria hold a bounded working set.  Criteria 10
-and 11 draw, transform and reduce their sample rows in fixed blocks of
-about 800 KB per array, each stream carried on by one generator from block
-to block, so their results are bit for bit those of one whole-array draw.
+and 11 draw their sample rows through rng.ExpFieldRows into fixed block
+buffers of about 800 KB per array, and transform and reduce them a block
+at a time.  Each stream is carried on by one generator from block to
+block, so their results are bit for bit those of one whole-array draw.
 Criterion 2 draws each block of instances straight into one stack of
 windows.
 """
@@ -357,21 +358,6 @@ def criterion_9(seed: int) -> CriterionResult:
 _DRAW_BLOCK = 100_000
 
 
-def _row_blocks(m: int, width: int):
-    """(start, stop) of consecutive row blocks of width-wide arrays, m rows."""
-    rows = max(1, _DRAW_BLOCK // width)
-    return ((start, min(start + rows, m)) for start in range(0, m, rows))
-
-
-def _race_paths(gen: np.random.Generator, mean: float, rows: int) -> np.ndarray:
-    """The generator's next rows paths of three exponential jump times, as
-    (rows, 3) cumulative sums."""
-    x = _exp_in_place(gen.random((rows, 3)), mean)
-    x[:, 1] += x[:, 0]
-    x[:, 2] += x[:, 1]
-    return x
-
-
 def criterion_10(seed: int) -> CriterionResult:
     """Poisson race closed forms against direct simulation."""
     spec = RngSpec(seed, "criterion10")
@@ -379,13 +365,15 @@ def criterion_10(seed: int) -> CriterionResult:
     m = 10 ** 6
     # the event compares the streams at every index up to n, so the race
     # needs the full jump-time paths, not just the n-th points
-    gen_sig = spec.sub("alpha").generator()
-    gen_tau = spec.sub("beta").generator()
+    size = max(1, _DRAW_BLOCK // 3)
+    sig_rows, tau_rows = (ExpFieldRows(m, 3, 1.0 / rate, spec.sub(label))
+                          .blocks(np.empty((size, 3)))
+                          for label, rate in (("alpha", alpha), ("beta", beta)))
     wins = [0, 0, 0]
-    for start, stop in _row_blocks(m, 3):
-        sig = _race_paths(gen_sig, 1.0 / alpha, stop - start)
-        tau = _race_paths(gen_tau, 1.0 / beta, stop - start)
-        run = np.ones(stop - start, dtype=bool)
+    for sig, tau in zip(sig_rows, tau_rows):
+        np.cumsum(sig, axis=1, out=sig)  # the jump times
+        np.cumsum(tau, axis=1, out=tau)
+        run = np.ones(len(sig), dtype=bool)
         for n in (1, 2, 3):
             run &= sig[:, n - 1] < tau[:, n - 1]
             wins[n - 1] += int(np.count_nonzero(run))
@@ -413,25 +401,24 @@ def criterion_11(seed: int) -> CriterionResult:
     cols = 24
     rho_max = 4.0
     limit = math.log(rho_max)
-    gen_gaps = spec.sub("gaps").generator()
-    gen_marks = spec.sub("marks").generator()
     x1, x2, x4 = np.empty(m), np.empty(m), np.empty(m)
     counts = np.empty(m, dtype=np.int64)
     # One set of block buffers, reused by every block (the last may be short).
-    size = next(_row_blocks(m, cols + 1))[1]
-    gap_buf = np.empty((size, cols))
-    loc_buf, mark_buf, term_buf = (np.empty((size, cols + 1)) for _ in range(3))
+    size = max(1, _DRAW_BLOCK // (cols + 1))
+    gap_rows = ExpFieldRows(m, cols, 1.0, spec.sub("gaps")).blocks(np.empty((size, cols)))
+    mark_rows = ExpFieldRows(m, cols + 1, 1.0, spec.sub("marks")).blocks(
+        np.empty((size, cols + 1)))
+    loc_buf, term_buf = (np.empty((size, cols + 1)) for _ in range(2))
     in_buf, above_buf = (np.empty((size, cols + 1), dtype=bool) for _ in range(2))
-    for start, stop in _row_blocks(m, cols + 1):
-        rows = stop - start
-        gaps = _exp_in_place(gen_gaps.random(out=gap_buf[:rows]), 1.0)
+    for start, (gaps, marks) in zip(range(0, m, size), zip(gap_rows, mark_rows)):
+        rows = len(gaps)
+        stop = start + rows
         locs = loc_buf[:rows]
         locs[:, 0] = 0.0
         np.cumsum(gaps, axis=1, out=locs[:, 1:])  # the log-locations
         if not np.all(locs[:, -1] > limit):
             raise RuntimeError("point budget exhausted before the range end")
         np.exp(locs, out=locs)
-        marks = _exp_in_place(gen_marks.random(out=mark_buf[:rows]), 1.0)
         np.multiply(marks, locs, out=marks)
         x1[start:stop] = marks[:, 0]
         inside, terms = in_buf[:rows], term_buf[:rows]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cgmlab import multiclass
 from cgmlab.rng import RngSpec, SeqWindow, sample_exp_window
 from cgmlab.queueing import BoundaryPolicy, queue_D
 from cgmlab.multiclass import (MultiConfig, build_triangular_arrays,
@@ -200,6 +201,48 @@ def test_intertwining_dynamics_exact():
     svc = sample_exp_window(1, 500, 1.0, spec.sub("svc"))
     rep = check_intertwining_dynamics(cfg, svc)
     assert rep.max_abs_error < 1e-9
+
+
+def test_intertwining_dynamics_interior_is_the_burn_in_trim():
+    spec = RngSpec(23, "dyn-cut")
+    cfg = random_config(spec, means=(1.9, 3.0), length=250)
+    svc = sample_exp_window(1, 250, 1.0, spec.sub("svc"))
+    assert check_intertwining_dynamics(cfg, svc).extras["interior"] == 250 - int(0.2 * 250)
+    assert check_intertwining_dynamics(cfg, svc, fraction=0.0).extras["interior"] == 250
+    for fraction in (1.0, 1.5, -0.1):
+        with pytest.raises(ValueError, match="fraction"):
+            check_intertwining_dynamics(cfg, svc, fraction=fraction)
+
+
+def test_burn_in_trim_cuts_a_config_like_its_lines():
+    cfg = random_config(RngSpec(25, "trim"), length=301)
+    cut = BURN.trim(cfg)
+    assert (cut.offset, cut.length, cut.rates) == (cfg.offset + 60, 241, cfg.rates)
+    assert np.array_equal(cut.values, cfg.values[:, 60:])
+    line = BURN.trim(cfg.line(1))
+    assert line.offset == cut.offset
+    assert np.array_equal(line.values, cut.values[1])
+    assert BoundaryPolicy.given(0.0).trim(cfg) is cfg
+
+
+def test_triangular_validation_reads_the_post_burn_in_interior(monkeypatch):
+    # A fold wrong only inside the first 20% of the window passes the
+    # validation; one wrong at the first interior slot fails it.
+    cfg = random_config(RngSpec(26, "tri-cut"), means=(1.8, 3.0), length=100)
+    fold = multiclass.dmap
+
+    def fold_wrong_at(slot):
+        def wrong(config, policy):
+            out = fold(config, policy)
+            out.values[-1, slot] += 1.0
+            return out
+        return wrong
+
+    monkeypatch.setattr(multiclass, "dmap", fold_wrong_at(19))
+    build_triangular_arrays(cfg, BoundaryPolicy.given(0.0))
+    monkeypatch.setattr(multiclass, "dmap", fold_wrong_at(20))
+    with pytest.raises(AssertionError, match="diagonal"):
+        build_triangular_arrays(cfg, BoundaryPolicy.given(0.0))
 
 
 def test_independence_structure_bound():

@@ -391,6 +391,131 @@ def test_strip_table_boundary_conventions():
                                atol=1e-12)
 
 
+def strip_levels_before(j_left, arrivals, services):
+    """strip_lpp_H's (level0, level1) as computed before level 1 became one
+    lpp row step, from cumsum and maximum.accumulate, kept as the oracle."""
+    arr, svc = arrivals.values, services.values
+    j = np.broadcast_to(np.asarray(j_left, dtype=np.float64), arr.shape[:-1])
+    zero = np.zeros(arr.shape[:-1])
+    h0 = np.concatenate((zero[..., None], np.cumsum(arr, axis=-1)), axis=-1)
+    cw = np.cumsum(svc, axis=-1)
+    # H1[n] = Cw[n] + max(j_left, max_{j<=n} (P_I[j] - Cw[j-1]))
+    split = np.maximum(h0[..., 1:] - (cw - svc), j[..., None])
+    h1 = np.concatenate((j[..., None], cw + np.maximum.accumulate(split, axis=-1)),
+                        axis=-1)
+    return h0, h1
+
+
+def assert_strip_is_oracle(j_left, arrivals, services):
+    """strip_lpp_H's levels against strip_levels_before, bit for bit."""
+    table = strip_lpp_H(j_left, arrivals, services)
+    want = strip_levels_before(j_left, arrivals, services)
+    for got, expect in zip((table.level0.values, table.level1.values), want):
+        assert got.shape == expect.shape
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+@pytest.mark.parametrize("length", [1, 7, 1000])
+def test_strip_table_matches_cumsum_oracle_on_seeded_windows(length):
+    spec = RngSpec(37, f"strip{length}")
+    arrs, svcs = [], []
+    for r, (rho, lam) in enumerate([(2.0, 1.0), (1.5, 1.4), (1.0, 3.0)]):
+        arr = sample_exp_window(1, length, rho, spec.sub(f"I{r}"))
+        svc = sample_exp_window(1, length, lam, spec.sub(f"w{r}"))
+        for j0 in (0.0, 0.75 * r, float(exp_from_uniform(r / 4, 2.0))):
+            assert_strip_is_oracle(j0, arr, svc)
+        arrs.append(arr.values)
+        svcs.append(svc.values)
+    # the same instances as one stack, from a shared and a per-row j_left
+    arr, svc = SeqWindow(1, np.stack(arrs)), SeqWindow(1, np.stack(svcs))
+    assert_strip_is_oracle(0.5, arr, svc)
+    assert_strip_is_oracle(np.array([0.0, 0.75, 4.0]), arr, svc)
+
+
+def test_strip_table_matches_cumsum_oracle_on_tie_windows():
+    # Half-integer inputs and j_left make exact ties in the running maximum.
+    gen = RngSpec(38, "strip-ties").generator()
+    j0 = np.array([0.0, 0.5, 2.0, 0.0, 3.5, 1.0])
+    arr = SeqWindow(1, gen.integers(0, 8, (6, 500)) / 2.0)
+    svc = SeqWindow(1, gen.integers(0, 4, (6, 500)) / 2.0)
+    assert_strip_is_oracle(j0, arr, svc)
+    for r in range(len(j0)):
+        assert_strip_is_oracle(j0[r], SeqWindow(1, arr.values[r]), SeqWindow(1, svc.values[r]))
+    # a split term that equals the running maximum before it is a tie
+    h0, _ = strip_levels_before(j0, arr, svc)
+    split = h0[:, 1:] - (np.cumsum(svc.values, axis=1) - svc.values)
+    best = np.maximum.accumulate(np.maximum(split, j0[:, None]), axis=1)
+    assert np.sum(split[:, 1:] == best[:, :-1]) > 100
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 40), st.integers(1, 4), st.data())
+def test_strip_table_matches_cumsum_oracle_with_ties_and_zeros(n, k, data):
+    j_left = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 5.0)
+    rows = st.lists(st.lists(tie_prone, min_size=n, max_size=n), min_size=k, max_size=k)
+    arr = np.array(data.draw(rows))
+    svc = np.array(data.draw(rows))
+    j0 = np.array(data.draw(st.lists(j_left, min_size=k, max_size=k)))
+    assert_strip_is_oracle(j0[0], SeqWindow(1, arr[0]), SeqWindow(1, svc[0]))
+    assert_strip_is_oracle(j0, SeqWindow(1, arr), SeqWindow(1, svc))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_strip_table_refuses_non_finite_inputs(bad):
+    for shape in ((6,), (3, 6)):
+        for which in (0, 1):
+            inputs = [np.ones(shape), np.full(shape, 0.5)]
+            inputs[which][..., 4] = bad
+            arr, svc = (SeqWindow(1, x) for x in inputs)
+            with pytest.raises(ValueError, match="finite"):
+                strip_lpp_H(0.5, arr, svc)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_nan_or_negative_left_sojourn_is_refused(bad):
+    spec = RngSpec(39, "bad-left")
+    arr = sample_exp_window(1, 20, 2.0, spec.sub("I"))
+    svc = sample_exp_window(1, 20, 1.0, spec.sub("w"))
+    stack_arr = SeqWindow(1, np.stack([arr.values] * 3))
+    stack_svc = SeqWindow(1, np.stack([svc.values] * 3))
+    for call in (lindley_iterate, strip_lpp_H, check_conservation,
+                 check_strip_identities):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(bad, arr, svc)
+        # a stack with one bad row, and a bad value shared by every row
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(np.array([0.5, bad, 1.0]), stack_arr, stack_svc)
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(bad, stack_arr, stack_svc)
+        call(np.array([0.5, 0.0, 1.0]), stack_arr, stack_svc)
+    with pytest.raises(ValueError, match="nonnegative"):
+        BoundaryPolicy.given(bad)
+    with pytest.raises(ValueError, match="nonnegative"):
+        BoundaryPolicy("given", j_left=bad)
+
+
+def test_burn_in_trim_cuts_windows_and_stacks():
+    values = np.arange(30.0).reshape(3, 10)
+    for window in (SeqWindow(4, values[0]), SeqWindow(4, values)):
+        cut = BoundaryPolicy.burn_in(0.25).trim(window)
+        assert cut.offset == 6
+        assert np.array_equal(cut.values, window.values[..., 2:])
+        assert len(BoundaryPolicy.burn_in(0.0).trim(window)) == 10
+        assert BoundaryPolicy.given(0.5).trim(window) is window
+
+
+def test_intertwining_interior_is_the_burn_in_trim():
+    spec = RngSpec(40, "twine-cut")
+    n = 250
+    svc = sample_exp_window(1, n, 1.0, spec.sub("svc"))
+    seqs = [sample_exp_window(1, n, m, spec.sub(f"L{m}")) for m in (3.0, 2.0)]
+    assert check_intertwining_identity(seqs, svc).extras["interior"] == n - int(0.2 * n)
+    assert check_intertwining_identity(seqs, svc, fraction=0.0).extras["interior"] == n
+    for fraction in (1.0, 1.5, -0.1):
+        with pytest.raises(ValueError, match="fraction"):
+            check_intertwining_identity(seqs, svc, fraction=fraction)
+
+
 def test_stationary_policy_draws_equilibrium_sojourn():
     lam, rho = 1.0, 2.0
     arr = sample_exp_window(1, 10, rho, RngSpec(1, "a"))

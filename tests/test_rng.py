@@ -47,6 +47,13 @@ def test_exp_from_uniform_is_inverse_cdf():
     u = np.array([0.0, 0.5, 0.9])
     np.testing.assert_allclose(exp_from_uniform(u, 2.0),
                                -2.0 * np.log1p(-u), rtol=0, atol=0)
+    # it is the samplers' in-place draw, on a copy of u
+    u = sample_uniform(1000, RngSpec(4, "copy"))
+    kept = u.copy()
+    got = exp_from_uniform(u, 2.5)
+    assert np.array_equal(u, kept)
+    assert np.array_equal(got.view(np.uint64), rng._exp_in_place(kept, 2.5).view(np.uint64))
+    assert float(exp_from_uniform(0.5, 2.0)) == float(-2.0 * np.log1p(-0.5))
 
 
 def test_exponential_sample_mean():
@@ -76,6 +83,12 @@ def test_field_rows_are_slices_of_the_whole_draw(rows, cols, block, monkeypatch)
         assert np.array_equal(part, whole[start:start + len(part)])
         start += len(part)
     assert start == rows
+    # A buffer of another length sets the rows per block.
+    buf = np.empty((block + 2, cols))
+    parts = [part.copy() for part in source.blocks(buf)]
+    assert [len(p) for p in parts] == [min(block + 2, rows - s)
+                                       for s in range(0, rows, block + 2)]
+    assert np.array_equal(np.concatenate(parts), whole)
     # A tall source is gathered into its transpose a block at a time, and
     # filled over it as the whole draw is.
     assert np.array_equal(corner_fill(source, source.shape), corner_fill(whole, whole.shape))
