@@ -100,23 +100,12 @@ def _overrides_for(args, index: int) -> dict:
 
 
 def _run_verify(args, indices) -> int:
-    results: list[CriterionResult] = []
-    failed = []
-
-    def run_one(index: int) -> CriterionResult:
-        # the ladder's last attempt: its first pass, or its last seed
-        attempts = list(seed_ladder(index, args.seed, **_overrides_for(args, index)))
-        return attempts[-1][0]
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_one, indices))
-    else:
-        results = [run_one(i) for i in indices]
-
+    # each criterion's ladder's last attempt: its first pass, or its last seed
+    results = [list(seed_ladder(i, args.seed, **_overrides_for(args, i)))[-1][0]
+               for i in indices]
     report_path = _out_path(args, "reports.jsonl")
     _write_reports(report_path, results)
+    failed = []
     for res in results:
         for name, (header, rows) in res.artifacts.items():
             _write_csv(_out_path(args, f"criterion{res.index}_{name}.csv"),
@@ -174,8 +163,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="cgmlab-out", help="output directory")
     parser.add_argument("--force", action="store_true",
                         help="overwrite existing output files")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; results do not depend on it")
     parser.add_argument("--config", default=None,
                         help="key=value config file; flags win over it")
 
@@ -208,9 +195,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
 _CONFIG_KEYS = {
-    "seed": int, "out": str, "threads": int, "n": int,
-    "length": int, "rates": str, "burn_in": float, "force": lambda s: s == "true",
+    "seed": int, "out": str, "n": int,
+    "length": int, "rates": str, "burn_in": float, "force": _bool,
     "instances": int, "window": int,
 }
 

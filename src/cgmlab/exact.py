@@ -4,7 +4,9 @@ Catalan numbers and the Catalan triangle feed the run-length
 distributions; the Poisson competition probabilities give the race
 interpretation of the same sums; the atom-plus-exponential increment law
 and the multiplicative marked point process describe how the stationary
-horizontal increment varies with its mean parameter.
+horizontal increment varies with its mean parameter.  One sampler,
+sample_X_blocks, draws every marked process: criterion 11 reads its blocks
+of rows, sample_X_process is its one-row case.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .rng import RngSpec, exp_from_uniform
+from .rng import ExpFieldRows, RngSpec
 
 __all__ = [
     "catalan_number",
@@ -28,6 +30,7 @@ __all__ = [
     "AtomTailLaw",
     "increment_law",
     "MarkedPointProcess",
+    "sample_X_blocks",
     "sample_X_process",
     "X_value",
     "rho_star_cdf",
@@ -178,56 +181,76 @@ def increment_law(lam: float, rho: float) -> AtomTailLaw:
 
 @dataclass(frozen=True)
 class MarkedPointProcess:
-    """Atoms of the mean-parameter process on [1, rho_max].
-
-    points[0] is always 1; later points follow the scale-invariant ds/s
-    intensity.  Each point carries an independent exponential mark with
-    mean equal to its location.
+    """Atoms of the mean-parameter process on [1, rho_max] (1-D), or a
+    (k, cols + 1) block of k processes from sample_X_blocks, each row
+    running past rho_max.  points[..., 0] is 1; later points follow the
+    ds/s intensity, each with an exponential mark of mean its location.
+    The readers work along the last axis.
     """
 
     points: np.ndarray
     marks: np.ndarray
     rho_max: float
 
-    def count_in(self, lo: float, hi: float) -> int:
-        """Number of points in the half-open interval (lo, hi]."""
-        return int(np.sum((self.points > lo) & (self.points <= hi)))
+    def count_in(self, lo: float, hi: float):
+        """Number of points in the half-open interval (lo, hi]: an int for
+        one process, one count per row for a block."""
+        counts = np.sum((self.points > lo) & (self.points <= hi), axis=-1)
+        return int(counts) if counts.ndim == 0 else counts
+
+
+def sample_X_blocks(m: int, rho_max: float, spec: RngSpec, cols: int, rows: int):
+    """Yield m marked processes as blocks of `rows` rows (the last may be
+    shorter), each a view of buffers that the next block overwrites.
+
+    A row draws a budget of `cols` unit gaps from spec.sub("gaps") through
+    rng.ExpFieldRows: its points are 1, then exp(cumsum(gaps)), and its
+    marks are unit exponentials from spec.sub("marks") times the points.
+    Raises RuntimeError if a row's budget ends at or before rho_max.
+    """
+    if not 1.0 <= rho_max < math.inf:
+        raise ValueError("rho_max must be finite and at least 1")
+    limit = math.log(rho_max)
+    gap_rows = ExpFieldRows(m, cols, 1.0, spec.sub("gaps")).blocks(np.empty((rows, cols)))
+    mark_rows = ExpFieldRows(m, cols + 1, 1.0, spec.sub("marks")).blocks(
+        np.empty((rows, cols + 1)))
+    loc_buf = np.empty((rows, cols + 1))
+    for gaps, marks in zip(gap_rows, mark_rows):
+        locs = loc_buf[:len(gaps)]
+        locs[:, 0] = 0.0
+        np.cumsum(gaps, axis=1, out=locs[:, 1:])  # the log-locations
+        if not np.all(locs[:, -1] > limit):
+            raise RuntimeError("point budget exhausted before the range end")
+        np.exp(locs, out=locs)
+        yield MarkedPointProcess(locs, np.multiply(marks, locs, out=marks), rho_max)
 
 
 def sample_X_process(rho_max: float, spec: RngSpec) -> MarkedPointProcess:
     """Draw the marked point process up to rho_max.
 
-    Locations are exp of a unit-rate arrival sequence started at 0, so
-    log-locations are a Poisson process; marks are exponential with mean
-    equal to the location.  Deterministic in the RngSpec.
+    The one-row case of sample_X_blocks, cut to the points <= rho_max.
+    Row 0 of a budget of c gaps is the first c draws of each stream, so
+    when a budget ends short of rho_max it is doubled and row 0 drawn
+    again.  Deterministic in the RngSpec.
     """
-    if rho_max < 1.0:
-        raise ValueError("rho_max must be at least 1")
-    gap_gen = spec.sub("gaps").generator()
-    limit = math.log(rho_max)
-    logs = [0.0]
-    total = 0.0
+    cols = 64
     while True:
-        chunk = exp_from_uniform(gap_gen.random(64), 1.0)
-        for g in chunk:
-            total += g
-            if total > limit:
-                break
-            logs.append(total)
-        if total > limit:
+        try:
+            proc = next(sample_X_blocks(1, rho_max, spec, cols, 1))
             break
-    points = np.exp(np.asarray(logs))
-    points[0] = 1.0
-    u = spec.sub("marks").generator().random(len(points))
-    marks = exp_from_uniform(u, 1.0) * points
-    return MarkedPointProcess(points, marks, rho_max)
+        except RuntimeError:
+            cols *= 2
+    keep = proc.points[0] <= rho_max
+    return MarkedPointProcess(proc.points[0, keep], proc.marks[0, keep], rho_max)
 
 
-def X_value(process: MarkedPointProcess, rho: float) -> float:
-    """Sum of marks at points not exceeding rho."""
-    if rho < 1.0 or rho > process.rho_max:
+def X_value(process: MarkedPointProcess, rho: float):
+    """Sum of marks at points not exceeding rho: a float for one process,
+    one sum per row for a block."""
+    if not 1.0 <= rho <= process.rho_max:
         raise ValueError("rho outside the sampled range")
-    return float(np.sum(process.marks[process.points <= rho]))
+    total = np.sum(process.marks * (process.points <= rho), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def rho_star_cdf(lam):

@@ -10,10 +10,11 @@ at 95 percent or higher.
 The sample-heavy fast criteria hold a bounded working set.  Criteria 10
 and 11 draw their sample rows through rng.ExpFieldRows into fixed block
 buffers of about 800 KB per array, and transform and reduce them a block
-at a time.  Each stream is carried on by one generator from block to
-block, so their results are bit for bit those of one whole-array draw.
-Criterion 2 draws each block of instances straight into one stack of
-windows.
+at a time; criterion 11 reads the blocks of exact.sample_X_blocks, the
+one sampler of the marked point process.  Each stream is carried on by
+one generator from block to block, so their results are bit for bit those
+of one whole-array draw.  Criterion 2 draws each block of instances
+straight into one stack of windows.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .multiclass import MultiConfig, coupled_step, multiline_step, sample_mu_rho
 from .busemann import (estimate_busemann_level, estimate_nested_levels,
                        geodesic_initial_runs, initial_run_statistics,
                        rho_star_threshold)
-from .exact import (catalan_number, catalan_triangle, increment_law,
+from .exact import (X_value, catalan_number, catalan_triangle, increment_law,
                     initial_run_pmf, poisson_competition_A, poisson_competition_B,
-                    rho_star_cdf)
+                    rho_star_cdf, sample_X_blocks)
 from .stats import (TestReport, binomial_atom_test, chi_square_pmf,
                     correlation_test, ks_distance, ks_one_sample, ks_two_sample)
 
@@ -399,35 +400,15 @@ def criterion_11(seed: int) -> CriterionResult:
     spec = RngSpec(seed, "criterion11")
     m = 100000
     cols = 24
-    rho_max = 4.0
-    limit = math.log(rho_max)
     x1, x2, x4 = np.empty(m), np.empty(m), np.empty(m)
     counts = np.empty(m, dtype=np.int64)
-    # One set of block buffers, reused by every block (the last may be short).
-    size = max(1, _DRAW_BLOCK // (cols + 1))
-    gap_rows = ExpFieldRows(m, cols, 1.0, spec.sub("gaps")).blocks(np.empty((size, cols)))
-    mark_rows = ExpFieldRows(m, cols + 1, 1.0, spec.sub("marks")).blocks(
-        np.empty((size, cols + 1)))
-    loc_buf, term_buf = (np.empty((size, cols + 1)) for _ in range(2))
-    in_buf, above_buf = (np.empty((size, cols + 1), dtype=bool) for _ in range(2))
-    for start, (gaps, marks) in zip(range(0, m, size), zip(gap_rows, mark_rows)):
-        rows = len(gaps)
-        stop = start + rows
-        locs = loc_buf[:rows]
-        locs[:, 0] = 0.0
-        np.cumsum(gaps, axis=1, out=locs[:, 1:])  # the log-locations
-        if not np.all(locs[:, -1] > limit):
-            raise RuntimeError("point budget exhausted before the range end")
-        np.exp(locs, out=locs)
-        np.multiply(marks, locs, out=marks)
-        x1[start:stop] = marks[:, 0]
-        inside, terms = in_buf[:rows], term_buf[:rows]
-        for bound, total in ((2.0, x2), (rho_max, x4)):
-            np.less_equal(locs, bound, out=inside)
-            np.sum(np.multiply(marks, inside, out=terms), axis=1, out=total[start:stop])
-        np.less_equal(locs, math.e, out=inside)
-        inside &= np.greater(locs, 1.0, out=above_buf[:rows])
-        np.sum(inside, axis=1, out=counts[start:stop])
+    start = 0
+    for block in sample_X_blocks(m, 4.0, spec, cols, max(1, _DRAW_BLOCK // (cols + 1))):
+        stop = start + len(block.points)
+        for rho, values in ((1.0, x1), (2.0, x2), (4.0, x4)):
+            values[start:stop] = X_value(block, rho)
+        counts[start:stop] = block.count_in(1.0, math.e)
+        start = stop
     reps = [ks_one_sample(x1, _exp_cdf(1.0), "xproc-value-at-1", seed,
                           "value at the base point is unit exponential")]
     ref12 = increment_law(1.0, 2.0).sample(m, spec.sub("ref12"))

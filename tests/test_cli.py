@@ -27,9 +27,11 @@ def test_version_exits_zero(capsys):
 
 
 def test_bad_flag_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        run(["verify-queueing", "--no-such-flag"])
-    assert exc.value.code == 2
+    # there is no --threads flag: criteria run one after another
+    for flags in (["--no-such-flag"], ["--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify-queueing", *flags])
+        assert exc.value.code == 2
 
 
 def test_suite_covers_all_criteria():
@@ -88,33 +90,34 @@ def test_fast_suite_reports_are_pinned(suite, tmp_path, monkeypatch):
     assert hashlib.sha256(data).hexdigest() == FAST_SUITE_DIGESTS[suite]
 
 
-def test_thread_count_does_not_change_results(tmp_path):
-    assert run(q_args(tmp_path / "one", ["--threads", "1"])) == 0
-    assert run(q_args(tmp_path / "two", ["--threads", "2"])) == 0
-    assert (tmp_path / "one" / "reports.jsonl").read_bytes() == \
-        (tmp_path / "two" / "reports.jsonl").read_bytes()
-
-
 def test_existing_output_needs_force(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(q_args(out)) == 0
     assert run(q_args(out)) == 2
     assert "force" in capsys.readouterr().err
     assert run(q_args(out, ["--force"])) == 0
+    cfg = tmp_path / "c.cfg"
+    for value, code in (("false", 2), ("true", 0)):
+        cfg.write_text(f"force={value}\n")
+        assert run(q_args(out, ["--config", str(cfg)])) == code
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("bogus=1\n")
-    code = run(q_args(tmp_path / "o", ["--config", str(cfg)]))
-    assert code == 2
-    assert "bogus" in capsys.readouterr().err
+    for key in ("bogus", "threads"):
+        cfg.write_text(f"{key}=2\n")
+        code = run(q_args(tmp_path / "o", ["--config", str(cfg)]))
+        assert code == 2
+        assert key in capsys.readouterr().err
 
 
 def test_malformed_config_exits_two(tmp_path):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("seed 11\n")
-    assert run(q_args(tmp_path / "o", ["--config", str(cfg)])) == 2
+    # force takes only true or false
+    for line in ("seed 11", "force=True", "force=1", "force=yes"):
+        cfg.write_text(line + "\n")
+        assert run(q_args(tmp_path / "o", ["--config", str(cfg)])) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_supplies_defaults_but_flags_win(tmp_path):

@@ -12,7 +12,7 @@ from cgmlab.exact import (AtomTailLaw, MarkedPointProcess, X_value,
                           catalan_number, catalan_triangle, increment_law,
                           initial_run_pmf, initial_run_pmf2,
                           poisson_competition_A, poisson_competition_B,
-                          rho_star_cdf, sample_X_process)
+                          rho_star_cdf, sample_X_blocks, sample_X_process)
 from cgmlab.rng import RngSpec, exp_from_uniform
 from cgmlab import verification
 from cgmlab.stats import TestReport, ks_one_sample, ks_two_sample
@@ -276,10 +276,84 @@ def test_marked_process_structure():
     np.testing.assert_array_equal(proc.points, again.points)
     np.testing.assert_array_equal(proc.marks, again.marks)
     assert proc.count_in(1.0, 6.0) == len(proc.points) - 1
-    with pytest.raises(ValueError):
-        sample_X_process(0.5, RngSpec(53, "mp"))
-    with pytest.raises(ValueError):
-        X_value(proc, 7.0)
+    for rho_max in (0.5, float("nan"), math.inf):
+        with pytest.raises(ValueError):
+            sample_X_process(rho_max, RngSpec(53, "mp"))
+    for rho in (0.5, 7.0, float("nan")):
+        with pytest.raises(ValueError):
+            X_value(proc, rho)
+
+
+def sample_X_process_before(rho_max, spec):
+    """sample_X_process as it was before it became the one-row case of
+    sample_X_blocks: 64 gaps at a time until the range end, kept as the
+    oracle."""
+    gap_gen = spec.sub("gaps").generator()
+    limit = math.log(rho_max)
+    logs = [0.0]
+    total = 0.0
+    while True:
+        chunk = exp_from_uniform(gap_gen.random(64), 1.0)
+        for g in chunk:
+            total += g
+            if total > limit:
+                break
+            logs.append(total)
+        if total > limit:
+            break
+    points = np.exp(np.asarray(logs))
+    points[0] = 1.0
+    u = spec.sub("marks").generator().random(len(points))
+    marks = exp_from_uniform(u, 1.0) * points
+    return MarkedPointProcess(points, marks, rho_max)
+
+
+def assert_same_bits(got, want):
+    for a, b in ((got.points, want.points), (got.marks, want.marks)):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_one_row_sampler_matches_the_previous_draw():
+    for seed in range(300):
+        for rho_max in (4.0, 6.0):
+            spec = RngSpec(seed, "mp-oracle")
+            assert_same_bits(sample_X_process(rho_max, spec),
+                             sample_X_process_before(rho_max, spec))
+
+
+def test_one_row_sampler_doubles_its_budget():
+    # about 100 points: past the first budget of 64 gaps
+    for seed in range(5):
+        spec = RngSpec(seed, "mp-long")
+        proc = sample_X_process(math.exp(100.0), spec)
+        assert len(proc.points) > 65
+        assert_same_bits(proc, sample_X_process_before(math.exp(100.0), spec))
+
+
+def test_batched_sampler_refuses_a_short_budget():
+    with pytest.raises(RuntimeError, match="budget"):
+        list(sample_X_blocks(50, math.exp(30.0), RngSpec(55, "mp-short"), 4, 16))
+
+
+def test_block_readers_match_each_row():
+    # 103 rows in blocks of 20: a short last block
+    m, rho_max, cols = 103, 4.0, 24
+    rows = 0
+    for block in sample_X_blocks(m, rho_max, RngSpec(56, "mp-block"), cols, 20):
+        k = len(block.points)
+        assert block.points.shape == block.marks.shape == (k, cols + 1)
+        assert np.all(block.points[:, 0] == 1.0) and np.all(block.points[:, -1] > rho_max)
+        cuts = [MarkedPointProcess(p[p <= rho_max], w[p <= rho_max], rho_max)
+                for p, w in zip(block.points, block.marks)]
+        for lo, hi in ((1.0, math.e), (1.5, 4.0)):
+            np.testing.assert_array_equal(block.count_in(lo, hi),
+                                          [c.count_in(lo, hi) for c in cuts])
+        for rho in (1.0, 2.0, 3.3, 4.0):
+            np.testing.assert_array_max_ulp(X_value(block, rho),
+                                            [X_value(c, rho) for c in cuts], maxulp=1)
+        rows += k
+    assert rows == m
 
 
 def test_marked_process_laws():

@@ -3,8 +3,9 @@ corner readers hold a bounded working set.
 
 Peaks are read with tracemalloc, which numpy reports its array buffers to,
 at the pinned default seed.  Criteria 10 and 11 draw their rows in blocks
-(peaks about 2.3 and 14 MiB, against 48 and 117 MiB for whole-array
-draws); criterion 2 draws its windows straight into one stack per block of
+(peaks about 2.3 and 12 MiB, against 48 and 117 MiB for whole-array
+draws; criterion 11 read 14 MiB while it held term and mask buffers of
+its own for the whole run); criterion 2 draws its windows straight into one stack per block of
 instances (about 26 MiB, against 38 MiB when it stacked a list of windows).
 The two-sample KS test works from one merged buffer: about 5 MiB for two
 100 000-point samples, against 9.2 MiB when it binary-searched every point
