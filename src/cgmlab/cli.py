@@ -156,9 +156,10 @@ def _cmd_sample_mu(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    env_seed = os.environ.get("CGMLAB_SEED")
+    # argparse converts a string default with type=int, so a bad CGMLAB_SEED
+    # is a usage error, and an explicit --seed wins without reading it
     parser.add_argument("--seed", type=int,
-                        default=int(env_seed) if env_seed else DEFAULT_MASTER_SEED,
+                        default=os.environ.get("CGMLAB_SEED") or DEFAULT_MASTER_SEED,
                         help="master seed (env CGMLAB_SEED overrides the default)")
     parser.add_argument("--out", default="cgmlab-out", help="output directory")
     parser.add_argument("--force", action="store_true",

@@ -200,21 +200,31 @@ class MarkedPointProcess:
 
 
 def sample_X_blocks(m: int, rho_max: float, spec: RngSpec, cols: int, rows: int):
-    """Yield m marked processes as blocks of `rows` rows (the last may be
-    shorter), each a view of buffers that the next block overwrites.
+    """An iterator over m marked processes as blocks of `rows` rows (the
+    last may be shorter), each a view of buffers that the next block
+    overwrites.
 
     A row draws a budget of `cols` unit gaps from spec.sub("gaps") through
     rng.ExpFieldRows: its points are 1, then exp(cumsum(gaps)), and its
     marks are unit exponentials from spec.sub("marks") times the points.
-    Raises RuntimeError if a row's budget ends at or before rho_max.
+    Raises ValueError at once on a rho_max outside [1, inf) or an m, cols
+    or rows below 1, and RuntimeError, once iterated, if a row's budget
+    ends at or before rho_max.
     """
     if not 1.0 <= rho_max < math.inf:
         raise ValueError("rho_max must be finite and at least 1")
-    limit = math.log(rho_max)
+    if min(m, cols, rows) < 1:
+        raise ValueError("m, cols and rows must be at least 1")
     gap_rows = ExpFieldRows(m, cols, 1.0, spec.sub("gaps")).blocks(np.empty((rows, cols)))
     mark_rows = ExpFieldRows(m, cols + 1, 1.0, spec.sub("marks")).blocks(
         np.empty((rows, cols + 1)))
-    loc_buf = np.empty((rows, cols + 1))
+    return _X_blocks(gap_rows, mark_rows, np.empty((rows, cols + 1)), rho_max)
+
+
+def _X_blocks(gap_rows, mark_rows, loc_buf: np.ndarray, rho_max: float):
+    """sample_X_blocks' blocks, from its gap and mark row blocks, with the
+    locations in loc_buf."""
+    limit = math.log(rho_max)
     for gaps, marks in zip(gap_rows, mark_rows):
         locs = loc_buf[:len(gaps)]
         locs[:, 0] = 0.0

@@ -102,7 +102,7 @@ def multiline_step(config: MultiConfig, services: SeqWindow,
     """
     same_window(config.line(0), services)
     lines = [config.line(i) for i in range(config.n_lines)]
-    out_lines = [d.values for d in _unused_chain(lines, services, policy, "multiline")]
+    out_lines = [d.values for d in _unused_chain(lines, services, policy.j_left)]
     return policy.trim(MultiConfig(config.offset, np.vstack(out_lines), config.rates))
 
 
@@ -110,18 +110,15 @@ def coupled_step(config: MultiConfig, services: SeqWindow,
                  policy: BoundaryPolicy = DEFAULT_POLICY) -> MultiConfig:
     """One coupled update: every line departs against the same service window."""
     same_window(config.line(0), services)
-    out_lines = []
-    for i in range(config.n_lines):
-        arr = config.line(i)
-        j0 = policy.resolve_j_left(arr, services, f"coupled{i}")
-        out_lines.append(lindley_iterate(j0, arr, services).departures.values)
+    out_lines = [lindley_iterate(policy.j_left, config.line(i), services).departures.values
+                 for i in range(config.n_lines)]
     return policy.trim(MultiConfig(config.offset, np.vstack(out_lines), config.rates))
 
 
-def _fold_lines(lines: list[SeqWindow], policy: BoundaryPolicy, tag: str) -> list[np.ndarray]:
+def _fold_lines(lines: list[SeqWindow], j_left: float) -> list[np.ndarray]:
     """Values of line i folded through lines i-1, ..., 0 as services, line 0
-    as it is, untrimmed; line i's stages are labelled f"{tag}{i}/stage{j}"."""
-    return [lines[0].values] + [_fold(lines[i::-1], policy, f"{tag}{i}/stage").values
+    as it is, untrimmed; every queue starts from the left sojourn value j_left."""
+    return [lines[0].values] + [_fold(lines[i::-1], j_left).values
                                 for i in range(1, len(lines))]
 
 
@@ -136,7 +133,7 @@ def dmap(config: MultiConfig, policy: BoundaryPolicy = DEFAULT_POLICY) -> MultiC
     if np.any(np.diff(means) <= 0):
         warnings.warn("line means should be strictly increasing for a stable fold")
     lines = [config.line(i) for i in range(config.n_lines)]
-    folded = _fold_lines(lines, policy, "dmap")
+    folded = _fold_lines(lines, policy.j_left)
     return policy.trim(MultiConfig(config.offset, np.vstack(folded), config.rates))
 
 
@@ -161,7 +158,7 @@ def sample_mu_rho(rates, offset: int, length: int, spec: RngSpec,
     group = {r: g for g, r in enumerate(distinct)}
     lines = [sample_exp_window(offset, length, r, spec.sub(f"line{g}"))
              for g, r in enumerate(distinct)]
-    folded = _fold_lines(lines, policy, "mu")
+    folded = _fold_lines(lines, policy.j_left)
     values = np.vstack([folded[group[r]] for r in rates])
     return policy.trim(MultiConfig(offset, values, rates))
 
@@ -208,16 +205,14 @@ def build_triangular_arrays(config: MultiConfig,
         eta[i][0] = config.line(i)
         for j in range(1, i + 1):
             svc = xi[i - 1][j - 1]
-            j0 = policy.resolve_j_left(eta[i][j - 1], svc, f"array{i}.{j}")
-            out = lindley_iterate(j0, eta[i][j - 1], svc)
+            out = lindley_iterate(policy.j_left, eta[i][j - 1], svc)
             eta[i][j] = out.departures
             xi[i][j - 1] = out.unused
         xi[i][i] = eta[i][i]
     arr = TriArray(config.offset, eta, xi, config.rates)
     if validate and n > 1:
-        burn = BoundaryPolicy.burn_in(0.2)
-        direct = burn.trim(dmap(config, BoundaryPolicy.given(0.0)))
-        err = np.max(np.abs(burn.trim(arr.diagonal()).values - direct.values))
+        direct = DEFAULT_POLICY.trim(dmap(config, BoundaryPolicy.given(0.0)))
+        err = np.max(np.abs(DEFAULT_POLICY.trim(arr.diagonal()).values - direct.values))
         if err > tolerance:
             raise AssertionError(
                 f"triangular array diagonal deviates from the departure fold by {err:.3e}")

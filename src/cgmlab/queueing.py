@@ -19,6 +19,12 @@ lpp's own code: level 0 is the prefix sums of [0, I], and level 1 is one
 lpp row step from [j_left, level 0 past its first column] over [0, w].
 So it takes finite arrivals and services only, as every table fill does.
 
+queue_D, queue_S, queue_R and queue_Dn close the left edge of the window
+by a BoundaryPolicy, the given or the burn-in boundary: the given boundary
+starts every queue from a fixed sojourn value and keeps the whole window;
+the burn-in boundary starts every queue empty and cuts a prefix fraction
+off the output, once, after the last stage.
+
 lindley_iterate, queue_Dn, strip_lpp_H and the conservation, duality, T,
 intertwining and strip checks take either one window or a stack of K
 aligned windows of independent instances (see SeqWindow: time on the last
@@ -87,7 +93,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import RngSpec, SeqWindow, exp_from_uniform, same_window
+from .rng import SeqWindow, same_window
 from .lpp import _prefix_sums, _row_step
 
 __all__ = [
@@ -128,68 +134,36 @@ class QueueOutput:
 
 @dataclass(frozen=True)
 class BoundaryPolicy:
-    """How to close the left edge of a finite window.
+    """How to close the left edge of a finite window: every queue starts
+    from the sojourn value j_left, and the output window loses its first
+    int(fraction * length) slots.
 
-    kind "given" starts from a fixed sojourn value, "stationary" draws the
-    equilibrium sojourn (rate 1/service_mean - 1/arrival_mean, which is
-    exact for exponential inputs), and "burn_in" starts empty and discards
-    a prefix fraction of the output window.
+    Two rules are built, each by its constructor: given(j) starts from j
+    and keeps the whole window, and burn_in(fraction) starts empty and cuts
+    the burn-in prefix.
     """
 
-    kind: str
     j_left: float = 0.0
-    fraction: float = 0.2
-    arrival_mean: float | None = None
-    service_mean: float | None = None
-    rng: RngSpec | None = None
+    fraction: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("given", "stationary", "burn_in"):
-            raise ValueError(f"unknown boundary policy kind {self.kind!r}")
-        if self.kind == "given" and not self.j_left >= 0:
+        if not self.j_left >= 0:
             raise ValueError("left sojourn value must be nonnegative")
-        if self.kind == "burn_in" and not 0 <= self.fraction < 1:
+        if not 0 <= self.fraction < 1:
             raise ValueError("burn-in fraction must lie in [0, 1)")
-        if self.kind == "stationary":
-            if self.rng is None:
-                raise ValueError("stationary boundary needs an RngSpec")
-            if self.arrival_mean is not None and self.service_mean is not None:
-                if not self.service_mean < self.arrival_mean:
-                    raise ValueError("stationary boundary needs service mean < arrival mean")
 
     @staticmethod
     def given(j_left: float) -> "BoundaryPolicy":
-        return BoundaryPolicy("given", j_left=j_left)
-
-    @staticmethod
-    def stationary(rng: RngSpec, arrival_mean: float | None = None,
-                   service_mean: float | None = None) -> "BoundaryPolicy":
-        return BoundaryPolicy("stationary", rng=rng,
-                              arrival_mean=arrival_mean, service_mean=service_mean)
+        return BoundaryPolicy(j_left=j_left)
 
     @staticmethod
     def burn_in(fraction: float = 0.2) -> "BoundaryPolicy":
-        return BoundaryPolicy("burn_in", fraction=fraction)
-
-    def resolve_j_left(self, arrivals: SeqWindow, services: SeqWindow,
-                       tag: str = "boundary") -> float:
-        """The left sojourn value this policy implies for the given windows."""
-        if self.kind == "given":
-            return float(self.j_left)
-        if self.kind == "burn_in":
-            return 0.0
-        lam = self.service_mean if self.service_mean is not None else services.mean()
-        rho = self.arrival_mean if self.arrival_mean is not None else arrivals.mean()
-        if not lam < rho:
-            raise ValueError("stationary boundary needs service mean < arrival mean")
-        rate = 1.0 / lam - 1.0 / rho
-        u = self.rng.sub(tag).generator().random()
-        return float(exp_from_uniform(u, 1.0 / rate))
+        return BoundaryPolicy(fraction=fraction)
 
     def trim(self, window):
         """window, a SeqWindow or a MultiConfig, without the burn-in prefix
-        of int(fraction * length) slots; other kinds keep it whole."""
-        if self.kind != "burn_in":
+        of int(fraction * length) slots; the window itself when fraction is 0."""
+        if self.fraction == 0:
             return window
         return window.suffix(window.offset + int(self.fraction * window.values.shape[-1]))
 
@@ -334,30 +308,29 @@ def lindley_iterate(j_left: float | np.ndarray, arrivals: SeqWindow,
                        SeqWindow(off, rel))
 
 
-def _policy_run(arrivals, services, policy, tag) -> QueueOutput:
+def _policy_run(arrivals, services, policy) -> QueueOutput:
     if arrivals.mean() <= services.mean():
         warnings.warn("queue inputs violate the drift condition (arrival mean "
                       "<= service mean); outputs may be boundary dominated")
-    return lindley_iterate(policy.resolve_j_left(arrivals, services, tag),
-                           arrivals, services)
+    return lindley_iterate(policy.j_left, arrivals, services)
 
 
 def queue_D(arrivals: SeqWindow, services: SeqWindow,
             policy: BoundaryPolicy = DEFAULT_POLICY) -> SeqWindow:
     """Departure increments; under a burn-in policy the prefix is discarded."""
-    return policy.trim(_policy_run(arrivals, services, policy, "D").departures)
+    return policy.trim(_policy_run(arrivals, services, policy).departures)
 
 
 def queue_S(arrivals: SeqWindow, services: SeqWindow,
             policy: BoundaryPolicy = DEFAULT_POLICY) -> SeqWindow:
     """Sojourn values over the window."""
-    return policy.trim(_policy_run(arrivals, services, policy, "S").sojourn)
+    return policy.trim(_policy_run(arrivals, services, policy).sojourn)
 
 
 def queue_R(arrivals: SeqWindow, services: SeqWindow,
             policy: BoundaryPolicy = DEFAULT_POLICY) -> SeqWindow:
     """Unused input min(I_k, J_{k-1}), the service sequence handed downstream."""
-    return policy.trim(_policy_run(arrivals, services, policy, "R").unused)
+    return policy.trim(_policy_run(arrivals, services, policy).unused)
 
 
 def queue_Dn(sequences: list[SeqWindow],
@@ -371,29 +344,27 @@ def queue_Dn(sequences: list[SeqWindow],
     if not sequences:
         raise ValueError("need at least one sequence")
     same_window(*sequences)
-    return policy.trim(_fold(sequences, policy, "Dn"))
+    return policy.trim(_fold(sequences, policy.j_left))
 
 
-def _fold(sequences: list[SeqWindow], policy: BoundaryPolicy, tag: str) -> SeqWindow:
+def _fold(sequences: list[SeqWindow], j_left: float) -> SeqWindow:
     """queue_Dn untrimmed: sequences[0] departs through each of the rest in
-    turn, the left edge of the queue against sequences[j - 1] resolved
-    under the label f"{tag}{j}"."""
+    turn, every queue started from the left sojourn value j_left."""
     acc = sequences[0]
-    for j, svc in enumerate(sequences[1:], start=2):
-        j0 = policy.resolve_j_left(acc, svc, f"{tag}{j}")
-        acc = lindley_iterate(j0, acc, svc).departures
+    for svc in sequences[1:]:
+        acc = lindley_iterate(j_left, acc, svc).departures
     return acc
 
 
 def _unused_chain(lines: list[SeqWindow], services: SeqWindow,
-                  policy: BoundaryPolicy, tag: str) -> list[SeqWindow]:
+                  j_left: float) -> list[SeqWindow]:
     """Departures of each line against the unused input of the line before,
-    the first line against services, untrimmed; line i's left edge is
-    resolved under the label f"{tag}{i}"."""
+    the first line against services, untrimmed; every queue starts from the
+    left sojourn value j_left."""
     w = services
     departures = []
-    for i, arr in enumerate(lines):
-        out = lindley_iterate(policy.resolve_j_left(arr, w, f"{tag}{i}"), arr, w)
+    for arr in lines:
+        out = lindley_iterate(j_left, arr, w)
         departures.append(out.departures)
         w = out.unused
     return departures
@@ -495,11 +466,10 @@ def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWind
         raise ValueError("need at least one arrival sequence")
     same_window(*arrival_seqs, services)
     burn = BoundaryPolicy.burn_in(fraction)
-    fold = BoundaryPolicy.given(0.0)
-    lhs = queue_Dn(list(arrival_seqs) + [services], fold)
+    lhs = _fold(list(arrival_seqs) + [services], 0.0)
     # Chain the unused input upward from the bottom stream.
-    transformed = _unused_chain(arrival_seqs[::-1], services, fold, "intertwining")
-    rhs = queue_Dn(transformed[::-1], fold)
+    transformed = _unused_chain(arrival_seqs[::-1], services, 0.0)
+    rhs = _fold(transformed[::-1], 0.0)
     lhs, rhs = burn.trim(lhs), burn.trim(rhs)
     return _check("intertwining", [lhs.values - rhs.values], tolerance,
                   order=len(arrival_seqs), interior=len(lhs))

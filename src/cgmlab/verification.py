@@ -29,7 +29,7 @@ import numpy as np
 from .rng import (ExpFieldRows, RngSpec, SeqWindow, _exp_in_place, exp_from_uniform,
                   sample_exp_field, sample_exp_window)
 from .lpp import brute_force_table, corner_fill, lpp_grid
-from .queueing import (BoundaryPolicy, check_conservation, check_duality,
+from .queueing import (DEFAULT_POLICY, check_conservation, check_duality,
                        check_T_identity, check_intertwining_identity,
                        check_strip_identities)
 from .multiclass import MultiConfig, coupled_step, multiline_step, sample_mu_rho
@@ -53,7 +53,6 @@ __all__ = [
 
 DEFAULT_MASTER_SEED = 20260822
 BACKUP_SEED_OFFSETS = (0, 1, 2)
-_BURN = BoundaryPolicy.burn_in(0.2)
 
 
 @dataclass(eq=False)
@@ -74,10 +73,11 @@ def _exp_cdf(mean: float):
     return lambda x: -np.expm1(-np.asarray(x) / mean)
 
 
-def _exact_report(name: str, worst: float, tolerance: float, n: int,
-                  seed: int, claim: str, **meta) -> TestReport:
-    return TestReport(name, float(worst), tolerance, n, seed,
-                      worst < tolerance, claim, meta)
+def _strict_report(name: str, statistic: float, threshold: float, n: int,
+                   seed: int, claim: str, **meta) -> TestReport:
+    """The report of a statistic that passes when strictly below its threshold."""
+    return TestReport(name, float(statistic), threshold, n, seed,
+                      statistic < threshold, claim, meta)
 
 
 def criterion_1(seed: int, instances: int = 100) -> CriterionResult:
@@ -90,8 +90,8 @@ def criterion_1(seed: int, instances: int = 100) -> CriterionResult:
         ref = brute_force_table(field, (0, 0), (5, 5))
         worst = max(worst, float(np.max(np.abs(lpp_grid(field).values - ref))))
         checks += ref.size
-    rep = _exact_report("lpp-oracle-equivalence", worst, 1e-9, checks, seed,
-                        "grid recursion equals exhaustive path maximum")
+    rep = _strict_report("lpp-oracle-equivalence", worst, 1e-9, checks, seed,
+                         "grid recursion equals exhaustive path maximum")
     return CriterionResult(1, seed, [rep])
 
 
@@ -168,8 +168,8 @@ def criterion_2(seed: int, instances: int = 200, window: int = 1000) -> Criterio
     # The single-rounding identities are held to the 1e-12 that
     # cgmlab.queueing promises; the sum-based ones carry prefix-sum rounding.
     tolerance = {"conservation": 1e-12, "duality": 1e-12}
-    reps = [_exact_report(f"queueing-{k}", v, tolerance.get(k, 1e-9), instances,
-                          seed, claims[k])
+    reps = [_strict_report(f"queueing-{k}", v, tolerance.get(k, 1e-9), instances,
+                           seed, claims[k])
             for k, v in worst.items()]
     return CriterionResult(2, seed, reps)
 
@@ -182,8 +182,8 @@ def criterion_3(seed: int, instances: int = 100, window: int = 1000) -> Criterio
     for j0, (arr, svc) in _instance_stacks(spec, instances, window, 2,
                                            lambda s, rows: _queue_instance(s, rows)[0]):
         worst = max(worst, check_strip_identities(j0, arr, svc).max_abs_error)
-    rep = _exact_report("strip-identities", worst, 1e-9, instances, seed,
-                        "split, reversed-role, and dual strip values agree")
+    rep = _strict_report("strip-identities", worst, 1e-9, instances, seed,
+                         "split, reversed-role, and dual strip values agree")
     return CriterionResult(3, seed, [rep])
 
 
@@ -196,7 +196,7 @@ def criterion_4(seed: int) -> CriterionResult:
              for i, r in enumerate(rates)]
     config = MultiConfig.from_lines(lines, rates)
     svc = sample_exp_window(1, length, 1.0, spec.sub("svc"))
-    out = multiline_step(config, svc, _BURN)
+    out = multiline_step(config, svc, DEFAULT_POLICY)
     reps = []
     for i, r in enumerate(rates):
         reps.append(ks_one_sample(out.values[i], _exp_cdf(r),
@@ -213,10 +213,10 @@ def criterion_5(seed: int) -> CriterionResult:
     """Invariance of the coupled stationary law under one shared update."""
     spec = RngSpec(seed, "criterion5")
     rates = (1.5, 2.0, 4.0)
-    base = sample_mu_rho(rates, 1, 125000, spec.sub("base"), _BURN)
-    pre = sample_mu_rho(rates, 1, 156250, spec.sub("pre"), _BURN)
+    base = sample_mu_rho(rates, 1, 125000, spec.sub("base"), DEFAULT_POLICY)
+    pre = sample_mu_rho(rates, 1, 156250, spec.sub("pre"), DEFAULT_POLICY)
     svc = sample_exp_window(pre.offset, pre.length, 1.0, spec.sub("svc"))
-    step = coupled_step(pre, svc, _BURN)
+    step = coupled_step(pre, svc, DEFAULT_POLICY)
     reps = []
     for i in range(3):
         reps.append(ks_two_sample(base.values[i], step.values[i],
@@ -255,14 +255,12 @@ def criterion_6(seed: int) -> CriterionResult:
     for rho in (1.5, 2.0, 4.0):
         h, v, rows = _busemann_harvest(rho, 1500, 2000, spec.sub(f"rho{rho}"))
         edge_rows += rows
-        dh = ks_distance(h, _exp_cdf(rho))
-        dv = ks_distance(v, _exp_cdf(rho / (rho - 1.0)))
-        reps.append(TestReport(f"busemann-horizontal-{rho}", dh, 0.04, len(h),
-                               seed, dh < 0.04,
-                               "horizontal increment close to its exponential law"))
-        reps.append(TestReport(f"busemann-vertical-{rho}", dv, 0.04, len(v),
-                               seed, dv < 0.04,
-                               "vertical increment close to its exponential law"))
+        for side, sample, mean in (("horizontal", h, rho),
+                                   ("vertical", v, rho / (rho - 1.0))):
+            reps.append(_strict_report(f"busemann-{side}-{rho}",
+                                       ks_distance(sample, _exp_cdf(mean)), 0.04,
+                                       len(sample), seed,
+                                       f"{side} increment close to its exponential law"))
     # Doubling probe: nested corners on shared fields.  The sup distance at
     # either scale sits at its sampling floor, so the doubled scale is
     # measured on four times the edges; a diverging estimator would still
@@ -294,7 +292,7 @@ def criterion_7(seed: int) -> CriterionResult:
     """Atom mass and conditional tail of the two-line increment."""
     spec = RngSpec(seed, "criterion7")
     lam, rho = 1.5, 3.0
-    cfg = sample_mu_rho((lam, rho), 1, 525000, spec.sub("mu"), _BURN)
+    cfg = sample_mu_rho((lam, rho), 1, 525000, spec.sub("mu"), DEFAULT_POLICY)
     d = (cfg.values[1] - cfg.values[0])[::4]
     hits = int(np.sum(d == 0.0))
     reps = [binomial_atom_test(hits, len(d), lam / rho, "increment-atom", seed,
@@ -325,8 +323,8 @@ def criterion_8(seed: int) -> CriterionResult:
     reps = [chi_square_pmf(counts, probs, "run-length-chisq", seed,
                            "initial straight runs follow the ballot-sum pmf")]
     worst = max(abs(1.0 - _pmf_total(r)) for r in (1.5, 2.0, 5.0))
-    reps.append(_exact_report("run-pmf-normalization", worst, 1e-10, 3, seed,
-                              "exact run-length pmf sums to one"))
+    reps.append(_strict_report("run-pmf-normalization", worst, 1e-10, 3, seed,
+                               "exact run-length pmf sums to one"))
     pmf_rows = [(n, float(counts[n] / counts.sum()), float(probs[n]))
                 for n in range(max_run + 1)]
     artifacts = {"pmf": (["n", "empirical", "exact"], pmf_rows)}
@@ -346,10 +344,9 @@ def criterion_9(seed: int) -> CriterionResult:
     for lam in (1.25, 2.0, 4.0):
         f_hat = float(np.mean(est <= lam))
         gap = abs(f_hat - rho_star_cdf(lam))
-        reps.append(TestReport(f"rho-star-cdf-{lam}", gap, 0.03, sites, seed,
-                               gap < 0.03,
-                               "threshold parameter follows the inverse law",
-                               {"empirical": f_hat}))
+        reps.append(_strict_report(f"rho-star-cdf-{lam}", gap, 0.03, sites, seed,
+                                   "threshold parameter follows the inverse law",
+                                   empirical=f_hat))
     return CriterionResult(9, seed, reps)
 
 
@@ -383,15 +380,15 @@ def criterion_10(seed: int) -> CriterionResult:
         p_hat = wins[n - 1] / m
         p = poisson_competition_A(n, alpha, beta)
         z = abs(p_hat - p) / math.sqrt(p * (1.0 - p) / m)
-        reps.append(TestReport(f"competition-A{n}", z, 3.0, m, seed, z < 3.0,
-                               "race win probability matches the closed form",
-                               {"exact": p, "empirical": p_hat}))
+        reps.append(_strict_report(f"competition-A{n}", z, 3.0, m, seed,
+                                   "race win probability matches the closed form",
+                                   exact=p, empirical=p_hat))
     for a, b in ((1.0, 2.0), (2.0, 1.0)):
         s = sum(poisson_competition_B(n, a, b) for n in range(1, 401))
         target = min(1.0, b / a)
-        reps.append(_exact_report(f"competition-B-sum-{a:g}-{b:g}",
-                                  abs(s - target), 1e-6, 400, seed,
-                                  "tie probabilities sum to the crossing mass"))
+        reps.append(_strict_report(f"competition-B-sum-{a:g}-{b:g}",
+                                   abs(s - target), 1e-6, 400, seed,
+                                   "tie probabilities sum to the crossing mass"))
     return CriterionResult(10, seed, reps)
 
 
@@ -418,9 +415,9 @@ def criterion_11(seed: int) -> CriterionResult:
     reps.append(ks_two_sample(x4 - x2, ref24, "xproc-incr-2-4", seed,
                               "increment over [2,4] matches the atom-tail law"))
     z = abs(float(np.mean(counts)) - 1.0) * math.sqrt(m)
-    reps.append(TestReport("xproc-count", z, 3.0, m, seed, z < 3.0,
-                           "point count over (1, e] has unit mean",
-                           {"mean": float(np.mean(counts))}))
+    reps.append(_strict_report("xproc-count", z, 3.0, m, seed,
+                               "point count over (1, e] has unit mean",
+                               mean=float(np.mean(counts))))
     return CriterionResult(11, seed, reps)
 
 
@@ -447,12 +444,12 @@ def criterion_12(seed: int) -> CriterionResult:
             if lhs != rhs:
                 formula_bad += 1
     reps = [
-        _exact_report("catalan-partial-sums", partial_bad, 0.5, partial_n, seed,
-                      "row partial sums climb to the next row"),
-        _exact_report("catalan-row-sums", rowsum_bad, 0.5, rowsum_n, seed,
-                      "row sums give the next Catalan number"),
-        _exact_report("catalan-closed-form", formula_bad, 0.5, formula_n, seed,
-                      "additive recurrence equals the factorial closed form"),
+        _strict_report("catalan-partial-sums", partial_bad, 0.5, partial_n, seed,
+                       "row partial sums climb to the next row"),
+        _strict_report("catalan-row-sums", rowsum_bad, 0.5, rowsum_n, seed,
+                       "row sums give the next Catalan number"),
+        _strict_report("catalan-closed-form", formula_bad, 0.5, formula_n, seed,
+                       "additive recurrence equals the factorial closed form"),
     ]
     return CriterionResult(12, seed, reps)
 
@@ -469,11 +466,10 @@ def criterion_13(seed: int) -> CriterionResult:
     low = int(np.sum(vals < 3.8))
     if low:
         warnings.warn(f"{low} of 20 diagonal growth values fell below 3.8")
-    rep = TestReport("shape-diagonal-trend", float(np.max(vals)), 4.05, 20,
-                     seed, float(np.max(vals)) < 4.05,
-                     "diagonal growth sits just under its limit",
-                     {"mean": float(np.mean(vals)), "min": float(np.min(vals)),
-                      "below_band": low})
+    rep = _strict_report("shape-diagonal-trend", float(np.max(vals)), 4.05, 20, seed,
+                         "diagonal growth sits just under its limit",
+                         mean=float(np.mean(vals)), min=float(np.min(vals)),
+                         below_band=low)
     return CriterionResult(13, seed, [rep])
 
 
@@ -491,6 +487,8 @@ def run_criterion(index: int, seed: int = DEFAULT_MASTER_SEED,
     that accept them and error out on ones that do not."""
     if index not in CRITERIA:
         raise ValueError(f"unknown criterion {index}")
+    if overrides.get("instances", 1) < 1:
+        raise ValueError("instances must be at least 1")
     return CRITERIA[index](seed, **overrides)
 
 

@@ -117,6 +117,10 @@ def test_malformed_config_exits_two(tmp_path):
     for line in ("seed 11", "force=True", "force=1", "force=yes"):
         cfg.write_text(line + "\n")
         assert run(q_args(tmp_path / "o", ["--config", str(cfg)])) == 2
+    # a criterion needs at least one instance to check anything
+    for count in ("0", "-3"):
+        assert run(["verify-queueing", "--out", str(tmp_path / "o"),
+                    "--instances", count]) == 2
     assert not (tmp_path / "o").exists()
 
 
@@ -141,6 +145,13 @@ def test_env_seed_is_picked_up(tmp_path, monkeypatch):
     assert run(q_args_no_seed(out)) == 0
     row = json.loads((out / "reports.jsonl").read_text().splitlines()[0])
     assert row["seed"] == 777
+    # a malformed seed is a usage error, unless an explicit --seed wins
+    monkeypatch.setenv("CGMLAB_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run(q_args_no_seed(tmp_path / "bad"))
+    assert exc.value.code == 2
+    assert not (tmp_path / "bad").exists()
+    assert run(q_args(tmp_path / "flag")) == 0
 
 
 def q_args_no_seed(out):
@@ -182,17 +193,23 @@ def test_simulate_lpp_dump(tmp_path):
     assert run(["simulate-lpp", "--n", "1", "--out", str(tmp_path / "x")]) == 2
 
 
-# sha256 of sample-mu's mu.csv at the default seed, recorded as the fast
-# suites' digests above: the departure fold must leave the sample as it is.
-SAMPLE_MU_DIGEST = "f7919929a83af9427b9857560a3aee3bb9569ae3058e111603ef8ab82895ddf0"
+# sha256 of sample-mu's mu.csv at the default seed, at the default burn-in
+# and with none, recorded as the fast suites' digests above: the departure
+# fold and the boundary cut must leave the sample as it is.
+SAMPLE_MU_DIGESTS = {
+    (): "f7919929a83af9427b9857560a3aee3bb9569ae3058e111603ef8ab82895ddf0",
+    ("--burn-in", "0"): "7b261770e11cd1ccab1ca5f252651ae7321d0c671a634e9befd706276cabcd01",
+}
 
 
 def test_sample_mu_output_is_pinned(tmp_path, monkeypatch):
     monkeypatch.delenv("CGMLAB_SEED", raising=False)
-    assert run(["sample-mu", "--rates", "1.5,2,4", "--length", "2000",
-                "--out", str(tmp_path)]) == 0
-    data = (tmp_path / "mu.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == SAMPLE_MU_DIGEST
+    for extra, digest in SAMPLE_MU_DIGESTS.items():
+        out = tmp_path / "-".join(("mu",) + extra)
+        assert run(["sample-mu", "--rates", "1.5,2,4", "--length", "2000",
+                    "--out", str(out), *extra]) == 0
+        data = (out / "mu.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_sample_mu_dump(tmp_path):

@@ -334,6 +334,12 @@ def test_one_row_sampler_doubles_its_budget():
 def test_batched_sampler_refuses_a_short_budget():
     with pytest.raises(RuntimeError, match="budget"):
         list(sample_X_blocks(50, math.exp(30.0), RngSpec(55, "mp-short"), 4, 16))
+    # bad arguments are refused by the call itself, before any block is drawn
+    for m, rho_max, cols, rows in ((1, float("nan"), 24, 1), (1, math.inf, 24, 1),
+                                   (1, 0.5, 24, 1), (0, 4.0, 24, 1), (1, 4.0, 0, 1),
+                                   (1, 4.0, 24, 0)):
+        with pytest.raises(ValueError):
+            sample_X_blocks(m, rho_max, RngSpec(55, "mp-args"), cols, rows)
 
 
 def test_block_readers_match_each_row():

@@ -57,29 +57,6 @@ def test_dmap_warns_when_means_not_increasing():
         dmap(MultiConfig.from_lines(lines), BoundaryPolicy.given(0.0))
 
 
-def test_stationary_labels_stay_distinct(monkeypatch):
-    # under a stationary boundary every queue draws its left sojourn from
-    # the stream its label names, so a label used twice would hand two
-    # queues the same uniform
-    tags = []
-    resolve = BoundaryPolicy.resolve_j_left
-
-    def record(self, arrivals, services, tag="boundary"):
-        tags.append(tag)
-        return resolve(self, arrivals, services, tag)
-
-    monkeypatch.setattr(BoundaryPolicy, "resolve_j_left", record)
-    spec = RngSpec(50, "labels")
-    policy = BoundaryPolicy.stationary(spec.sub("edge"))
-    cfg = random_config(spec)
-    dmap(cfg, policy)
-    sample_mu_rho((2.5, 1.6, 4.0), 1, 300, spec.sub("mu"), policy)
-    multiline_step(cfg, sample_exp_window(1, 300, 1.0, spec.sub("w")), policy)
-    # three fold stages each for dmap and sample_mu_rho, three chain links
-    assert len(tags) == 9
-    assert len(set(tags)) == len(tags)
-
-
 def test_mu_rho_line_marginals():
     rates = (1.5, 2.0, 4.0)
     cfg = sample_mu_rho(rates, 1, 30000, RngSpec(11, "mu"), BURN)

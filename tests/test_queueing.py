@@ -491,7 +491,7 @@ def test_nan_or_negative_left_sojourn_is_refused(bad):
     with pytest.raises(ValueError, match="nonnegative"):
         BoundaryPolicy.given(bad)
     with pytest.raises(ValueError, match="nonnegative"):
-        BoundaryPolicy("given", j_left=bad)
+        BoundaryPolicy(j_left=bad)
 
 
 def test_burn_in_trim_cuts_windows_and_stacks():
@@ -516,31 +516,11 @@ def test_intertwining_interior_is_the_burn_in_trim():
             check_intertwining_identity(seqs, svc, fraction=fraction)
 
 
-def test_stationary_policy_draws_equilibrium_sojourn():
-    lam, rho = 1.0, 2.0
-    arr = sample_exp_window(1, 10, rho, RngSpec(1, "a"))
-    svc = sample_exp_window(1, 10, lam, RngSpec(1, "b"))
-    draws = [BoundaryPolicy.stationary(RngSpec(1, "st", replica=r),
-                                       arrival_mean=rho, service_mean=lam)
-             .resolve_j_left(arr, svc) for r in range(4000)]
-    target = 1.0 / (1.0 / lam - 1.0 / rho)
-    assert abs(np.mean(draws) - target) < 4 * target / np.sqrt(len(draws))
-
-
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        BoundaryPolicy("weird")
     with pytest.raises(ValueError):
         BoundaryPolicy.given(-1.0)
     with pytest.raises(ValueError):
         BoundaryPolicy.burn_in(1.0)
-    with pytest.raises(ValueError):
-        BoundaryPolicy("stationary")
-    pol = BoundaryPolicy.stationary(RngSpec(1, "s"))
-    unstable_arr = sample_exp_window(1, 10, 1.0, RngSpec(1, "u1"))
-    unstable_svc = sample_exp_window(1, 10, 2.0, RngSpec(1, "u2"))
-    with pytest.raises(ValueError):
-        pol.resolve_j_left(unstable_arr, unstable_svc)
 
 
 def test_misaligned_windows_rejected():
