@@ -56,13 +56,14 @@ class Direction:
             raise ValueError("zero direction")
         object.__setattr__(self, "e1", self.e1 / norm)
         object.__setattr__(self, "e2", self.e2 / norm)
-        if self.e1 >= 0.0 or self.e2 >= 0.0:
+        # Written so that a NaN component fails it too.
+        if not (self.e1 < 0.0 and self.e2 < 0.0):
             raise ValueError("direction must point into the open third quadrant")
 
 
 def direction_of_rho(rho: float) -> Direction:
     """Characteristic direction for horizontal-increment mean rho > 1."""
-    if rho <= 1.0:
+    if not rho > 1.0:
         raise ValueError("rho must exceed 1")
     t = (rho - 1.0) ** 2
     return Direction(-1.0 / (1.0 + t), -t / (1.0 + t))
@@ -74,7 +75,7 @@ def rho_of_direction(u) -> float:
         a, b = -u.e1, -u.e2
     else:
         a, b = -float(u[0]), -float(u[1])
-    if a <= 0.0 or b <= 0.0:
+    if not (a > 0.0 and b > 0.0):
         raise ValueError("direction must point into the open third quadrant")
     return 1.0 + math.sqrt(b / a)
 
@@ -109,14 +110,8 @@ class BusemannEdgeEstimates:
 
 def _slice_to_corner(field: WeightField, m1: int, m2: int) -> np.ndarray:
     """Values of field on [-m1, 0] x [-m2, 0]; the field must cover it."""
-    o1, o2 = field.origin
-    r, c = field.values.shape
-    top1, top2 = o1 + r - 1, o2 + c - 1
-    if o1 > -m1 or o2 > -m2 or top1 < 0 or top2 < 0:
-        raise ValueError("field does not cover the requested rectangle")
-    i0 = -m1 - o1
-    j0 = -m2 - o2
-    return field.values[i0:i0 + m1 + 1, j0:j0 + m2 + 1]
+    (i0, j0), (i1, j1) = field.index((-m1, -m2)), field.index((0, 0))
+    return field.values[i0:i1 + 1, j0:j1 + 1]
 
 
 def _window(m1: int, m2: int, window: int | None) -> int:
@@ -240,11 +235,10 @@ def competition_interface(weights: WeightField, steps: int | None = None) -> np.
     (0, -1), with a site that ties counted in the tree through (0, -1).
     Returns the visited points, shape (steps+1, 2).
     """
-    o1, o2 = weights.origin
-    r, c = weights.values.shape
-    if o1 + r - 1 != 0 or o2 + c - 1 != 0:
+    r, c = weights.shape
+    if weights.index((0, 0)) != (r - 1, c - 1):
         raise ValueError("field must end at the origin")
-    limit = min(-o1, -o2) - 1
+    limit = min(r, c) - 2
     if steps is None:
         steps = limit
     if steps < 1 or steps > limit:

@@ -53,19 +53,6 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace, keys: dict) -> None:
-    """Fill argparse defaults from the config file; explicit flags win."""
-    if not args.config:
-        return
-    values = _read_config(args.config)
-    unknown = set(values) - set(keys)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key, cast in keys.items():
-        if key in values and key not in args.explicit:
-            setattr(args, key, cast(values[key]))
-
-
 def _out_path(args, name: str) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -168,7 +155,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="key=value config file; flags win over it")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="cgmlab",
         description="corner growth laboratory: verification suites and dumps")
@@ -193,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=1000, help="window length")
     p.add_argument("--burn-in", type=float, default=0.2, dest="burn_in",
                    help="boundary burn-in fraction")
-    return parser
+    return parser, sub.choices
 
 
 def _bool(text: str) -> bool:
@@ -202,22 +190,29 @@ def _bool(text: str) -> bool:
     return text == "true"
 
 
-_CONFIG_KEYS = {
-    "seed": int, "out": str, "n": int,
-    "length": int, "rates": str, "burn_in": float, "force": _bool,
-    "instances": int, "window": int,
-}
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv.  A --config file's values become the subcommand's
+    defaults and argv is parsed again, so argparse converts each value with
+    its flag's type and any flag on the command line, abbreviated or not,
+    wins.  force, a flag without a type, is converted here."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    values = _read_config(args.config)
+    unknown = set(values) - (set(vars(args)) - {"command", "config"})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    if "force" in values:
+        values["force"] = _bool(values["force"])
+    commands[args.command].set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args.explicit = {a.split("=")[0].lstrip("-").replace("-", "_")
-                     for a in argv if a.startswith("--")}
     try:
-        keys = {k: c for k, c in _CONFIG_KEYS.items() if hasattr(args, k)}
-        _merge_config(args, keys)
+        args = _parse(argv)
         if args.command in _SUITES:
             return _run_verify(args, _SUITES[args.command])
         if args.command == "simulate-lpp":

@@ -39,6 +39,10 @@ is exactly a row that holds a NaN or infinite weight (or whose sum
 overflows), raising ValueError before a dropped NaN could turn into
 finite, wrong passage times.
 
+A table is a GTable, a WeightField of passage times, and every lattice
+lookup (a table value, a walk's target, the oracle's endpoints) maps its
+point to an array index through WeightField.index.
+
 The limit shape of G along the diagonal is governed by
 g(x) = (sqrt|x1| + sqrt|x2|)^2 for x in the third quadrant, with
 G(-N, -N -> 0) / N approaching g(-1, -1) = 4.
@@ -79,32 +83,10 @@ STEP_E1 = 0
 STEP_E2 = 1
 
 
-@dataclass(eq=False)
-class GTable:
-    """Passage times from a fixed origin to every point of a rectangle.
-
-    values[a, b] = G(origin, origin + (a, b)).
+class GTable(WeightField):
+    """Passage times from a fixed origin to every point of a rectangle, a
+    WeightField whose values[a, b] = G(origin, origin + (a, b)).
     """
-
-    origin: tuple[int, int]
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.origin = (int(self.origin[0]), int(self.origin[1]))
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("GTable values must be 2-dimensional")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-    def at(self, point: tuple[int, int]) -> float:
-        a = point[0] - self.origin[0]
-        b = point[1] - self.origin[1]
-        if a < 0 or b < 0 or a >= self.values.shape[0] or b >= self.values.shape[1]:
-            raise ValueError(f"point {point} outside table")
-        return float(self.values[a, b])
 
 
 @dataclass(eq=False)
@@ -309,14 +291,7 @@ def brute_force_table(weights: WeightField, start: tuple[int, int],
     of the rectangle, each summed in path order.  Refuses more than
     max_paths paths to end.
     """
-    a0 = start[0] - weights.origin[0]
-    b0 = start[1] - weights.origin[1]
-    a1 = end[0] - weights.origin[0]
-    b1 = end[1] - weights.origin[1]
-    rows, cols = weights.values.shape
-    for a, b in ((a0, b0), (a1, b1)):
-        if not (0 <= a < rows and 0 <= b < cols):
-            raise ValueError("endpoint outside the weight field")
+    (a0, b0), (a1, b1) = weights.index(start), weights.index(end)
     da, db = a1 - a0, b1 - b0
     if da < 0 or db < 0:
         raise ValueError("end must lie northeast of start")
@@ -390,11 +365,7 @@ def backtrack_geodesic(table: GTable, target: tuple[int, int],
 
     The recorded weight sum along the path equals table.at(target).
     """
-    a = target[0] - table.origin[0]
-    b = target[1] - table.origin[1]
-    if a < 0 or b < 0 or a >= table.values.shape[0] or b >= table.values.shape[1]:
-        raise ValueError("target outside table")
-    steps, truncated = walk_to_corner(table.values, a, b, max_steps)
+    steps, truncated = walk_to_corner(table.values, *table.index(target), max_steps)
     return GeodesicPath(target, steps, truncated)
 
 

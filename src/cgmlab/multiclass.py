@@ -1,9 +1,11 @@
 """Multiclass configurations driven by queueing maps.
 
 A MultiConfig is a stack of aligned increment windows, one per class line,
-optionally tagged with the mean of each line.  Two Markov dynamics act on
-it.  The multiline step feeds the shared service window through the lines
-in order, each line seeing the unused input of the one before.  The
+optionally tagged with the mean of each line: the stack form of
+rng.SeqWindow, whose offset, end and suffix it shares, so a config cut by
+BoundaryPolicy.trim keeps its rates.  Two Markov dynamics act on it.  The
+multiline step feeds the shared service window through the lines in
+order, each line seeing the unused input of the one before.  The
 coupled step applies the departure map with the same service window to
 every line.  The iterated departure map (line i folded through lines
 i-1, ..., 1) intertwines the two dynamics and pushes independent
@@ -40,21 +42,19 @@ __all__ = [
 
 
 @dataclass(eq=False)
-class MultiConfig:
-    """Aligned increment windows for n class lines.
+class MultiConfig(SeqWindow):
+    """Aligned increment windows for n class lines: a SeqWindow stack.
 
     values has shape (n_lines, length); line i covers the same index
-    window offset .. offset + length - 1.  rates, when present, records
-    the nominal mean of each line.
+    window offset .. offset + length - 1, and offset, end and suffix are
+    the window's.  rates, when present, records the nominal mean of each
+    line, and a suffix keeps it.
     """
 
-    offset: int
-    values: np.ndarray
     rates: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        self.offset = int(self.offset)
-        self.values = np.asarray(self.values, dtype=np.float64)
+        super().__post_init__()
         if self.values.ndim != 2:
             raise ValueError("MultiConfig values must be 2-dimensional")
         if self.values.shape[1] == 0:
@@ -74,10 +74,6 @@ class MultiConfig:
     def length(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def end(self) -> int:
-        return self.offset + self.length
-
     def line(self, i: int) -> SeqWindow:
         return SeqWindow(self.offset, self.values[i])
 
@@ -85,11 +81,6 @@ class MultiConfig:
     def from_lines(lines: list[SeqWindow], rates=None) -> "MultiConfig":
         same_window(*lines)
         return MultiConfig(lines[0].offset, np.vstack([w.values for w in lines]), rates)
-
-    def suffix(self, start: int) -> "MultiConfig":
-        if start < self.offset or start >= self.end:
-            raise ValueError("suffix start outside window")
-        return MultiConfig(start, self.values[:, start - self.offset :], self.rates)
 
 
 def multiline_step(config: MultiConfig, services: SeqWindow,

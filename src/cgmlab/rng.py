@@ -19,6 +19,12 @@ blocks can be drawn into a caller's buffer, whose length sets the rows
 per block (one member's slot of a stack of fields drawn in lockstep, or
 a sample block of a fast criterion).  Which way round a table fill reads
 the rows is lpp's to decide, not the source's.
+
+Each container shape has one implementation: WeightField for values on
+a lattice rectangle (lpp.GTable holds passage times), whose index() is
+the one map from a lattice point to an array index, and SeqWindow for a
+window or a stack of aligned windows (multiclass.MultiConfig is a stack
+of class lines).
 """
 
 from __future__ import annotations
@@ -98,12 +104,17 @@ class WeightField:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def at(self, point: tuple[int, int]) -> float:
+    def index(self, point: tuple[int, int]) -> tuple[int, int]:
+        """The array index (a, b) of lattice point point = origin + (a, b);
+        ValueError outside the rectangle."""
         a = point[0] - self.origin[0]
         b = point[1] - self.origin[1]
-        if a < 0 or b < 0 or a >= self.values.shape[0] or b >= self.values.shape[1]:
-            raise ValueError(f"point {point} outside field")
-        return float(self.values[a, b])
+        if not (0 <= a < self.values.shape[0] and 0 <= b < self.values.shape[1]):
+            raise ValueError(f"point {point} outside the rectangle")
+        return a, b
+
+    def at(self, point: tuple[int, int]) -> float:
+        return float(self.values[self.index(point)])
 
 
 @dataclass(eq=False)
@@ -140,10 +151,11 @@ class SeqWindow:
         return float(self.values.mean())
 
     def suffix(self, start: int) -> "SeqWindow":
-        """The sub-window from absolute index start onward."""
+        """The sub-window from absolute index start onward, of the window's
+        own class, with its other fields kept."""
         if start < self.offset or start > self.end:
             raise ValueError("suffix start outside window")
-        return SeqWindow(start, self.values[..., start - self.offset :])
+        return replace(self, offset=start, values=self.values[..., start - self.offset :])
 
 
 def same_window(*windows: SeqWindow) -> None:
@@ -172,17 +184,18 @@ def sample_uniform(shape, spec: RngSpec) -> np.ndarray:
     return spec.generator().random(shape)
 
 
-def _check_field(rows: int, cols: int, mean: float) -> None:
-    if rows <= 0 or cols <= 0:
-        raise ValueError("field dimensions must be positive")
-    if not mean > 0:
-        raise ValueError("mean must be positive")
+def _check_draw(shape: tuple[int, ...], mean: float) -> None:
+    """Refuse an empty draw, or a mean outside (0, inf), a NaN mean too."""
+    if min(shape) <= 0:
+        raise ValueError("draw dimensions must be positive")
+    if not 0 < mean < np.inf:
+        raise ValueError("mean must be positive and finite")
 
 
 def sample_exp_field(rows: int, cols: int, mean: float, spec: RngSpec,
                      origin: tuple[int, int] = (0, 0)) -> WeightField:
     """I.i.d. exponential weights with the given mean on a rows x cols rectangle."""
-    _check_field(rows, cols, mean)
+    _check_draw((rows, cols), mean)
     return WeightField(origin, _exp_in_place(sample_uniform((rows, cols), spec), mean))
 
 
@@ -207,7 +220,7 @@ class ExpFieldRows:
     spec: RngSpec
 
     def __post_init__(self):
-        _check_field(self.rows, self.cols, self.mean)
+        _check_draw(self.shape, self.mean)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -236,8 +249,5 @@ class ExpFieldRows:
 
 def sample_exp_window(offset: int, length: int, mean: float, spec: RngSpec) -> SeqWindow:
     """I.i.d. exponential window with the given mean."""
-    if length <= 0:
-        raise ValueError("window length must be positive")
-    if not mean > 0:
-        raise ValueError("mean must be positive")
+    _check_draw((length,), mean)
     return SeqWindow(offset, _exp_in_place(sample_uniform(length, spec), mean))

@@ -42,6 +42,19 @@ def test_direction_validation():
         Direction(0.5, -0.5)
     with pytest.raises(ValueError):
         rho_of_direction((0.5, -0.5))
+    # a NaN fails every check instead of passing through it
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        Direction(-1.0, nan)
+    with pytest.raises(ValueError):
+        rho_of_direction((-1.0, nan))
+    with pytest.raises(ValueError, match="exceed"):
+        direction_of_rho(nan)
+    # a Direction forced to hold a NaN, which its own check now refuses
+    u = Direction(-1.0, -1.0)
+    object.__setattr__(u, "e2", nan)
+    with pytest.raises(ValueError):
+        rho_of_direction(u)
 
 
 def test_scaled_corner_sums_to_scale():

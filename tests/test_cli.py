@@ -100,6 +100,9 @@ def test_existing_output_needs_force(tmp_path, capsys):
     for value, code in (("false", 2), ("true", 0)):
         cfg.write_text(f"force={value}\n")
         assert run(q_args(out, ["--config", str(cfg)])) == code
+    # an abbreviated flag wins over the file too
+    cfg.write_text("force=false\n")
+    assert run(q_args(out, ["--config", str(cfg), "--for"])) == 0
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
@@ -135,6 +138,11 @@ def test_config_supplies_defaults_but_flags_win(tmp_path):
     out = tmp_path / "b"
     assert run(["verify-queueing", "--out", str(out), "--config", str(cfg),
                 "--seed", "456"]) == 0
+    row = json.loads((out / "reports.jsonl").read_text().splitlines()[0])
+    assert row["seed"] == 456
+    out = tmp_path / "c"
+    assert run(["verify-queueing", "--out", str(out), "--config", str(cfg),
+                "--se", "456"]) == 0
     row = json.loads((out / "reports.jsonl").read_text().splitlines()[0])
     assert row["seed"] == 456
 
@@ -221,3 +229,8 @@ def test_sample_mu_dump(tmp_path):
     assert len(mu) == 1 + 2 * 40  # twenty percent burn-in trimmed
     rates = (out / "mu_rates.csv").read_text().splitlines()
     assert rates == ["line,rate", "0,2.0", "1,3.0"]
+    # an infinite mean is refused before anything is written
+    out = tmp_path / "inf"
+    assert run(["sample-mu", "--rates", "2,inf", "--length", "20",
+                "--out", str(out)]) == 2
+    assert not out.exists()

@@ -49,6 +49,8 @@ def bits(values):
 def test_two_by_two_ones():
     field = WeightField((0, 0), np.ones((2, 2)))
     table = lpp_grid(field)
+    # a table is the WeightField of passage times
+    assert isinstance(table, WeightField)
     assert table.at((1, 1)) == 3.0
     assert table.at((0, 1)) == 2.0
 
@@ -384,10 +386,11 @@ def test_fills_refuse_non_finite_weights(bad):
         stack = np.stack([vals, wide, vals], axis=1)
         with pytest.raises(ValueError, match="finite"):
             CornerFill(12, (3, 20), 1).feed(stack)
-    # a stack member drawn with infinite mean has infinite weights
+    # a source refuses an infinite mean, but a stack member drawn with the
+    # largest finite mean has weights that overflow to infinity
     members = [ExpFieldRows(12, 20, mean, spec.sub(f"m{k}"))
-               for k, mean in enumerate((1.0, np.inf))]
-    with pytest.raises(ValueError, match="finite"):
+               for k, mean in enumerate((1.0, np.finfo(float).max))]
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         corner_fill(members, 2)
 
 

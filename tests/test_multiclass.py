@@ -31,6 +31,11 @@ def test_config_accessors_and_validation():
     assert cfg.length == 300
     assert cfg.end == 301
     assert cfg.line(1).offset == 1
+    # a cut config is still a config, and keeps its rates
+    cut = BoundaryPolicy.burn_in(0.2).trim(cfg)
+    assert isinstance(cut, MultiConfig) and cut.rates == cfg.rates
+    with pytest.raises(ValueError):
+        cfg.suffix(cfg.end)
     with pytest.raises(ValueError):
         MultiConfig.from_lines([SeqWindow(0, [1.0]), SeqWindow(1, [1.0])])
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Determinism, keying, and coupling properties of the random streams."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,8 @@ def test_field_rows_are_slices_of_the_whole_draw(rows, cols, block, monkeypatch)
 
 
 def test_field_rows_validation():
-    for args in ((0, 4, 1.0), (4, 0, 1.0), (4, 4, 0.0)):
+    for args in ((0, 4, 1.0), (4, 0, 1.0), (4, 4, 0.0), (4, 4, math.inf),
+                 (4, 4, math.nan)):
         with pytest.raises(ValueError):
             ExpFieldRows(*args, RngSpec(1, "x"))
 
@@ -119,6 +122,14 @@ def test_field_lookup_and_origin():
     assert f.at((-1, 1)) == 5.0
     with pytest.raises(ValueError):
         f.at((0, 0))
+    # index maps each corner of the rectangle to its array corner, and
+    # refuses a point one step outside each edge
+    corners = {(-2, -1): (0, 0), (-2, 1): (0, 2), (-1, -1): (1, 0), (-1, 1): (1, 2)}
+    for point, index in corners.items():
+        assert f.index(point) == index
+    for point in ((-3, 0), (0, 0), (-2, -2), (-1, 2)):
+        with pytest.raises(ValueError):
+            f.index(point)
 
 
 def test_spec_validation():
@@ -128,5 +139,6 @@ def test_spec_validation():
         RngSpec(2, "x", replica=-3)
     with pytest.raises(ValueError):
         sample_exp_window(0, 0, 1.0, RngSpec(1, "x"))
-    with pytest.raises(ValueError):
-        sample_exp_window(0, 5, 0.0, RngSpec(1, "x"))
+    for mean in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sample_exp_window(0, 5, mean, RngSpec(1, "x"))
