@@ -386,10 +386,9 @@ def wait_indicator_run(j_left: float, arrivals: SeqWindow,
                        services: SeqWindow) -> int:
     """Length of the initial stretch of slots whose arrival is fully
     absorbed by the standing sojourn, the queueing twin of the initial
-    straight run."""
-    out = lindley_iterate(j_left, arrivals, services)
-    j_prev = np.concatenate([[j_left], out.sojourn.values[:-1]])
-    waits = arrivals.values <= j_prev
+    straight run: a slot absorbs I_k <= J_{k-1} exactly when the sweep's
+    unused input min(I_k, J_{k-1}), one of its operands, is I_k."""
+    waits = lindley_iterate(j_left, arrivals, services).unused.values == arrivals.values
     if waits.all():
         return len(waits)
     return int(np.argmin(waits))

@@ -23,14 +23,16 @@ transpose-symmetric, and a tall source is gathered into that transpose a
 block at a time.
 
 One row step, _row_step, fills every row of every max-plus recursion in
-the package: the corner tables here, the levels of
-stationary_halfplane_lpp, and queueing's two-level strip table.  It
-fills one table's row, or the rows of a stack of K tables of one shape
-at once, a (K, cols) array worked along its last axis.  corner_fill
-fills a list of sources as such a stack, each member drawn into its own
-slot of one block buffer, so the per-call cost of the step's ufuncs is
-paid once per K rows of narrow tables.  The step's running maximum is taken with fmax, a faster loop
-than maximum.
+the package, one table's row or the rows of a stack of K tables of one
+shape at once, a (K, cols) array worked along its last axis.  CornerFill
+steps every table: the corner tables here, a list of sources drawn into
+one block buffer (the per-call cost of the step's ufuncs is then paid
+once per K rows), and the levels of stationary_halfplane_lpp, one table
+per line.  Two callers step rows themselves: busemann.competition_interface
+fills a shrinking triangle only as far as its walk descends, and
+queueing.strip_lpp_H takes one step from a boundary row that is no
+table's first row.  The running maximum is taken with fmax, a faster
+loop than maximum.
 The two differ only where an operand is NaN (fmax drops it, maximum
 keeps it) and in which of two equal zeros of opposite sign they return,
 which reaches a passage time only through weights of -0.0.  So weights
@@ -379,7 +381,10 @@ def stationary_halfplane_lpp(initial: MultiConfig, weights: WeightField) -> list
     the bulk at any window column j <= k.  The window's west column is
     pinned to 0 at every level, which makes one level exactly a departure
     map applied with an empty queue at the west edge; iterating levels
-    therefore reproduces iterated coupled departures.
+    therefore reproduces iterated coupled departures.  The levels are one
+    CornerFill stack, a table per line, fed the initial increments and then
+    each level's weights across the lines; level t > 0 is the increments
+    of table row t.
     """
     if weights.origin != (initial.offset, 1):
         raise ValueError(
@@ -389,18 +394,10 @@ def stationary_halfplane_lpp(initial: MultiConfig, weights: WeightField) -> list
     length, levels = weights.values.shape
     if length != initial.length:
         raise ValueError("weight field and initial window lengths differ")
-    if length == 0:
-        raise ValueError("empty window")
-    g, nxt, scratch = np.empty((3, *initial.values.shape))
-    _prefix_sums(initial.values, g)
-    means = initial.values.mean(axis=1)
-    if np.any(means <= 1.0):
+    fill = CornerFill(levels + 1, initial.values.shape, (levels + 1, length))
+    fill.feed(initial.values[None])
+    if np.any(initial.values.mean(axis=1) <= 1.0):
         warnings.warn("initial increments should have Cesaro mean above the bulk mean 1")
-    out = [initial]
-    for t in range(1, levels + 1):
-        # one step of the stack of lines, every line reading the same level
-        row = np.broadcast_to(weights.values[:, t - 1], g.shape)
-        _row_step(g, row, nxt, scratch)
-        g, nxt = nxt, g
-        out.append(replace(initial, values=np.diff(g, axis=1, prepend=0.0)))
-    return out
+    fill.feed(np.broadcast_to(weights.values.T[:, None], (levels, *initial.values.shape)))
+    return [initial] + [replace(initial, values=np.diff(g, axis=1, prepend=0.0))
+                        for g in fill.corner[1:]]

@@ -11,9 +11,10 @@ every line.  The iterated departure map (line i folded through lines
 i-1, ..., 1) intertwines the two dynamics and pushes independent
 exponential lines forward to the coupled stationary law, which is how
 sample_mu_rho draws it.  The triangular arrays expose every intermediate
-departure/unused pair of that fold; their diagonal reproduces the fold,
-and selected entries satisfy exact independence properties that
-check_independence_structure estimates by correlation.
+departure/unused pair of that fold; their columns are multiline steps,
+their diagonal reproduces the fold, and selected entries satisfy exact
+independence properties that check_independence_structure estimates by
+correlation.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ class MultiConfig(SeqWindow):
             self.rates = tuple(float(r) for r in self.rates)
             if len(self.rates) != self.values.shape[0]:
                 raise ValueError("rates length must match the number of lines")
-            if any(r <= 0 for r in self.rates):
-                raise ValueError("rates must be positive")
+            # Written so that a NaN rate fails it too.
+            if not all(0 < r < np.inf for r in self.rates):
+                raise ValueError("rates must be positive and finite")
 
     @property
     def n_lines(self) -> int:
@@ -93,24 +95,23 @@ def multiline_step(config: MultiConfig, services: SeqWindow,
     """
     same_window(config.line(0), services)
     lines = [config.line(i) for i in range(config.n_lines)]
-    out_lines = [d.values for d in _unused_chain(lines, services, policy.j_left)]
-    return policy.trim(MultiConfig(config.offset, np.vstack(out_lines), config.rates))
+    chain = _unused_chain(lines, services, policy.j_left)
+    return policy.trim(MultiConfig.from_lines([o.departures for o in chain], config.rates))
 
 
 def coupled_step(config: MultiConfig, services: SeqWindow,
                  policy: BoundaryPolicy = DEFAULT_POLICY) -> MultiConfig:
     """One coupled update: every line departs against the same service window."""
     same_window(config.line(0), services)
-    out_lines = [lindley_iterate(policy.j_left, config.line(i), services).departures.values
+    out_lines = [lindley_iterate(policy.j_left, config.line(i), services).departures
                  for i in range(config.n_lines)]
-    return policy.trim(MultiConfig(config.offset, np.vstack(out_lines), config.rates))
+    return policy.trim(MultiConfig.from_lines(out_lines, config.rates))
 
 
-def _fold_lines(lines: list[SeqWindow], j_left: float) -> list[np.ndarray]:
-    """Values of line i folded through lines i-1, ..., 0 as services, line 0
-    as it is, untrimmed; every queue starts from the left sojourn value j_left."""
-    return [lines[0].values] + [_fold(lines[i::-1], j_left).values
-                                for i in range(1, len(lines))]
+def _fold_lines(lines: list[SeqWindow], j_left: float) -> list[SeqWindow]:
+    """Line i folded through lines i-1, ..., 0 as services, line 0 as it
+    is, untrimmed; every queue starts from the left sojourn value j_left."""
+    return [lines[0]] + [_fold(lines[i::-1], j_left) for i in range(1, len(lines))]
 
 
 def dmap(config: MultiConfig, policy: BoundaryPolicy = DEFAULT_POLICY) -> MultiConfig:
@@ -124,8 +125,8 @@ def dmap(config: MultiConfig, policy: BoundaryPolicy = DEFAULT_POLICY) -> MultiC
     if np.any(np.diff(means) <= 0):
         warnings.warn("line means should be strictly increasing for a stable fold")
     lines = [config.line(i) for i in range(config.n_lines)]
-    folded = _fold_lines(lines, policy.j_left)
-    return policy.trim(MultiConfig(config.offset, np.vstack(folded), config.rates))
+    return policy.trim(MultiConfig.from_lines(_fold_lines(lines, policy.j_left),
+                                              config.rates))
 
 
 def sample_mu_rho(rates, offset: int, length: int, spec: RngSpec,
@@ -137,12 +138,11 @@ def sample_mu_rho(rates, offset: int, length: int, spec: RngSpec,
     share one computed line, and unsorted inputs are sorted for the
     computation and unsorted on output.  Different draws must use different
     RngSpec labels or replicas, the sampler is a pure function of its spec.
+    Each rate is a draw mean, so one outside (0, inf), or a NaN, is refused.
     """
     rates = tuple(float(r) for r in rates)
     if not rates:
         raise ValueError("need at least one rate")
-    if any(r <= 0 for r in rates):
-        raise ValueError("rates must be positive")
     if length <= 0:
         raise ValueError("window length must be positive")
     distinct = sorted(set(rates))
@@ -150,8 +150,7 @@ def sample_mu_rho(rates, offset: int, length: int, spec: RngSpec,
     lines = [sample_exp_window(offset, length, r, spec.sub(f"line{g}"))
              for g, r in enumerate(distinct)]
     folded = _fold_lines(lines, policy.j_left)
-    values = np.vstack([folded[group[r]] for r in rates])
-    return policy.trim(MultiConfig(offset, values, rates))
+    return policy.trim(MultiConfig.from_lines([folded[group[r]] for r in rates], rates))
 
 
 @dataclass(eq=False)
@@ -184,22 +183,22 @@ def build_triangular_arrays(config: MultiConfig,
     """All intermediate departure/unused stages of the iterated departure map.
 
     Row i starts from line i and is driven stage by stage through the
-    unused outputs of row i-1.  With validate set, the diagonal is checked
-    against the direct fold on the post-burn-in interior.
+    unused outputs of row i-1, so column j is one multiline step: lines
+    j, ..., n-1 at stage j-1 against the diagonal entry eta[j-1][j-1].  With
+    validate set, the diagonal is checked against the direct fold on the
+    post-burn-in interior.
     """
     n = config.n_lines
-    eta: list[list[SeqWindow]] = [[None] * (i + 1) for i in range(n)]
-    xi: list[list[SeqWindow]] = [[None] * (i + 1) for i in range(n)]
-    eta[0][0] = config.line(0)
-    xi[0][0] = config.line(0)
-    for i in range(1, n):
-        eta[i][0] = config.line(i)
-        for j in range(1, i + 1):
-            svc = xi[i - 1][j - 1]
-            out = lindley_iterate(policy.j_left, eta[i][j - 1], svc)
-            eta[i][j] = out.departures
-            xi[i][j - 1] = out.unused
-        xi[i][i] = eta[i][i]
+    eta = [[config.line(i)] for i in range(n)]
+    xi = [[] for _ in range(n)]
+    for j in range(1, n):
+        chain = _unused_chain([row[j - 1] for row in eta[j:]], eta[j - 1][j - 1],
+                              policy.j_left)
+        for i, out in enumerate(chain, j):
+            eta[i].append(out.departures)
+            xi[i].append(out.unused)
+    for i in range(n):
+        xi[i].append(eta[i][i])
     arr = TriArray(config.offset, eta, xi, config.rates)
     if validate and n > 1:
         direct = DEFAULT_POLICY.trim(dmap(config, BoundaryPolicy.given(0.0)))

@@ -147,8 +147,8 @@ class BoundaryPolicy:
     fraction: float = 0.0
 
     def __post_init__(self):
-        if not self.j_left >= 0:
-            raise ValueError("left sojourn value must be nonnegative")
+        if not 0 <= self.j_left < math.inf:
+            raise ValueError("left sojourn value must be nonnegative and finite")
         if not 0 <= self.fraction < 1:
             raise ValueError("burn-in fraction must lie in [0, 1)")
 
@@ -207,13 +207,13 @@ def _append(values: np.ndarray, right) -> np.ndarray:
 
 def _left_values(j_left: float | np.ndarray, arr: np.ndarray) -> float | np.ndarray:
     """j_left as a float for one window, as a fresh (K,) array for a stack;
-    refuses a negative or NaN value."""
+    refuses a negative, infinite or NaN value."""
     if arr.ndim == 1:
         j = float(j_left)
     else:
         j = np.broadcast_to(np.asarray(j_left, dtype=np.float64), arr.shape[:1]).copy()
-    if not np.all(j >= 0):
-        raise ValueError("left sojourn value must be nonnegative")
+    if not np.all((0 <= j) & (j < math.inf)):
+        raise ValueError("left sojourn value must be nonnegative and finite")
     return j
 
 
@@ -356,18 +356,17 @@ def _fold(sequences: list[SeqWindow], j_left: float) -> SeqWindow:
     return acc
 
 
-def _unused_chain(lines: list[SeqWindow], services: SeqWindow,
-                  j_left: float) -> list[SeqWindow]:
-    """Departures of each line against the unused input of the line before,
+def _unused_chain(lines: list[SeqWindow], services: SeqWindow, j_left: float):
+    """Yield each line's sweep against the unused input of the line before,
     the first line against services, untrimmed; every queue starts from the
-    left sojourn value j_left."""
+    left sojourn value j_left: one multiline step, or a column of the
+    triangular arrays.  A caller that keeps only the departures holds one
+    stage's sojourn and unused input at a time."""
     w = services
-    departures = []
     for arr in lines:
         out = lindley_iterate(j_left, arr, w)
-        departures.append(out.departures)
+        yield out
         w = out.unused
-    return departures
 
 
 @dataclass(eq=False)
@@ -468,7 +467,8 @@ def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWind
     burn = BoundaryPolicy.burn_in(fraction)
     lhs = _fold(list(arrival_seqs) + [services], 0.0)
     # Chain the unused input upward from the bottom stream.
-    transformed = _unused_chain(arrival_seqs[::-1], services, 0.0)
+    transformed = [out.departures
+                   for out in _unused_chain(arrival_seqs[::-1], services, 0.0)]
     rhs = _fold(transformed[::-1], 0.0)
     lhs, rhs = burn.trim(lhs), burn.trim(rhs)
     return _check("intertwining", [lhs.values - rhs.values], tolerance,

@@ -368,8 +368,9 @@ def criterion_10(seed: int) -> CriterionResult:
                           for label, rate in (("alpha", alpha), ("beta", beta)))
     wins = [0, 0, 0]
     for sig, tau in zip(sig_rows, tau_rows):
-        np.cumsum(sig, axis=1, out=sig)  # the jump times
-        np.cumsum(tau, axis=1, out=tau)
+        for x in (sig, tau):  # the jump times: cumsum's sums, a column at a time
+            np.add(x[:, 0], x[:, 1], out=x[:, 1])
+            np.add(x[:, 1], x[:, 2], out=x[:, 2])
         run = np.ones(len(sig), dtype=bool)
         for n in (1, 2, 3):
             run &= sig[:, n - 1] < tau[:, n - 1]

@@ -14,7 +14,7 @@ from cgmlab.busemann import (BusemannEdgeEstimates, Direction,
 from cgmlab.exact import initial_run_pmf
 from cgmlab.lpp import STEP_E1, STEP_E2, backtrack_geodesic, lpp_grid, walk_to_corner
 from cgmlab.multiclass import sample_mu_rho
-from cgmlab.queueing import BoundaryPolicy
+from cgmlab.queueing import BoundaryPolicy, lindley_iterate
 from cgmlab.rng import (RngSpec, SeqWindow, WeightField, exp_from_uniform,
                         sample_exp_field)
 from cgmlab.stats import chi_square_pmf, correlation_test, ks_two_sample
@@ -484,6 +484,29 @@ def test_wait_indicator_run_hand_trace():
     assert wait_indicator_run(0.5, arr, svc) == 0
     tiny = SeqWindow(1, [0.1, 0.1, 0.1])
     assert wait_indicator_run(5.0, tiny, SeqWindow(1, [9.0, 9.0, 9.0])) == 3
+
+
+def wait_run_from_sojourn(j_left, arrivals, services):
+    """wait_indicator_run before it read absorption off the unused input:
+    the rule I_k <= J_{k-1} against the sojourn shifted by one slot, kept
+    as the oracle."""
+    out = lindley_iterate(j_left, arrivals, services)
+    waits = arrivals.values <= np.concatenate([[j_left], out.sojourn.values[:-1]])
+    return len(waits) if waits.all() else int(np.argmin(waits))
+
+
+def test_wait_indicator_run_matches_the_sojourn_rule_on_ties():
+    # Half-integer arrivals, services and left sojourns tie I_k with
+    # J_{k-1} at many slots, where the two rules must still agree.
+    gen = RngSpec(35, "wait-ties").generator()
+    runs = []
+    for length in (1, 7, 40):
+        for _ in range(300):
+            arr, svc = (SeqWindow(1, gen.integers(0, 5, length) / 2.0) for _ in "IW")
+            j_left = gen.integers(0, 6) / 2.0
+            runs.append(wait_indicator_run(j_left, arr, svc))
+            assert runs[-1] == wait_run_from_sojourn(j_left, arr, svc)
+    assert min(runs) == 0 and max(runs) == 40  # runs of every kind, whole ones too
 
 
 def test_wait_run_law_matches_run_pmf():

@@ -229,8 +229,9 @@ def test_sample_mu_dump(tmp_path):
     assert len(mu) == 1 + 2 * 40  # twenty percent burn-in trimmed
     rates = (out / "mu_rates.csv").read_text().splitlines()
     assert rates == ["line,rate", "0,2.0", "1,3.0"]
-    # an infinite mean is refused before anything is written
-    out = tmp_path / "inf"
-    assert run(["sample-mu", "--rates", "2,inf", "--length", "20",
-                "--out", str(out)]) == 2
-    assert not out.exists()
+    # an infinite or NaN mean is refused before anything is written
+    for bad in ("inf", "nan"):
+        out = tmp_path / bad
+        assert run(["sample-mu", "--rates", f"2,{bad}", "--length", "20",
+                    "--out", str(out)]) == 2
+        assert not out.exists()

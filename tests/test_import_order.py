@@ -7,6 +7,10 @@ so a lower layer can share its code with every layer above it without an
 import cycle.  A name a module needs only for annotations is imported
 under `if TYPE_CHECKING:`, which never runs.  The package's __init__
 sits above every layer.
+
+Each recursion also has one driver that the layers above call: tables
+are stepped through lpp.CornerFill, and queues swept through
+queueing's folds and chains, so the bare primitives have few callers.
 """
 
 import ast
@@ -85,3 +89,40 @@ def f():
 """
     assert runtime_imports(source) == [(2, "rng"), (8, "queueing"), (12, "stats"),
                                        (13, "exact")]
+
+
+def callers(names) -> set[str]:
+    """module.function (module.Class.method for a method) of every call,
+    in the package's modules, to a function or attribute named in names."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text()), [path.stem])
+    return found
+
+
+def test_primitives_are_called_only_by_their_drivers():
+    # CornerFill steps every table; competition_interface fills a shrinking
+    # triangle only as far as its walk descends, and strip_lpp_H steps once
+    # from a boundary row that is no table's first row.
+    wrong = callers({"_row_step", "_prefix_sums"}) - {
+        "lpp._row_step", "lpp.CornerFill.feed", "busemann.competition_interface",
+        "queueing.strip_lpp_H"}
+    # Outside queueing a sweep runs through its folds and unused-input
+    # chain, except the coupled step's shared-service sweeps and the one
+    # sweep wait_indicator_run reads.
+    wrong |= {c for c in callers({"lindley_iterate"}) if not c.startswith("queueing.")} - {
+        "multiclass.coupled_step", "busemann.wait_indicator_run"}
+    assert not wrong, "private recursion loops: " + ", ".join(sorted(wrong))

@@ -394,6 +394,50 @@ def test_fills_refuse_non_finite_weights(bad):
         corner_fill(members, 2)
 
 
+def halfplane_two_rows(initial, weights):
+    """stationary_halfplane_lpp's level values before its levels became one
+    CornerFill stack: its own loop over two rows of the stack of lines,
+    kept as the oracle."""
+    g, nxt, scratch = np.empty((3, *initial.values.shape))
+    _prefix_sums(initial.values, g)
+    out = [initial.values]
+    for t in range(weights.shape[1]):
+        row = np.broadcast_to(weights.values[:, t], g.shape)
+        _row_step(g, row, nxt, scratch)
+        g, nxt = nxt, g
+        out.append(np.diff(g, axis=1, prepend=0.0))
+    return out
+
+
+def half_integers(values):
+    """Exponential draws rounded up to half-integers: finite, positive, and
+    full of exact ties."""
+    return np.ceil(2.0 * values) / 2.0
+
+
+@pytest.mark.filterwarnings("ignore:initial increments")
+@pytest.mark.parametrize("ties", [False, True], ids=["exp", "half-integers"])
+@pytest.mark.parametrize("n_lines", [1, 2, 3, 4])
+def test_halfplane_levels_match_the_two_row_loop(n_lines, ties):
+    spec = RngSpec(113, f"half-stack-{n_lines}-{ties}")
+    for length in (1, 7, 3000):
+        for levels in (1, 6):
+            lines = [sample_exp_window(0, length, 1.5 + k, spec.sub(f"I{k}-{length}"))
+                     for k in range(n_lines)]
+            bulk = sample_exp_field(length, levels, 1.0, spec.sub(f"w{length}-{levels}"),
+                                    origin=(0, 1))
+            if ties:
+                lines = [SeqWindow(0, half_integers(w.values)) for w in lines]
+                bulk = WeightField((0, 1), half_integers(bulk.values))
+            initial = MultiConfig.from_lines(lines, tuple(1.5 + k for k in range(n_lines)))
+            got = stationary_halfplane_lpp(initial, bulk)
+            want = halfplane_two_rows(initial, bulk)
+            assert got[0] is initial and len(got) == levels + 1
+            for level, values in zip(got[1:], want[1:]):
+                assert (level.offset, level.rates) == (initial.offset, initial.rates)
+                assert np.array_equal(level.values.view(np.uint64), values.view(np.uint64))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_halfplane_levels_refuse_non_finite_weights(bad):
     spec = RngSpec(112, "half-non-finite")

@@ -5,12 +5,13 @@ import pytest
 
 from cgmlab import multiclass
 from cgmlab.rng import RngSpec, SeqWindow, sample_exp_window
-from cgmlab.queueing import BoundaryPolicy, queue_D
+from cgmlab.queueing import BoundaryPolicy, lindley_iterate, queue_D
 from cgmlab.multiclass import (MultiConfig, build_triangular_arrays,
                                check_independence_structure,
                                check_intertwining_dynamics, coupled_step, dmap,
                                multiline_step, sample_mu_rho)
 from cgmlab.stats import correlation_test, ks_one_sample, ks_two_sample
+from test_lpp import half_integers
 
 BURN = BoundaryPolicy.burn_in(0.2)
 
@@ -40,6 +41,16 @@ def test_config_accessors_and_validation():
         MultiConfig.from_lines([SeqWindow(0, [1.0]), SeqWindow(1, [1.0])])
     with pytest.raises(ValueError):
         MultiConfig(0, np.ones(3))
+    for rates in ((0.0, 2.0), (-1.0, 2.0), (np.nan, 2.0), (2.0, np.inf)):
+        with pytest.raises(ValueError, match="rates must be positive and finite"):
+            MultiConfig(0, np.ones((2, 3)), rates)
+
+
+def test_sample_mu_rho_refuses_a_rate_outside_zero_to_infinity():
+    # each rate is a draw mean, which the draw refuses
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="mean must be positive and finite"):
+            sample_mu_rho((2.0, bad), 1, 20, RngSpec(28, "bad-rate"))
 
 
 def test_single_line_step_is_departure_map():
@@ -158,6 +169,47 @@ def test_triangular_single_line_is_identity():
     cfg = random_config(RngSpec(21, "tri1"), means=(2.0,), length=50)
     tri = build_triangular_arrays(cfg, BoundaryPolicy.given(0.0))
     np.testing.assert_array_equal(tri.diagonal().values[0], cfg.values[0])
+
+
+def triangular_double_loop(config, policy):
+    """build_triangular_arrays' (eta, xi) before its columns ran the
+    unused-input chain: row by row, stage by stage, kept as the oracle."""
+    n = config.n_lines
+    eta = [[None] * (i + 1) for i in range(n)]
+    xi = [[None] * (i + 1) for i in range(n)]
+    eta[0][0] = config.line(0)
+    xi[0][0] = config.line(0)
+    for i in range(1, n):
+        eta[i][0] = config.line(i)
+        for j in range(1, i + 1):
+            out = lindley_iterate(policy.j_left, eta[i][j - 1], xi[i - 1][j - 1])
+            eta[i][j] = out.departures
+            xi[i][j - 1] = out.unused
+        xi[i][i] = eta[i][i]
+    return eta, xi
+
+
+@pytest.mark.parametrize("policy", [BoundaryPolicy.given(0.0), BURN,
+                                    BoundaryPolicy.given(1.5)],
+                         ids=["given-0", "burn-in-0.2", "given-1.5"])
+@pytest.mark.parametrize("ties", [False, True], ids=["exp", "half-integers"])
+def test_triangular_columns_match_the_double_loop(ties, policy):
+    spec = RngSpec(27, f"tri-oracle-{ties}")
+    for n_lines in (1, 2, 3, 4):
+        for length in (1, 7, 3000):
+            lines = [sample_exp_window(1, length, 1.5 + k, spec.sub(f"L{k}-{length}"))
+                     for k in range(n_lines)]
+            if ties:
+                lines = [SeqWindow(1, half_integers(w.values)) for w in lines]
+            cfg = MultiConfig.from_lines(lines)
+            tri = build_triangular_arrays(cfg, policy, validate=False)
+            eta, xi = triangular_double_loop(cfg, policy)
+            for got, want in ((tri.eta, eta), (tri.xi, xi)):
+                assert [len(row) for row in got] == [len(row) for row in want]
+                for w_got, w_want in zip(sum(got, []), sum(want, [])):
+                    assert w_got.offset == w_want.offset
+                    assert np.array_equal(w_got.values.view(np.uint64),
+                                          w_want.values.view(np.uint64))
 
 
 def test_triangular_column_marginals():

@@ -471,7 +471,7 @@ def test_strip_table_refuses_non_finite_inputs(bad):
                 strip_lpp_H(0.5, arr, svc)
 
 
-@pytest.mark.parametrize("bad", [np.nan, -1.0])
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
 def test_nan_or_negative_left_sojourn_is_refused(bad):
     spec = RngSpec(39, "bad-left")
     arr = sample_exp_window(1, 20, 2.0, spec.sub("I"))
@@ -519,6 +519,8 @@ def test_intertwining_interior_is_the_burn_in_trim():
 def test_policy_validation():
     with pytest.raises(ValueError):
         BoundaryPolicy.given(-1.0)
+    with pytest.raises(ValueError):
+        BoundaryPolicy.given(np.inf)
     with pytest.raises(ValueError):
         BoundaryPolicy.burn_in(1.0)
 
