@@ -31,9 +31,7 @@ from .queueing import (
     queue_R,
     queue_Dn,
     strip_lpp_H,
-    check_conservation,
-    check_duality,
-    check_T_identity,
+    check_sweep_identities,
     check_intertwining_identity,
     check_strip_identities,
 )

@@ -54,15 +54,14 @@ def _read_config(path: str) -> dict:
 
 
 def _out_path(args, name: str) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
+    path = Path(args.out) / name
     if path.exists() and not args.force:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
     return path
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -71,6 +70,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_reports(path: Path, results: list[CriterionResult]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         for res in results:
             for rep in res.reports:
@@ -87,10 +87,11 @@ def _overrides_for(args, index: int) -> dict:
 
 
 def _run_verify(args, indices) -> int:
+    # a used output directory is refused before any criterion runs
+    report_path = _out_path(args, "reports.jsonl")
     # each criterion's ladder's last attempt: its first pass, or its last seed
     results = [list(seed_ladder(i, args.seed, **_overrides_for(args, i)))[-1][0]
                for i in indices]
-    report_path = _out_path(args, "reports.jsonl")
     _write_reports(report_path, results)
     failed = []
     for res in results:

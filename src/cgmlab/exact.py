@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .rng import ExpFieldRows, RngSpec
 
@@ -36,7 +35,8 @@ __all__ = [
     "rho_star_cdf",
 ]
 
-# rows beyond this use the log-gamma closed form instead of exact integers
+# rows beyond this are not built by the additive recurrence: their entries
+# come from the closed form, exact in integers or in log-gamma form
 _EXACT_ROW_LIMIT = 300
 
 
@@ -66,13 +66,15 @@ def catalan_triangle(n: int, k: int) -> int:
         raise ValueError("indices must be nonnegative")
     if k > n:
         return 0
+    if n > _EXACT_ROW_LIMIT:
+        return math.comb(n + k, k) * (n - k + 1) // (n + 1)
     return _triangle_row(n)[k]
 
 
 def _log_triangle(n: int, k: int) -> float:
     # (n+k)! (n-k+1) / (k! (n+1)!)
-    return (gammaln(n + k + 1) + math.log(n - k + 1)
-            - gammaln(k + 1) - gammaln(n + 2))
+    return (math.lgamma(n + k + 1) + math.log(n - k + 1)
+            - math.lgamma(k + 1) - math.lgamma(n + 2))
 
 
 def _triangle_weighted_sum(n: int, log_hi: float, log_lo: float) -> float:

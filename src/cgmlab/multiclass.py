@@ -178,8 +178,7 @@ class TriArray:
 
 def build_triangular_arrays(config: MultiConfig,
                             policy: BoundaryPolicy = DEFAULT_POLICY,
-                            validate: bool = True,
-                            tolerance: float = 1e-9) -> TriArray:
+                            validate: bool = True) -> TriArray:
     """All intermediate departure/unused stages of the iterated departure map.
 
     Row i starts from line i and is driven stage by stage through the
@@ -203,15 +202,14 @@ def build_triangular_arrays(config: MultiConfig,
     if validate and n > 1:
         direct = DEFAULT_POLICY.trim(dmap(config, BoundaryPolicy.given(0.0)))
         err = np.max(np.abs(DEFAULT_POLICY.trim(arr.diagonal()).values - direct.values))
-        if err > tolerance:
+        if err > 1e-9:
             raise AssertionError(
                 f"triangular array diagonal deviates from the departure fold by {err:.3e}")
     return arr
 
 
 def check_intertwining_dynamics(config: MultiConfig, services: SeqWindow,
-                                fraction: float = 0.2,
-                                tolerance: float = 1e-9) -> IdentityReport:
+                                fraction: float = 0.2) -> IdentityReport:
     """Coupled step after the departure fold equals the fold after the
     multiline step, on the interior that BoundaryPolicy.burn_in(fraction)
     keeps (a fraction outside [0, 1) is refused)."""
@@ -219,7 +217,7 @@ def check_intertwining_dynamics(config: MultiConfig, services: SeqWindow,
     empty = BoundaryPolicy.given(0.0)
     lhs = burn.trim(coupled_step(dmap(config, empty), services, empty))
     rhs = burn.trim(dmap(multiline_step(config, services, empty), empty))
-    return _check("intertwining-dynamics", lhs.values - rhs.values, tolerance,
+    return _check("intertwining-dynamics", lhs.values - rhs.values, 1e-9,
                   lines=config.n_lines, interior=lhs.length)
 
 

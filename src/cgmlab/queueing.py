@@ -12,7 +12,11 @@ which satisfy the conservation law I_k + J_k = J_{k-1} + Itilde_k and the
 exchange law w_k + I_k = wtilde_k + Itilde_k slot by slot.  The same data
 define a two-level strip passage time H whose increments reproduce the
 sweep, a reversal duality, and intertwining identities for iterated
-departure maps.  All of that is checked here at fixed tolerances.
+departure maps.  All of that is checked here, each identity at one fixed
+tolerance: conservation (with exchange) and duality at 1e-12; the T
+identity, the strip identities and the intertwining identity at 1e-9.
+check_sweep_identities reads the first three off one forward sweep, the
+duality adding its reverse sweep.
 
 The strip table H is lpp's max-plus recursion on two rows, filled by
 lpp's own code: level 0 is the prefix sums of [0, I], and level 1 is one
@@ -25,17 +29,17 @@ starts every queue from a fixed sojourn value and keeps the whole window;
 the burn-in boundary starts every queue empty and cuts a prefix fraction
 off the output, once, after the last stage.
 
-lindley_iterate, queue_Dn, strip_lpp_H and the conservation, duality, T,
-intertwining and strip checks take either one window or a stack of K
-aligned windows of independent instances (see SeqWindow: time on the last
-axis).  j_left is then a float or a (K,) array, and a check's
-max_abs_error is the maximum over all instances.
+lindley_iterate, queue_Dn, strip_lpp_H and the sweep, intertwining and
+strip checks take either one window or a stack of K aligned windows of
+independent instances (see SeqWindow: time on the last axis).  j_left is
+then a float or a (K,) array, and a check's max_abs_error is the maximum
+over all instances.
 
-Exactness notes: the checks with tolerance 1e-12 (conservation, exchange,
-duality) rely on every output slot being one rounding of its defining
-formula.  The sweep scans only the sojourn sequentially, with the branch
-arithmetic J_k = w_k + (J_{k-1} - I_k) when I_k < J_{k-1} and J_k = w_k
-otherwise.  A short single window runs that branch in a Python float loop.
+Exactness notes: the tight checks (conservation, exchange, duality) rely
+on every output slot being one rounding of its defining formula.  The
+sweep scans only the sojourn sequentially, with the branch arithmetic
+J_k = w_k + (J_{k-1} - I_k) when I_k < J_{k-1} and J_k = w_k otherwise.
+A short single window runs that branch in a Python float loop.
 A stack runs one ufunc step per slot over all instances at once,
 J_k = w_k + max(J_{k-1} - I_k, 0), which is the branch bit for bit: when
 J_{k-1} > I_k the difference is the branch's positive J_{k-1} - I_k, and
@@ -79,7 +83,7 @@ infinite departure and the incoming sojourn as unused input, as the
 branch does.  Nothing is summed along the time axis, so an idle slot's
 sojourn is exactly its service and busy slots leave exact zeros in D - w.
 Sum-based identities (strip, T, the intertwining interiors) carry
-prefix-sum rounding and are held to 1e-9.
+prefix-sum rounding, hence their looser tolerance.
 
 Identity checks reduce each error piece to its own max |e|; the maximum
 is exact, so no piece needs to be joined to the others first.
@@ -107,9 +111,7 @@ __all__ = [
     "queue_R",
     "queue_Dn",
     "strip_lpp_H",
-    "check_conservation",
-    "check_duality",
-    "check_T_identity",
+    "check_sweep_identities",
     "check_intertwining_identity",
     "check_strip_identities",
 ]
@@ -410,46 +412,51 @@ def strip_lpp_H(j_left: float | np.ndarray, arrivals: SeqWindow,
     return StripTable(j_left, SeqWindow(m, h0), SeqWindow(m, h1))
 
 
-def check_duality(j_left: float | np.ndarray, arrivals: SeqWindow, services: SeqWindow,
-                  tolerance: float = 1e-12) -> IdentityReport:
-    """Reversal duality: feeding the reversed outputs back through the sweep
-    returns the reversed inputs, including the sojourn column."""
-    fwd = lindley_iterate(j_left, arrivals, services)
-    rev_arr = SeqWindow(2 - fwd.departures.end, fwd.departures.values[..., ::-1])
-    rev_svc = SeqWindow(rev_arr.offset, fwd.unused.values[..., ::-1])
-    back = lindley_iterate(fwd.final_sojourn, rev_arr, rev_svc)
-    exp_soj = _prepend(fwd.j_left, fwd.sojourn.values[..., :-1])[..., ::-1]
-    errors = [
-        back.departures.values[..., ::-1] - arrivals.values,
-        back.unused.values[..., ::-1] - services.values,
-        back.sojourn.values - exp_soj,
-    ]
-    return _check("duality", errors, tolerance)
+def check_sweep_identities(j_left: float | np.ndarray, arrivals: SeqWindow,
+                           services: SeqWindow) -> tuple[IdentityReport, ...]:
+    """The conservation, duality and T-identity reports of one sweep.
 
-
-def check_T_identity(j_left: float | np.ndarray, arrivals: SeqWindow, services: SeqWindow,
-                     tolerance: float = 1e-9) -> IdentityReport:
-    """Best arrival/service split computed from inputs equals the same split
-    computed from the sweep outputs in the reversed roles.
-
-    Window convention: the sojourn value j_left sits one slot left of the
-    aligned input windows, and the split index ranges over the full window.
+    conservation, per slot: arrival plus outgoing sojourn equals incoming
+    sojourn plus departure; service plus arrival equals unused plus
+    departure; the unused input is the smaller of arrival and incoming
+    sojourn.  duality: feeding the reversed outputs back through the sweep
+    returns the reversed inputs, including the sojourn column.  T-identity:
+    the best arrival/service split computed from the inputs equals the same
+    split computed from the outputs in the reversed roles, the split index
+    ranging over the full window.  The incoming sojourn J_{k-1} is built
+    once, for conservation and duality both.
     """
     out = lindley_iterate(j_left, arrivals, services)
+    arr, svc = arrivals.values, services.values
+    dep, soj, rel = out.departures.values, out.sojourn.values, out.unused.values
+    j_prev = _prepend(out.j_left, soj[..., :-1])
+    conservation = _check("conservation", [
+        (arr + soj) - (j_prev + dep),
+        (svc + arr) - (rel + dep),
+        rel - np.minimum(arr, j_prev),
+    ], 1e-12)
+    start = 2 - out.departures.end
+    back = lindley_iterate(out.final_sojourn, SeqWindow(start, dep[..., ::-1]),
+                           SeqWindow(start, rel[..., ::-1]))
+    duality = _check("duality", [
+        back.departures.values[..., ::-1] - arr,
+        back.unused.values[..., ::-1] - svc,
+        back.sojourn.values - j_prev[..., ::-1],
+    ], 1e-12)
 
     def best_split(first: np.ndarray, second: np.ndarray) -> np.ndarray:
         pre = np.cumsum(first, axis=-1)
         suf = np.cumsum(second[..., ::-1], axis=-1)[..., ::-1]
         return np.max(pre + suf, axis=-1)
 
-    t_direct = best_split(arrivals.values, services.values)
-    t_dual = best_split(out.unused.values, out.departures.values)
-    return _check("T-identity", [t_dual - t_direct], tolerance, value=t_direct)
+    t_direct = best_split(arr, svc)
+    t_identity = _check("T-identity", [best_split(rel, dep) - t_direct], 1e-9,
+                        value=t_direct)
+    return conservation, duality, t_identity
 
 
 def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWindow,
-                                fraction: float = 0.2,
-                                tolerance: float = 1e-9) -> IdentityReport:
+                                fraction: float = 0.2) -> IdentityReport:
     """Iterated-departure intertwining on a finite window.
 
     arrival_seqs = [I^n, ..., I^1] ordered from the last arrival stream to
@@ -471,33 +478,12 @@ def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWind
                    for out in _unused_chain(arrival_seqs[::-1], services, 0.0)]
     rhs = _fold(transformed[::-1], 0.0)
     lhs, rhs = burn.trim(lhs), burn.trim(rhs)
-    return _check("intertwining", [lhs.values - rhs.values], tolerance,
+    return _check("intertwining", [lhs.values - rhs.values], 1e-9,
                   order=len(arrival_seqs), interior=len(lhs))
 
 
-def check_conservation(j_left: float | np.ndarray, arrivals: SeqWindow, services: SeqWindow,
-                       tolerance: float = 1e-12) -> IdentityReport:
-    """Slot-by-slot conservation laws of one sweep.
-
-    Checked per slot: arrival plus outgoing sojourn equals incoming sojourn
-    plus departure; service plus arrival equals unused plus departure; the
-    unused input is the smaller of arrival and incoming sojourn.
-    """
-    out = lindley_iterate(j_left, arrivals, services)
-    j_prev = _prepend(out.j_left, out.sojourn.values[..., :-1])
-    arr = arrivals.values
-    svc = services.values
-    errors = [
-        (arr + out.sojourn.values) - (j_prev + out.departures.values),
-        (svc + arr) - (out.unused.values + out.departures.values),
-        out.unused.values - np.minimum(arr, j_prev),
-    ]
-    return _check("conservation", errors, tolerance)
-
-
 def check_strip_identities(j_left: float | np.ndarray, arrivals: SeqWindow,
-                           services: SeqWindow,
-                           tolerance: float = 1e-9) -> IdentityReport:
+                           services: SeqWindow) -> IdentityReport:
     """Strip passage-time representations against the sweep outputs.
 
     Verified per instance: level-1 increments are the departures and the
@@ -532,4 +518,4 @@ def check_strip_identities(j_left: float | np.ndarray, arrivals: SeqWindow,
                           zero - np.inf)
     rhs = np.maximum(suffix_best - a_pre, (a_pre[..., -1:] - a_pre) + soj[..., -1:])
     errors.append((end - h0) - rhs)
-    return _check("strip-identities", errors, tolerance)
+    return _check("strip-identities", errors, 1e-9)

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 __all__ = [
     "DEFAULT_ALPHA",
@@ -178,6 +177,9 @@ def chi_square_pmf(counts, probs, name: str, seed: int, claim: str = "",
     exp_a = np.asarray(exp)
     stat = float(np.sum((obs_a - exp_a) ** 2 / exp_a))
     df = len(exp) - 1
+    # Imported here, not at module level: only this test needs scipy, and
+    # importing it would cost every other user of cgmlab (the CLI included).
+    from scipy.stats import chi2
     threshold = float(chi2.ppf(1.0 - alpha, df))
     return TestReport(name, stat, threshold, int(total), seed, stat < threshold,
                       claim, {"alpha": alpha, "df": df,

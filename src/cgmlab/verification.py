@@ -29,9 +29,8 @@ import numpy as np
 from .rng import (ExpFieldRows, RngSpec, SeqWindow, _exp_in_place, exp_from_uniform,
                   sample_exp_field, sample_exp_window)
 from .lpp import brute_force_table, corner_fill, lpp_grid
-from .queueing import (DEFAULT_POLICY, check_conservation, check_duality,
-                       check_T_identity, check_intertwining_identity,
-                       check_strip_identities)
+from .queueing import (DEFAULT_POLICY, check_intertwining_identity,
+                       check_strip_identities, check_sweep_identities)
 from .multiclass import MultiConfig, coupled_step, multiline_step, sample_mu_rho
 from .busemann import (estimate_busemann_level, estimate_nested_levels,
                        geodesic_initial_runs, initial_run_statistics,
@@ -149,9 +148,7 @@ def criterion_2(seed: int, instances: int = 200, window: int = 1000) -> Criterio
     for j0, (arr, svc, *seqs) in _instance_stacks(spec, instances, window, 6,
                                                   _criterion_2_instance):
         checks = {
-            "conservation": check_conservation(j0, arr, svc),
-            "duality": check_duality(j0, arr, svc),
-            "T-identity": check_T_identity(j0, arr, svc),
+            **{rep.name: rep for rep in check_sweep_identities(j0, arr, svc)},
             "intertwining-2": check_intertwining_identity([seqs[2], seqs[1]], seqs[0]),
             "intertwining-3": check_intertwining_identity(
                 [seqs[3], seqs[2], seqs[1]], seqs[0]),

@@ -2,12 +2,19 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cgmlab import cli, verification
 from cgmlab.stats import TestReport
 from cgmlab.verification import CriterionResult
+
+
+SRC = str(Path(cli.__file__).parents[1])
 
 
 def run(argv):
@@ -103,6 +110,26 @@ def test_existing_output_needs_force(tmp_path, capsys):
     # an abbreviated flag wins over the file too
     cfg.write_text("force=false\n")
     assert run(q_args(out, ["--config", str(cfg), "--for"])) == 0
+
+
+def test_used_output_is_refused_before_any_criterion_runs(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "reports.jsonl").write_text("")
+    calls = []
+    monkeypatch.setattr(cli, "seed_ladder", lambda *a, **kw: calls.append(a))
+    assert run(["verify-geodesics", "--out", str(out)]) == 2
+    assert "force" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only inside criterion 8's chi-square test
+    code = ("import sys, cgmlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

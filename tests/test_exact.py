@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 
+from cgmlab import exact
 from cgmlab.exact import (AtomTailLaw, MarkedPointProcess, X_value,
                           catalan_number, catalan_triangle, increment_law,
                           initial_run_pmf, initial_run_pmf2,
@@ -48,6 +50,53 @@ def test_catalan_triangle_identities():
         for k in range(n + 1):
             lhs = catalan_triangle(n, k) * math.factorial(k) * math.factorial(n + 1)
             assert lhs == math.factorial(n + k) * (n - k + 1)
+
+
+def test_catalan_triangle_past_the_recurrence_rows():
+    # Rows past the recurrence's limit, which once recursed a level per row
+    # (a RecursionError at n = 1500), against the factorial closed form.
+    limit = exact._EXACT_ROW_LIMIT
+    for n in (limit - 1, limit, limit + 1, 1500):
+        for k in sorted({0, 1, 3, n // 2, n - 1, n}):
+            want = math.factorial(n + k) * (n - k + 1) // (
+                math.factorial(k) * math.factorial(n + 1))
+            assert catalan_triangle(n, k) == want
+    # The partial sums of the last recurrence row climb to the first
+    # closed-form row.
+    acc = 0
+    for i in range(limit + 1):
+        acc += catalan_triangle(limit, i)
+        assert acc == catalan_triangle(limit + 1, i)
+
+
+def log_triangle_gammaln(n, k):
+    """exact._log_triangle in its scipy gammaln form, kept as the oracle."""
+    return (gammaln(n + k + 1) + math.log(n - k + 1)
+            - gammaln(k + 1) - gammaln(n + 2))
+
+
+def test_log_triangle_matches_the_gammaln_form(monkeypatch):
+    # Every (n, k) that criteria 8 and 10 read in log form: the three
+    # run-pmf normalization sums and the two tie-probability sums.
+    seen = set()
+    log_triangle = exact._log_triangle
+
+    def spy(n, k):
+        seen.add((n, k))
+        return log_triangle(n, k)
+
+    monkeypatch.setattr(exact, "_log_triangle", spy)
+    for rho in (1.5, 2.0, 5.0):
+        verification._pmf_total(rho)
+    for a, b in ((1.0, 2.0), (2.0, 1.0)):
+        for n in range(1, 401):
+            poisson_competition_B(n, a, b)
+    assert (exact._EXACT_ROW_LIMIT + 1, 0) in seen and (399, 399) in seen
+    # Within a few ulps of the largest term, lgamma(n + k + 1); the two
+    # forms differed by at most 5 of them when this was written.
+    for n, k in seen:
+        scale = math.ulp(math.lgamma(n + k + 1))
+        assert abs(log_triangle(n, k) - log_triangle_gammaln(n, k)) <= 8 * scale
 
 
 def test_run_pmf_values_and_normalization():

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgmlab.rng import RngSpec, SeqWindow, exp_from_uniform, sample_exp_window
-from cgmlab import verification
-from cgmlab.verification import _STACK_BLOCK, criterion_2, criterion_3
-from cgmlab.queueing import (BoundaryPolicy, check_conservation, check_duality,
+from cgmlab import queueing, verification
+from cgmlab.verification import _STACK_BLOCK, criterion_2, criterion_3, run_criterion
+from cgmlab.queueing import (BoundaryPolicy, IdentityReport, _check, _prepend,
                              check_intertwining_identity, check_strip_identities,
-                             check_T_identity, lindley_iterate, queue_D,
+                             check_sweep_identities, lindley_iterate, queue_D,
                              queue_Dn, queue_R, queue_S, strip_lpp_H)
 
 
@@ -53,6 +53,87 @@ def assert_sweep_is_branch_sweep(j_left, arrivals, services):
         for g, e in zip(got, expect):
             assert np.array_equal(np.atleast_2d(g)[r].view(np.int64), e.view(np.int64))
     return out
+
+
+# The three checks that check_sweep_identities replaced, kept verbatim as its
+# oracle: each ran its own forward sweep.
+
+def check_duality(j_left: float | np.ndarray, arrivals: SeqWindow, services: SeqWindow,
+                  tolerance: float = 1e-12) -> IdentityReport:
+    """Reversal duality: feeding the reversed outputs back through the sweep
+    returns the reversed inputs, including the sojourn column."""
+    fwd = lindley_iterate(j_left, arrivals, services)
+    rev_arr = SeqWindow(2 - fwd.departures.end, fwd.departures.values[..., ::-1])
+    rev_svc = SeqWindow(rev_arr.offset, fwd.unused.values[..., ::-1])
+    back = lindley_iterate(fwd.final_sojourn, rev_arr, rev_svc)
+    exp_soj = _prepend(fwd.j_left, fwd.sojourn.values[..., :-1])[..., ::-1]
+    errors = [
+        back.departures.values[..., ::-1] - arrivals.values,
+        back.unused.values[..., ::-1] - services.values,
+        back.sojourn.values - exp_soj,
+    ]
+    return _check("duality", errors, tolerance)
+
+
+def check_T_identity(j_left: float | np.ndarray, arrivals: SeqWindow, services: SeqWindow,
+                     tolerance: float = 1e-9) -> IdentityReport:
+    """Best arrival/service split computed from inputs equals the same split
+    computed from the sweep outputs in the reversed roles.
+
+    Window convention: the sojourn value j_left sits one slot left of the
+    aligned input windows, and the split index ranges over the full window.
+    """
+    out = lindley_iterate(j_left, arrivals, services)
+
+    def best_split(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        pre = np.cumsum(first, axis=-1)
+        suf = np.cumsum(second[..., ::-1], axis=-1)[..., ::-1]
+        return np.max(pre + suf, axis=-1)
+
+    t_direct = best_split(arrivals.values, services.values)
+    t_dual = best_split(out.unused.values, out.departures.values)
+    return _check("T-identity", [t_dual - t_direct], tolerance, value=t_direct)
+
+
+def check_conservation(j_left: float | np.ndarray, arrivals: SeqWindow, services: SeqWindow,
+                       tolerance: float = 1e-12) -> IdentityReport:
+    """Slot-by-slot conservation laws of one sweep.
+
+    Checked per slot: arrival plus outgoing sojourn equals incoming sojourn
+    plus departure; service plus arrival equals unused plus departure; the
+    unused input is the smaller of arrival and incoming sojourn.
+    """
+    out = lindley_iterate(j_left, arrivals, services)
+    j_prev = _prepend(out.j_left, out.sojourn.values[..., :-1])
+    arr = arrivals.values
+    svc = services.values
+    errors = [
+        (arr + out.sojourn.values) - (j_prev + out.departures.values),
+        (svc + arr) - (out.unused.values + out.departures.values),
+        out.unused.values - np.minimum(arr, j_prev),
+    ]
+    return _check("conservation", errors, tolerance)
+
+
+ORACLES = (check_conservation, check_duality, check_T_identity)
+
+
+def assert_same_report(got, want):
+    """got equals the oracle's report: name, tolerance, verdict and extras,
+    and the error bit for bit."""
+    assert (got.name, got.tolerance, got.passed) == (want.name, want.tolerance, want.passed)
+    assert np.float64(got.max_abs_error).tobytes() == np.float64(want.max_abs_error).tobytes()
+    assert got.extras.keys() == want.extras.keys()
+    assert all(np.array_equal(got.extras[k], want.extras[k]) for k in got.extras)
+
+
+def sweep_reports(j_left, arrivals, services):
+    """check_sweep_identities' three reports, each checked against its oracle."""
+    reports = check_sweep_identities(j_left, arrivals, services)
+    assert [r.name for r in reports] == ["conservation", "duality", "T-identity"]
+    for got, oracle in zip(reports, ORACLES):
+        assert_same_report(got, oracle(j_left, arrivals, services))
+    return reports
 
 
 def incoming(j_left, sojourn):
@@ -265,7 +346,7 @@ nonneg = st.floats(0.0, 50.0, allow_nan=False)
 def test_conservation_holds_pathwise(n, j0, data):
     arr = SeqWindow(1, data.draw(st.lists(nonneg, min_size=n, max_size=n)))
     svc = SeqWindow(1, data.draw(st.lists(nonneg, min_size=n, max_size=n)))
-    assert check_conservation(j0, arr, svc).max_abs_error < 1e-9
+    assert sweep_reports(j0, arr, svc)[0].max_abs_error < 1e-9
 
 
 @settings(deadline=None, max_examples=80)
@@ -273,7 +354,7 @@ def test_conservation_holds_pathwise(n, j0, data):
 def test_duality_holds_pathwise(n, j0, data):
     arr = SeqWindow(1, data.draw(st.lists(nonneg, min_size=n, max_size=n)))
     svc = SeqWindow(1, data.draw(st.lists(nonneg, min_size=n, max_size=n)))
-    assert check_duality(j0, arr, svc, tolerance=1e-9).max_abs_error < 1e-9
+    assert sweep_reports(j0, arr, svc)[1].max_abs_error < 1e-9
 
 
 @settings(deadline=None, max_examples=80)
@@ -281,7 +362,7 @@ def test_duality_holds_pathwise(n, j0, data):
 def test_T_identity_holds_pathwise(n, j0, data):
     arr = SeqWindow(1, data.draw(st.lists(nonneg, min_size=n, max_size=n)))
     svc = SeqWindow(1, data.draw(st.lists(nonneg, min_size=n, max_size=n)))
-    assert check_T_identity(j0, arr, svc).max_abs_error < 1e-9
+    assert sweep_reports(j0, arr, svc)[2].max_abs_error < 1e-9
 
 
 @settings(deadline=None, max_examples=60)
@@ -302,9 +383,10 @@ def test_identities_on_random_stable_instances():
         j0 = float(exp_from_uniform(gen.random(), 1.0))
         arr = sample_exp_window(1, 300, rho, s.sub("I"))
         svc = sample_exp_window(1, 300, lam, s.sub("w"))
-        assert check_conservation(j0, arr, svc).max_abs_error < 1e-12
-        assert check_duality(j0, arr, svc).max_abs_error < 1e-12
-        assert check_T_identity(j0, arr, svc).max_abs_error < 1e-9
+        conservation, duality, t_identity = sweep_reports(j0, arr, svc)
+        assert conservation.max_abs_error < 1e-12
+        assert duality.max_abs_error < 1e-12
+        assert t_identity.max_abs_error < 1e-9
         assert check_strip_identities(j0, arr, svc).max_abs_error < 1e-9
 
 
@@ -318,15 +400,18 @@ def test_stacked_checks_equal_max_over_rows():
                        for r in range(k)])
              for m in (1.0, 2.0, 3.5, 5.0)]
     arr, svc = lines[2], lines[0]
+
+    def reports(j, a, w):
+        return [*sweep_reports(j, a, w), check_strip_identities(j, a, w)]
+
+    stacked = reports(j0, SeqWindow(1, arr), SeqWindow(1, svc))
+    rows = [reports(j0[r], SeqWindow(1, arr[r]), SeqWindow(1, svc[r])) for r in range(k)]
     worst = []
-    for check in (check_conservation, check_duality, check_T_identity,
-                  check_strip_identities):
-        stacked = check(j0, SeqWindow(1, arr), SeqWindow(1, svc))
-        rows = [check(j0[r], SeqWindow(1, arr[r]), SeqWindow(1, svc[r])).max_abs_error
-                for r in range(k)]
-        assert stacked.max_abs_error == max(rows)
-        assert stacked.passed
-        worst.append(max(rows))
+    for i, rep in enumerate(stacked):
+        errors = [row[i].max_abs_error for row in rows]
+        assert rep.max_abs_error == max(errors)
+        assert rep.passed
+        worst.append(max(errors))
     for order in (2, 3):
         streams = lines[order:0:-1]
         stacked = check_intertwining_identity([SeqWindow(1, a) for a in streams],
@@ -478,7 +563,7 @@ def test_nan_or_negative_left_sojourn_is_refused(bad):
     svc = sample_exp_window(1, 20, 1.0, spec.sub("w"))
     stack_arr = SeqWindow(1, np.stack([arr.values] * 3))
     stack_svc = SeqWindow(1, np.stack([svc.values] * 3))
-    for call in (lindley_iterate, strip_lpp_H, check_conservation,
+    for call in (lindley_iterate, strip_lpp_H, check_sweep_identities,
                  check_strip_identities):
         with pytest.raises(ValueError, match="nonnegative"):
             call(bad, arr, svc)
@@ -584,9 +669,9 @@ def test_criterion_2_blocks_cover_every_instance(monkeypatch):
 
     def spy(j0, arr, svc):
         seen.append(j0)
-        return check_conservation(j0, arr, svc)
+        return check_sweep_identities(j0, arr, svc)
 
-    monkeypatch.setattr(verification, "check_conservation", spy)
+    monkeypatch.setattr(verification, "check_sweep_identities", spy)
     for instances in range(1, 10):
         seen.clear()
         res = criterion_2(9, instances, 30)
@@ -599,6 +684,22 @@ def test_criterion_2_blocks_cover_every_instance(monkeypatch):
         assert np.concatenate(seen).tolist() == want_j0
         want = criterion_2_per_instance(9, instances, 30)
         assert [r.statistic for r in res.reports] == list(want.values())
+
+
+def test_criterion_2_sweeps_once_for_three_identities(monkeypatch):
+    # One block of 200 instances: the three sweep identities share one
+    # forward sweep and add the duality's reverse one (2), and the order-2
+    # and order-3 intertwining checks fold and chain their streams (5 + 8).
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return lindley_iterate(*args)
+
+    monkeypatch.setattr(queueing, "lindley_iterate", spy)
+    assert run_criterion(2).passed
+    assert len(calls) == 15
+    assert {args[1].values.shape for args in calls} == {(200, 1000)}
 
 
 def criterion_3_per_instance(seed, instances, window):
