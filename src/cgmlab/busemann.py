@@ -164,11 +164,11 @@ def estimate_nested_levels(rho: float, scales, spec: RngSpec,
     in scales, on one field F drawn from spec at the largest scale's
     corner, bit for bit, without ever holding F.
 
-    F's rows are drawn a block at a time, and each block feeds one
-    lpp.CornerFill per scale, which takes the part of it that lies in that
-    scale's nested corner, the top-right rectangle of F, and keeps its
-    (window + 1)-square corner at the origin.  The corners must not be
-    tall, since CornerFill fills rows as given.
+    F's rows are drawn a block at a time through lpp._fill_rows, and each
+    block feeds one lpp.CornerFill per scale, which takes the part of it
+    that lies in that scale's nested corner, the top-right rectangle of F,
+    and keeps its (window + 1)-square corner at the origin.  The corners
+    must not be tall, since CornerFill fills rows as given.
     """
     corners = [scaled_corner(rho, n) for n in scales]
     m1, m2 = max(corners)
@@ -177,7 +177,7 @@ def estimate_nested_levels(rho: float, scales, spec: RngSpec,
     fills = [CornerFill(k1 + 1, k2 + 1, _window(k1, k2, window) + 1)
              for k1, k2 in corners]
     start = 0
-    for block in ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec):
+    for block in _fill_rows(ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec))[1]:
         for (k1, k2), fill in zip(corners, fills):
             skip = max(0, m1 - k1 - start)
             fill.feed(block[skip:, m2 - k2:])
@@ -349,6 +349,8 @@ def geodesic_initial_runs(rho: float, n: int, count: int, spec: RngSpec,
     finite values a fill accepts (weights must be finite), so every run
     is bit for bit what one table at a time gives.
     """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     m1, m2 = scaled_corner(rho, n)
     offsets = [spacing * (i - (starts_per_table - 1) // 2)
                for i in range(starts_per_table)]

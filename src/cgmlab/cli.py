@@ -4,7 +4,9 @@ Every subcommand is deterministic given its config and seed.  Config
 files are flat key=value text; command-line flags override file values.
 Verification subcommands write one JSON line per statistical report plus
 any CSV artifacts, print a per-criterion summary, and exit nonzero when a
-criterion fails even after the backup seeds.
+criterion fails even after the backup seeds.  Before any work, a command
+refuses an output directory that holds a file it would write, unless
+--force, and it writes all of its files once the work is done, or none.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .lpp import lpp_grid, backtrack_geodesic
 from .busemann import competition_interface
 from .multiclass import sample_mu_rho
 from .queueing import BoundaryPolicy
-from .verification import DEFAULT_MASTER_SEED, CriterionResult, seed_ladder
+from .verification import DEFAULT_MASTER_SEED, seed_ladder
 
 __all__ = ["main"]
 
@@ -53,28 +55,26 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _out_path(args, name: str) -> Path:
-    path = Path(args.out) / name
-    if path.exists() and not args.force:
-        raise FileExistsError(f"{path} exists; pass --force to overwrite")
-    return path
+def _csv(header, rows) -> str:
+    return "".join(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in [header, *rows])
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-
-
-def _write_reports(path: Path, results: list[CriterionResult]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for res in results:
-            for rep in res.reports:
-                fh.write(json.dumps(rep.to_json_dict()) + "\n")
+def _write_outputs(args, used, work) -> int:
+    """The one writer of output files.  Without --force, an output
+    directory that holds a file matching any glob in used is refused
+    before work runs; work returns (exit code, {name: text}, a line to
+    print once the files are written), and every file is then written."""
+    out = Path(args.out)
+    held = sorted({path.name for glob in used for path in out.glob(glob)})
+    if held and not args.force:
+        raise FileExistsError(f"{out} holds {', '.join(held)}; pass --force to overwrite")
+    code, files, done = work()
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    print(done)
+    return code
 
 
 def _overrides_for(args, index: int) -> dict:
@@ -86,30 +86,24 @@ def _overrides_for(args, index: int) -> dict:
     return over
 
 
-def _run_verify(args, indices) -> int:
-    # a used output directory is refused before any criterion runs
-    report_path = _out_path(args, "reports.jsonl")
+def _run_verify(args, indices):
     # each criterion's ladder's last attempt: its first pass, or its last seed
     results = [list(seed_ladder(i, args.seed, **_overrides_for(args, i)))[-1][0]
                for i in indices]
-    _write_reports(report_path, results)
-    failed = []
+    files = {"reports.jsonl": "".join(json.dumps(rep.to_json_dict()) + "\n"
+                                      for res in results for rep in res.reports)}
     for res in results:
-        for name, (header, rows) in res.artifacts.items():
-            _write_csv(_out_path(args, f"criterion{res.index}_{name}.csv"),
-                       header, rows)
-        status = "PASS" if res.passed else "FAIL"
-        print(f"criterion {res.index}: {status} (seed {res.seed})")
-        if not res.passed:
-            failed.append(res.index)
-            for rep in res.reports:
-                if not rep.passed:
-                    print(f"  {rep}")
-    print(f"reports written to {report_path}")
-    return 1 if failed else 0
+        files.update((f"criterion{res.index}_{name}.csv", _csv(*table))
+                     for name, table in res.artifacts.items())
+        print(f"criterion {res.index}: {'PASS' if res.passed else 'FAIL'} (seed {res.seed})")
+        for rep in res.reports:
+            if not rep.passed:
+                print(f"  {rep}")
+    return (int(not all(res.passed for res in results)), files,
+            f"reports written to {Path(args.out) / 'reports.jsonl'}")
 
 
-def _cmd_simulate_lpp(args) -> int:
+def _simulate_lpp(args):
     n = args.n
     if n < 2:
         raise ValueError("need n >= 2")
@@ -118,29 +112,29 @@ def _cmd_simulate_lpp(args) -> int:
     table = lpp_grid(field)
     rows = [(-n + a, -n + b, float(table.values[a, b]))
             for a in range(n + 1) for b in range(n + 1)]
-    _write_csv(_out_path(args, "gtable.csv"), ["k", "t", "value"], rows)
     path = backtrack_geodesic(table, (0, 0))
-    _write_csv(_out_path(args, "geodesic.csv"), ["step_index", "x", "y"],
-               [(i, p[0], p[1]) for i, p in enumerate(path.points())])
     pts = competition_interface(field)
-    _write_csv(_out_path(args, "interface.csv"), ["step_index", "x", "y"],
-               [(i, int(p[0]), int(p[1])) for i, p in enumerate(pts)])
-    print(f"wrote gtable.csv, geodesic.csv, interface.csv to {args.out}")
-    return 0
+    return (_csv(["k", "t", "value"], rows),
+            _csv(["step_index", "x", "y"], [(i, p[0], p[1]) for i, p in enumerate(path.points())]),
+            _csv(["step_index", "x", "y"], [(i, int(p[0]), int(p[1])) for i, p in enumerate(pts)]))
 
 
-def _cmd_sample_mu(args) -> int:
+def _sample_mu(args):
     rates = tuple(float(r) for r in args.rates.split(","))
     spec = RngSpec(args.seed, "sample-mu")
     cfg = sample_mu_rho(rates, 0, args.length, spec,
                         BoundaryPolicy.burn_in(args.burn_in))
     rows = [(i, cfg.offset + j, float(cfg.values[i, j]))
             for i in range(cfg.n_lines) for j in range(cfg.length)]
-    _write_csv(_out_path(args, "mu.csv"), ["line", "index", "value"], rows)
-    _write_csv(_out_path(args, "mu_rates.csv"), ["line", "rate"],
-               [(i, r) for i, r in enumerate(rates)])
-    print(f"wrote mu.csv, mu_rates.csv to {args.out}")
-    return 0
+    return (_csv(["line", "index", "value"], rows),
+            _csv(["line", "rate"], [(i, r) for i, r in enumerate(rates)]))
+
+
+# Each dump's file names, and the function that returns their texts in order.
+_DUMPS = {
+    "simulate-lpp": (("gtable.csv", "geodesic.csv", "interface.csv"), _simulate_lpp),
+    "sample-mu": (("mu.csv", "mu_rates.csv"), _sample_mu),
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -215,12 +209,12 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         if args.command in _SUITES:
-            return _run_verify(args, _SUITES[args.command])
-        if args.command == "simulate-lpp":
-            return _cmd_simulate_lpp(args)
-        if args.command == "sample-mu":
-            return _cmd_sample_mu(args)
-        raise ValueError(f"unknown command {args.command}")
+            indices = _SUITES[args.command]
+            used = ("reports.jsonl", *(f"criterion{i}_*.csv" for i in indices))
+            return _write_outputs(args, used, lambda: _run_verify(args, indices))
+        names, dump = _DUMPS[args.command]
+        return _write_outputs(args, names, lambda: (
+            0, dict(zip(names, dump(args))), f"wrote {', '.join(names)} to {args.out}"))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

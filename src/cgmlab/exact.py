@@ -111,8 +111,8 @@ def poisson_competition_A(n: int, alpha: float, beta: float) -> float:
     """Probability that each of the first n points of the rate-alpha
     Poisson stream arrives before the matching point of the rate-beta
     stream."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("rates must be positive")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ValueError("rates must be positive and finite")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -124,8 +124,8 @@ def poisson_competition_A(n: int, alpha: float, beta: float) -> float:
 def poisson_competition_B(n: int, alpha: float, beta: float) -> float:
     """Probability that the rate-alpha stream leads the first n-1 paired
     comparisons and loses the n-th, its first dropped point."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("rates must be positive")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise ValueError("rates must be positive and finite")
     if n < 1:
         raise ValueError("n must be at least 1")
     log_c = math.log(catalan_number(n - 1)) if n - 1 <= _EXACT_ROW_LIMIT \
@@ -144,8 +144,8 @@ class AtomTailLaw:
     def __post_init__(self):
         if not 0.0 <= self.atom <= 1.0:
             raise ValueError("atom mass must lie in [0, 1]")
-        if self.tail_mean <= 0:
-            raise ValueError("tail mean must be positive")
+        if not 0 < self.tail_mean < math.inf:
+            raise ValueError("tail mean must be positive and finite")
 
     def cdf(self, s):
         s = np.asarray(s, dtype=np.float64)

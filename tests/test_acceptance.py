@@ -10,6 +10,7 @@ of the suite's time, carry the slow marker: pytest -m "not slow" skips
 them for a quick loop, and a plain run keeps them.
 """
 
+import argparse
 import hashlib
 
 import pytest
@@ -123,8 +124,8 @@ def test_primary_seed_report_aggregate():
 
 
 # sha256 of the primary-seed reports of the slow table-filling criteria,
-# written as the CLI writes reports.jsonl; read off the cached ladder runs,
-# so pinning them costs no extra run.  Recorded, like the fast suites'
+# the reports.jsonl text the CLI's verify run makes of the cached ladder
+# runs, so pinning them costs no extra run.  Recorded, like the fast suites'
 # digests in test_cli.py, with numpy 2.4 on x86-64.
 SLOW_REPORT_DIGESTS = {
     6: "3af638d2928d4297cda0612d50ef49ba434acf256931c5e9a6c198347e609529",
@@ -137,8 +138,9 @@ SLOW_REPORT_DIGESTS = {
 @pytest.mark.parametrize("index", [
     pytest.param(i, marks=pytest.mark.slow) if i in (6, 8, 9) else i
     for i in sorted(SLOW_REPORT_DIGESTS)])
-def test_slow_criterion_reports_are_pinned(index, tmp_path):
+def test_slow_criterion_reports_are_pinned(index, monkeypatch):
     primary, _ = outcome(index)
-    path = tmp_path / "reports.jsonl"
-    cli._write_reports(path, [primary])
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == SLOW_REPORT_DIGESTS[index]
+    monkeypatch.setattr(cli, "seed_ladder", lambda *a, **kw: [(primary, 0.0)])
+    _, files, _ = cli._run_verify(argparse.Namespace(seed=primary.seed, out="."), (index,))
+    data = files["reports.jsonl"].encode()
+    assert hashlib.sha256(data).hexdigest() == SLOW_REPORT_DIGESTS[index]

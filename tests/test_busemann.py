@@ -454,6 +454,9 @@ def test_stacked_initial_runs_match_full_table_walks(stack, rho, n, spacing, sta
                                                     starts, 6)
     assert geodesic_initial_runs(rho, n, 0, spec, spacing=spacing,
                                  starts_per_table=starts, max_run=6).shape == (0,)
+    with pytest.raises(ValueError):
+        geodesic_initial_runs(rho, n, -5, spec, spacing=spacing,
+                              starts_per_table=starts, max_run=6)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -123,6 +123,57 @@ def test_used_output_is_refused_before_any_criterion_runs(tmp_path, monkeypatch,
     assert calls == []
 
 
+def files_in(path):
+    return {f.name: f.read_bytes() for f in path.iterdir()}
+
+
+def test_used_criterion_csv_is_refused_before_any_criterion_runs(tmp_path, monkeypatch,
+                                                                 capsys):
+    # a criterion's CSV names are found from its index alone, before it runs
+    def stub(seed):
+        rep = TestReport("always-good", 0.5, 1.0, 10, seed, True)
+        return CriterionResult(99, seed, [rep], {"table": (["a", "b"], [(1, 0.5)])})
+
+    monkeypatch.setitem(verification.CRITERIA, 99, stub)
+    monkeypatch.setitem(cli._SUITES, "verify-multiline", (99,))
+    calls = []
+    ladder = cli.seed_ladder
+    monkeypatch.setattr(cli, "seed_ladder",
+                        lambda *a, **kw: calls.append(a) or ladder(*a, **kw))
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "criterion99_table.csv").write_text("old\n")
+    (out / "criterion9_table.csv").write_text("other\n")
+    before = files_in(out)
+    assert run(["verify-multiline", "--out", str(out)]) == 2
+    assert "force" in capsys.readouterr().err
+    assert calls == []
+    assert files_in(out) == before
+    assert run(["verify-multiline", "--out", str(out), "--force"]) == 0
+    assert len(calls) == 1
+    after = files_in(out)
+    assert sorted(after) == ["criterion99_table.csv", "criterion9_table.csv", "reports.jsonl"]
+    assert after["criterion99_table.csv"] == b"a,b\n1,0.5\n"
+    assert after["criterion9_table.csv"] == b"other\n"
+
+
+@pytest.mark.parametrize("argv, held, sampler", [
+    (["sample-mu", "--length", "50"], "mu_rates.csv", "sample_mu_rho"),
+    (["simulate-lpp", "--n", "5"], "interface.csv", "sample_exp_field")])
+def test_used_dump_file_is_refused_before_any_sampling(argv, held, sampler, tmp_path,
+                                                       monkeypatch, capsys):
+    # a dump's last file held alone refuses the whole dump, and nothing is drawn
+    calls = []
+    monkeypatch.setattr(cli, sampler, lambda *a, **kw: calls.append(a))
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / held).write_text("old\n")
+    assert run([*argv, "--out", str(out)]) == 2
+    assert "force" in capsys.readouterr().err
+    assert calls == []
+    assert files_in(out) == {held: b"old\n"}
+
+
 def test_import_loads_no_scipy():
     # scipy is imported only inside criterion 8's chi-square test
     code = ("import sys, cgmlab.cli; "

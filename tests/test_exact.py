@@ -174,9 +174,14 @@ def test_competition_base_cases_and_recursion():
             - poisson_competition_B(n, alpha, beta)
         assert lhs == pytest.approx(rhs, rel=1e-12)
     with pytest.raises(ValueError):
-        poisson_competition_A(1, 0.0, 1.0)
-    with pytest.raises(ValueError):
         poisson_competition_B(0, 1.0, 1.0)
+    # a rate outside (0, inf), NaN included, is refused by both laws
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        for rates in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError):
+                poisson_competition_A(2, *rates)
+            with pytest.raises(ValueError):
+                poisson_competition_B(2, *rates)
 
 
 def test_competition_crossing_mass():
@@ -280,8 +285,11 @@ def test_atom_tail_closed_forms():
         increment_law(3.0, 1.5)
     with pytest.raises(ValueError):
         AtomTailLaw(1.5, 1.0)
-    with pytest.raises(ValueError):
-        AtomTailLaw(0.5, 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            AtomTailLaw(0.5, bad)
+        with pytest.raises(ValueError):
+            increment_law(1.0, bad)
 
 
 def test_degenerate_increment_law():

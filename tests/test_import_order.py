@@ -126,3 +126,10 @@ def test_primitives_are_called_only_by_their_drivers():
     wrong |= {c for c in callers({"lindley_iterate"}) if not c.startswith("queueing.")} - {
         "multiclass.coupled_step", "busemann.wait_indicator_run"}
     assert not wrong, "private recursion loops: " + ", ".join(sorted(wrong))
+
+
+def test_only_the_cli_writer_writes_files():
+    # every output file is written by one function, after the command's
+    # used names are refused and its work is done
+    wrong = callers({"open", "write_text", "write_bytes"}) - {"cli._write_outputs"}
+    assert not wrong, "file writes outside the CLI writer: " + ", ".join(sorted(wrong))
