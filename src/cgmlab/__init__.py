@@ -32,7 +32,6 @@ from .queueing import (
     queue_Dn,
     strip_lpp_H,
     check_sweep_identities,
-    check_intertwining_identity,
     check_strip_identities,
 )
 from .multiclass import (
@@ -44,7 +43,7 @@ from .multiclass import (
     dmap,
     sample_mu_rho,
     build_triangular_arrays,
-    check_intertwining_dynamics,
+    check_intertwining,
     check_independence_structure,
 )
 from .busemann import (

@@ -9,12 +9,14 @@ the Busemann estimators is the reflection x -> -x of the same array, so a
 backtracked path toward the array origin reads as a southwest geodesic
 there.
 
-Every fill is corner_fill: the row step over the rows of a field in
-order, holding two rows at a time and keeping one corner G[-r:, -c:] of
-the table, bit for bit, without holding the rest.  Readers of the table
-read one corner of it (the Busemann edge estimates, walks that start near
-the far corner, the corner value itself), and lpp_grid is the case that
-keeps all of it.  The rows come from one row source, _fill_rows: a given
+CornerFill is the one stepper: it runs the row step over the rows of a
+table in order, holding two rows at a time and keeping one corner
+G[-r:, -c:] of the table, bit for bit, without holding the rest.
+corner_fill is its driver over a field; busemann's nested probe and
+stationary_halfplane_lpp step it themselves.  Readers of the table read one
+corner of it (the Busemann edge estimates, walks that start near the far
+corner, the corner value itself), and lpp_grid is the case that keeps
+all of it.  The rows come from one row source, _fill_rows: a given
 field or strided view whole, or an ExpFieldRows source drawn a block at a
 time, so a streamed field is never held whole.  It alone decides the fill
 orientation: a tall field (more rows than columns) is filled by the rows

@@ -8,13 +8,14 @@ multiline step feeds the shared service window through the lines in
 order, each line seeing the unused input of the one before.  The
 coupled step applies the departure map with the same service window to
 every line.  The iterated departure map (line i folded through lines
-i-1, ..., 1) intertwines the two dynamics and pushes independent
+i-1, ..., 0) intertwines the two dynamics and pushes independent
 exponential lines forward to the coupled stationary law, which is how
-sample_mu_rho draws it.  The triangular arrays expose every intermediate
-departure/unused pair of that fold; their columns are multiline steps,
-their diagonal reproduces the fold, and selected entries satisfy exact
-independence properties that check_independence_structure estimates by
-correlation.
+sample_mu_rho draws it.  check_intertwining checks that identity, one
+report per line order, from one multiline step.  The triangular arrays
+expose every intermediate departure/unused pair of that fold; their
+columns are multiline steps, their diagonal reproduces the fold, and
+selected entries satisfy exact independence properties that
+check_independence_structure estimates by correlation.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
     "dmap",
     "sample_mu_rho",
     "build_triangular_arrays",
-    "check_intertwining_dynamics",
+    "check_intertwining",
     "check_independence_structure",
 ]
 
@@ -184,8 +185,8 @@ def build_triangular_arrays(config: MultiConfig,
     Row i starts from line i and is driven stage by stage through the
     unused outputs of row i-1, so column j is one multiline step: lines
     j, ..., n-1 at stage j-1 against the diagonal entry eta[j-1][j-1].  With
-    validate set, the diagonal is checked against the direct fold on the
-    post-burn-in interior.
+    validate set, the diagonal is checked against the direct fold, both
+    started from the policy's left sojourn value, over the whole window.
     """
     n = config.n_lines
     eta = [[config.line(i)] for i in range(n)]
@@ -200,25 +201,43 @@ def build_triangular_arrays(config: MultiConfig,
         xi[i].append(eta[i][i])
     arr = TriArray(config.offset, eta, xi, config.rates)
     if validate and n > 1:
-        direct = DEFAULT_POLICY.trim(dmap(config, BoundaryPolicy.given(0.0)))
-        err = np.max(np.abs(DEFAULT_POLICY.trim(arr.diagonal()).values - direct.values))
+        direct = _fold_lines([config.line(i) for i in range(n)], policy.j_left)
+        err = np.max(np.abs(arr.diagonal().values - MultiConfig.from_lines(direct).values))
         if err > 1e-9:
             raise AssertionError(
                 f"triangular array diagonal deviates from the departure fold by {err:.3e}")
     return arr
 
 
-def check_intertwining_dynamics(config: MultiConfig, services: SeqWindow,
-                                fraction: float = 0.2) -> IdentityReport:
-    """Coupled step after the departure fold equals the fold after the
-    multiline step, on the interior that BoundaryPolicy.burn_in(fraction)
-    keeps (a fraction outside [0, 1) is refused)."""
-    burn = BoundaryPolicy.burn_in(fraction)
-    empty = BoundaryPolicy.given(0.0)
-    lhs = burn.trim(coupled_step(dmap(config, empty), services, empty))
-    rhs = burn.trim(dmap(multiline_step(config, services, empty), empty))
-    return _check("intertwining-dynamics", lhs.values - rhs.values, 1e-9,
-                  lines=config.n_lines, interior=lhs.length)
+def check_intertwining(lines: list[SeqWindow],
+                       services: SeqWindow) -> tuple[IdentityReport, ...]:
+    """The intertwining reports of orders 2, ..., n for n lines.
+
+    lines are in config order, bottom line first, each one window or a
+    stack of K aligned windows; services is the bottom service sequence.
+    Order k compares line k-1 of the coupled step after the departure
+    fold with line k-1 of the fold after the multiline step.  With lines
+    [I^1, ..., I^n] and services w^1 that is D^(k+1)(I^k, ..., I^1, w^1) =
+    D^(k)(D(I^k, w^k), ..., D(I^1, w^1)), each w^(j+1) the unused input
+    R(I^j, w^j); order 2 is the bracket exchange identity for nested
+    departure maps, and order 1 holds by construction, unchecked.  One
+    multiline step serves every order.  Every queue starts empty at the
+    west edge, so agreement is asserted, at 1e-9, on the interior that
+    DEFAULT_POLICY keeps.
+    """
+    if not lines:
+        raise ValueError("need at least one line")
+    same_window(*lines, services)
+    j = DEFAULT_POLICY.j_left
+    folded = _fold_lines(lines, j)
+    stepped = _fold_lines([out.departures for out in _unused_chain(lines, services, j)], j)
+    reports = []
+    for k in range(2, len(lines) + 1):
+        lhs = DEFAULT_POLICY.trim(_fold([folded[k - 1], services], j))
+        rhs = DEFAULT_POLICY.trim(stepped[k - 1])
+        reports.append(_check(f"intertwining-{k}", [lhs.values - rhs.values], 1e-9,
+                              order=k, interior=len(lhs)))
+    return tuple(reports)
 
 
 @dataclass(eq=False)

@@ -11,12 +11,12 @@ of the window.  One sweep of the Lindley recursion produces
 which satisfy the conservation law I_k + J_k = J_{k-1} + Itilde_k and the
 exchange law w_k + I_k = wtilde_k + Itilde_k slot by slot.  The same data
 define a two-level strip passage time H whose increments reproduce the
-sweep, a reversal duality, and intertwining identities for iterated
-departure maps.  All of that is checked here, each identity at one fixed
-tolerance: conservation (with exchange) and duality at 1e-12; the T
-identity, the strip identities and the intertwining identity at 1e-9.
+sweep, and a reversal duality.  All of that is checked here, each
+identity at one fixed tolerance: conservation (with exchange) and
+duality at 1e-12; the T identity and the strip identities at 1e-9.
 check_sweep_identities reads the first three off one forward sweep, the
-duality adding its reverse sweep.
+duality adding its reverse sweep.  The intertwining of the departure
+fold and the unused-input chain defined here is checked in multiclass.
 
 The strip table H is lpp's max-plus recursion on two rows, filled by
 lpp's own code: level 0 is the prefix sums of [0, I], and level 1 is one
@@ -29,9 +29,9 @@ starts every queue from a fixed sojourn value and keeps the whole window;
 the burn-in boundary starts every queue empty and cuts a prefix fraction
 off the output, once, after the last stage.
 
-lindley_iterate, queue_Dn, strip_lpp_H and the sweep, intertwining and
-strip checks take either one window or a stack of K aligned windows of
-independent instances (see SeqWindow: time on the last axis).  j_left is
+lindley_iterate, queue_Dn, strip_lpp_H and the sweep and strip checks
+take either one window or a stack of K aligned windows of independent
+instances (see SeqWindow: time on the last axis).  j_left is
 then a float or a (K,) array, and a check's max_abs_error is the maximum
 over all instances.
 
@@ -82,8 +82,9 @@ service at a busy slot gives +0.0 departures, and a tie between -0.0 and
 infinite departure and the incoming sojourn as unused input, as the
 branch does.  Nothing is summed along the time axis, so an idle slot's
 sojourn is exactly its service and busy slots leave exact zeros in D - w.
-Sum-based identities (strip, T, the intertwining interiors) carry
-prefix-sum rounding, hence their looser tolerance.
+Sum-based identities (strip, T) carry prefix-sum rounding, and
+multiclass's intertwining compares two different folds, hence their
+looser tolerance.
 
 Identity checks reduce each error piece to its own max |e|; the maximum
 is exact, so no piece needs to be joined to the others first.
@@ -112,7 +113,6 @@ __all__ = [
     "queue_Dn",
     "strip_lpp_H",
     "check_sweep_identities",
-    "check_intertwining_identity",
     "check_strip_identities",
 ]
 
@@ -453,33 +453,6 @@ def check_sweep_identities(j_left: float | np.ndarray, arrivals: SeqWindow,
     t_identity = _check("T-identity", [best_split(rel, dep) - t_direct], 1e-9,
                         value=t_direct)
     return conservation, duality, t_identity
-
-
-def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWindow,
-                                fraction: float = 0.2) -> IdentityReport:
-    """Iterated-departure intertwining on a finite window.
-
-    arrival_seqs = [I^n, ..., I^1] ordered from the last arrival stream to
-    the first; services is the bottom service sequence.  The identity
-    states D^(n+1)(I^n, ..., I^1, w) equals D^(n)(D(I^n, w^n), ..., D(I^1, w^1))
-    where each w^(j+1) is the unused input R(I^j, w^j).  With two arrival
-    streams this is the bracket exchange identity for nested departure
-    maps.  Finite windows start empty at the west edge, so agreement is
-    asserted on the interior that BoundaryPolicy.burn_in(fraction) keeps,
-    which refuses a fraction outside [0, 1).
-    """
-    if not arrival_seqs:
-        raise ValueError("need at least one arrival sequence")
-    same_window(*arrival_seqs, services)
-    burn = BoundaryPolicy.burn_in(fraction)
-    lhs = _fold(list(arrival_seqs) + [services], 0.0)
-    # Chain the unused input upward from the bottom stream.
-    transformed = [out.departures
-                   for out in _unused_chain(arrival_seqs[::-1], services, 0.0)]
-    rhs = _fold(transformed[::-1], 0.0)
-    lhs, rhs = burn.trim(lhs), burn.trim(rhs)
-    return _check("intertwining", [lhs.values - rhs.values], 1e-9,
-                  order=len(arrival_seqs), interior=len(lhs))
 
 
 def check_strip_identities(j_left: float | np.ndarray, arrivals: SeqWindow,

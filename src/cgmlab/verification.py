@@ -29,9 +29,9 @@ import numpy as np
 from .rng import (ExpFieldRows, RngSpec, SeqWindow, _exp_in_place, exp_from_uniform,
                   sample_exp_field, sample_exp_window)
 from .lpp import brute_force_table, corner_fill, lpp_grid
-from .queueing import (DEFAULT_POLICY, check_intertwining_identity,
-                       check_strip_identities, check_sweep_identities)
-from .multiclass import MultiConfig, coupled_step, multiline_step, sample_mu_rho
+from .queueing import DEFAULT_POLICY, check_strip_identities, check_sweep_identities
+from .multiclass import (MultiConfig, check_intertwining, coupled_step, multiline_step,
+                         sample_mu_rho)
 from .busemann import (estimate_busemann_level, estimate_nested_levels,
                        geodesic_initial_runs, initial_run_statistics,
                        rho_star_threshold)
@@ -147,15 +147,10 @@ def criterion_2(seed: int, instances: int = 200, window: int = 1000) -> Criterio
     threshold: dict[str, float] = {}
     for j0, (arr, svc, *seqs) in _instance_stacks(spec, instances, window, 6,
                                                   _criterion_2_instance):
-        checks = {
-            **{rep.name: rep for rep in check_sweep_identities(j0, arr, svc)},
-            "intertwining-2": check_intertwining_identity([seqs[2], seqs[1]], seqs[0]),
-            "intertwining-3": check_intertwining_identity(
-                [seqs[3], seqs[2], seqs[1]], seqs[0]),
-        }
-        for k, rep in checks.items():
-            worst[k] = max(worst.get(k, 0.0), rep.max_abs_error)
-            threshold[k] = rep.tolerance
+        for rep in (*check_sweep_identities(j0, arr, svc),
+                    *check_intertwining(seqs[1:], seqs[0])):
+            worst[rep.name] = max(worst.get(rep.name, 0.0), rep.max_abs_error)
+            threshold[rep.name] = rep.tolerance
     claims = {
         "conservation": "per-slot conservation and exchange identities",
         "duality": "reversed outputs regenerate the inputs",
@@ -177,8 +172,9 @@ def criterion_3(seed: int, instances: int = 100, window: int = 1000) -> Criterio
     worst = 0.0
     for j0, (arr, svc) in _instance_stacks(spec, instances, window, 2,
                                            lambda s, rows: _queue_instance(s, rows)[0]):
-        worst = max(worst, check_strip_identities(j0, arr, svc).max_abs_error)
-    rep = _strict_report("strip-identities", worst, 1e-9, instances, seed,
+        check = check_strip_identities(j0, arr, svc)
+        worst = max(worst, check.max_abs_error)
+    rep = _strict_report("strip-identities", worst, check.tolerance, instances, seed,
                          "split, reversed-role, and dual strip values agree")
     return CriterionResult(3, seed, [rep])
 

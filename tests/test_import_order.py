@@ -14,6 +14,8 @@ queueing's folds and chains, so the bare primitives have few callers.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -133,3 +135,17 @@ def test_only_the_cli_writer_writes_files():
     # used names are refused and its work is done
     wrong = callers({"open", "write_text", "write_bytes"}) - {"cli._write_outputs"}
     assert not wrong, "file writes outside the CLI writer: " + ", ".join(sorted(wrong))
+
+
+def test_no_check_takes_a_tolerance_or_a_fraction():
+    # Each identity check holds its identity to one fixed tolerance on one
+    # fixed interior; a knob for either would let a caller loosen it.
+    wrong = []
+    for path in MODULES:
+        module = importlib.import_module(f"cgmlab.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            if name.startswith("check_"):
+                params = inspect.signature(getattr(module, name)).parameters
+                wrong += [f"{path.stem}.{name}({p})" for p in params
+                          if p in ("tolerance", "fraction")]
+    assert not wrong, "identity checks with a knob: " + ", ".join(wrong)

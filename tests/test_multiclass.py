@@ -1,17 +1,19 @@
 """Multiline and coupled chain updates, stationary sampling, intertwining."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from cgmlab import multiclass
 from cgmlab.rng import RngSpec, SeqWindow, sample_exp_window
-from cgmlab.queueing import BoundaryPolicy, lindley_iterate, queue_D
+from cgmlab.queueing import BoundaryPolicy, IdentityReport, _check, lindley_iterate, queue_D
 from cgmlab.multiclass import (MultiConfig, build_triangular_arrays,
-                               check_independence_structure,
-                               check_intertwining_dynamics, coupled_step, dmap,
-                               multiline_step, sample_mu_rho)
+                               check_independence_structure, check_intertwining,
+                               coupled_step, dmap, multiline_step, sample_mu_rho)
 from cgmlab.stats import correlation_test, ks_one_sample, ks_two_sample
 from test_lpp import half_integers
+from test_queueing import check_intertwining_identity
 
 BURN = BoundaryPolicy.burn_in(0.2)
 
@@ -156,7 +158,7 @@ def test_triangular_diagonal_matches_iterated_departures():
     spec = RngSpec(20, "tri")
     cfg = random_config(spec, means=(1.8, 3.0, 5.0), length=400)
     tri = build_triangular_arrays(cfg, BoundaryPolicy.given(0.0))
-    # validate=True has already asserted the interior diagonal; spot-check shape
+    # validate=True has already asserted the whole diagonal; spot-check shape
     assert tri.n_lines == 3
     diag = tri.diagonal()
     ref = dmap(cfg, BoundaryPolicy.given(0.0))
@@ -233,19 +235,72 @@ def test_intertwining_dynamics_exact():
     spec = RngSpec(23, "dyn")
     cfg = random_config(spec, means=(1.9, 3.0, 5.0), length=500)
     svc = sample_exp_window(1, 500, 1.0, spec.sub("svc"))
-    rep = check_intertwining_dynamics(cfg, svc)
-    assert rep.max_abs_error < 1e-9
+    reps = check_intertwining([cfg.line(i) for i in range(cfg.n_lines)], svc)
+    assert [rep.extras["order"] for rep in reps] == [2, 3]
+    assert all(rep.passed and rep.max_abs_error < 1e-9 for rep in reps)
 
 
 def test_intertwining_dynamics_interior_is_the_burn_in_trim():
     spec = RngSpec(23, "dyn-cut")
     cfg = random_config(spec, means=(1.9, 3.0), length=250)
     svc = sample_exp_window(1, 250, 1.0, spec.sub("svc"))
-    assert check_intertwining_dynamics(cfg, svc).extras["interior"] == 250 - int(0.2 * 250)
-    assert check_intertwining_dynamics(cfg, svc, fraction=0.0).extras["interior"] == 250
-    for fraction in (1.0, 1.5, -0.1):
-        with pytest.raises(ValueError, match="fraction"):
-            check_intertwining_dynamics(cfg, svc, fraction=fraction)
+    (rep,) = check_intertwining([cfg.line(0), cfg.line(1)], svc)
+    assert rep.extras == {"order": 2, "interior": 250 - int(0.2 * 250)}
+
+
+# The all-lines intertwining check that check_intertwining replaced, kept
+# verbatim as its oracle (test_queueing keeps the one-order check).
+
+def check_intertwining_dynamics(config: MultiConfig, services: SeqWindow,
+                                fraction: float = 0.2) -> IdentityReport:
+    """Coupled step after the departure fold equals the fold after the
+    multiline step, on the interior that BoundaryPolicy.burn_in(fraction)
+    keeps (a fraction outside [0, 1) is refused)."""
+    burn = BoundaryPolicy.burn_in(fraction)
+    empty = BoundaryPolicy.given(0.0)
+    lhs = burn.trim(coupled_step(dmap(config, empty), services, empty))
+    rhs = burn.trim(dmap(multiline_step(config, services, empty), empty))
+    return _check("intertwining-dynamics", lhs.values - rhs.values, 1e-9,
+                  lines=config.n_lines, interior=lhs.length)
+
+
+def assert_same_error(got: float, want: float):
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:line means")
+@pytest.mark.parametrize("length", [1, 7, 500, 5000])
+@pytest.mark.parametrize("ties", [False, True], ids=["exp", "half-integers"])
+def test_intertwining_reports_match_the_old_checks(ties, length):
+    # Order k is the old one-order check on lines k-1, ..., 0, on stacks and
+    # on each of their rows (a long row takes the chunked sweep), and on a
+    # row the old all-lines check is the largest order's error, bit for bit.
+    spec = RngSpec(28, f"twine-oracle-{ties}-{length}")
+    rows = 3
+    for n_lines in (2, 3, 4):
+        stacks = [np.stack([sample_exp_window(1, length, (1.0 + 0.8 * i) * (1 + r / rows),
+                                              spec.sub(f"{n_lines}/L{i}/{r}")).values
+                            for r in range(rows)])
+                  for i in range(n_lines + 1)]
+        if ties:
+            stacks = [half_integers(a) for a in stacks]
+        svc, *lines = [SeqWindow(1, a) for a in stacks]
+        cases = [(lines, svc)] + [([SeqWindow(1, w.values[r]) for w in lines],
+                                   SeqWindow(1, svc.values[r])) for r in range(rows)]
+        for case, (case_lines, case_svc) in enumerate(cases):
+            reps = check_intertwining(case_lines, case_svc)
+            assert [rep.name for rep in reps] == \
+                [f"intertwining-{k}" for k in range(2, n_lines + 1)]
+            for k, rep in enumerate(reps, 2):
+                want = check_intertwining_identity(case_lines[k - 1::-1], case_svc)
+                assert_same_error(rep.max_abs_error, want.max_abs_error)
+                assert (rep.tolerance, rep.passed, rep.extras) == \
+                    (want.tolerance, want.passed, want.extras)
+            if case:
+                dyn = check_intertwining_dynamics(MultiConfig.from_lines(case_lines), case_svc)
+                assert_same_error(dyn.max_abs_error, max(rep.max_abs_error for rep in reps))
+                assert (dyn.tolerance, dyn.passed, dyn.extras["interior"]) == \
+                    (1e-9, all(rep.passed for rep in reps), reps[0].extras["interior"])
 
 
 def test_burn_in_trim_cuts_a_config_like_its_lines():
@@ -259,24 +314,42 @@ def test_burn_in_trim_cuts_a_config_like_its_lines():
     assert BoundaryPolicy.given(0.0).trim(cfg) is cfg
 
 
-def test_triangular_validation_reads_the_post_burn_in_interior(monkeypatch):
-    # A fold wrong only inside the first 20% of the window passes the
-    # validation; one wrong at the first interior slot fails it.
+def test_triangular_validation_reads_the_whole_window(monkeypatch):
+    # A fold wrong at any slot fails the validation, the first 20% of the
+    # window included.
     cfg = random_config(RngSpec(26, "tri-cut"), means=(1.8, 3.0), length=100)
-    fold = multiclass.dmap
+    build_triangular_arrays(cfg, BoundaryPolicy.given(0.0))
+    fold = multiclass._fold_lines
 
     def fold_wrong_at(slot):
-        def wrong(config, policy):
-            out = fold(config, policy)
-            out.values[-1, slot] += 1.0
+        def wrong(lines, j_left):
+            out = fold(lines, j_left)
+            out[-1].values[slot] += 1.0
             return out
         return wrong
 
-    monkeypatch.setattr(multiclass, "dmap", fold_wrong_at(19))
-    build_triangular_arrays(cfg, BoundaryPolicy.given(0.0))
-    monkeypatch.setattr(multiclass, "dmap", fold_wrong_at(20))
-    with pytest.raises(AssertionError, match="diagonal"):
-        build_triangular_arrays(cfg, BoundaryPolicy.given(0.0))
+    for slot in (0, 19, 20, 99):
+        monkeypatch.setattr(multiclass, "_fold_lines", fold_wrong_at(slot))
+        with pytest.raises(AssertionError, match="diagonal"):
+            build_triangular_arrays(cfg, BoundaryPolicy.given(0.0))
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["exp", "half-integers"])
+def test_triangular_validation_holds_at_every_left_sojourn(ties):
+    # The diagonal is checked against the fold from the policy's own left
+    # sojourn value, and no line-means warning is raised on the way.
+    spec = RngSpec(29, f"tri-left-{ties}")
+    for j_left in (0.0, 1.5, 7.0):
+        for length in (7, 40, 3000):
+            for r in range(20 if length < 3000 else 2):
+                lines = [sample_exp_window(1, length, m, spec.sub(f"{j_left}/{length}/{r}/{m}"))
+                         for m in (1.6, 2.5, 4.0)]
+                if ties:
+                    lines = [SeqWindow(1, half_integers(w.values)) for w in lines]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    build_triangular_arrays(MultiConfig.from_lines(lines),
+                                            BoundaryPolicy.given(j_left))
 
 
 def test_independence_structure_bound():

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgmlab.rng import RngSpec, SeqWindow, exp_from_uniform, sample_exp_window
+from cgmlab.rng import RngSpec, SeqWindow, exp_from_uniform, sample_exp_window, same_window
 from cgmlab import queueing, verification
 from cgmlab.verification import _STACK_BLOCK, criterion_2, criterion_3, run_criterion
-from cgmlab.queueing import (BoundaryPolicy, IdentityReport, _check, _prepend,
-                             check_intertwining_identity, check_strip_identities,
+from cgmlab.queueing import (BoundaryPolicy, IdentityReport, _check, _fold, _prepend,
+                             _unused_chain, check_strip_identities,
                              check_sweep_identities, lindley_iterate, queue_D,
                              queue_Dn, queue_R, queue_S, strip_lpp_H)
+from cgmlab.multiclass import check_intertwining
 
 
 def branch_sweep(j_left, arrivals, services):
@@ -116,6 +117,36 @@ def check_conservation(j_left: float | np.ndarray, arrivals: SeqWindow, services
 
 
 ORACLES = (check_conservation, check_duality, check_T_identity)
+
+
+# The one-order intertwining check that multiclass.check_intertwining
+# replaced, kept verbatim as its oracle (test_multiclass keeps the other).
+
+def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWindow,
+                                fraction: float = 0.2) -> IdentityReport:
+    """Iterated-departure intertwining on a finite window.
+
+    arrival_seqs = [I^n, ..., I^1] ordered from the last arrival stream to
+    the first; services is the bottom service sequence.  The identity
+    states D^(n+1)(I^n, ..., I^1, w) equals D^(n)(D(I^n, w^n), ..., D(I^1, w^1))
+    where each w^(j+1) is the unused input R(I^j, w^j).  With two arrival
+    streams this is the bracket exchange identity for nested departure
+    maps.  Finite windows start empty at the west edge, so agreement is
+    asserted on the interior that BoundaryPolicy.burn_in(fraction) keeps,
+    which refuses a fraction outside [0, 1).
+    """
+    if not arrival_seqs:
+        raise ValueError("need at least one arrival sequence")
+    same_window(*arrival_seqs, services)
+    burn = BoundaryPolicy.burn_in(fraction)
+    lhs = _fold(list(arrival_seqs) + [services], 0.0)
+    # Chain the unused input upward from the bottom stream.
+    transformed = [out.departures
+                   for out in _unused_chain(arrival_seqs[::-1], services, 0.0)]
+    rhs = _fold(transformed[::-1], 0.0)
+    lhs, rhs = burn.trim(lhs), burn.trim(rhs)
+    return _check("intertwining", [lhs.values - rhs.values], 1e-9,
+                  order=len(arrival_seqs), interior=len(lhs))
 
 
 def assert_same_report(got, want):
@@ -412,16 +443,16 @@ def test_stacked_checks_equal_max_over_rows():
         assert rep.max_abs_error == max(errors)
         assert rep.passed
         worst.append(max(errors))
-    for order in (2, 3):
-        streams = lines[order:0:-1]
-        stacked = check_intertwining_identity([SeqWindow(1, a) for a in streams],
-                                              SeqWindow(1, lines[0]))
-        rows = [check_intertwining_identity([SeqWindow(1, a[r]) for a in streams],
-                                            SeqWindow(1, lines[0][r])).max_abs_error
-                for r in range(k)]
-        assert stacked.max_abs_error == max(rows)
-        assert stacked.extras == {"order": order, "interior": n - int(0.2 * n)}
-        worst.append(max(rows))
+    stacked = check_intertwining([SeqWindow(1, a) for a in lines[1:]],
+                                 SeqWindow(1, lines[0]))
+    rows = [check_intertwining([SeqWindow(1, a[r]) for a in lines[1:]],
+                               SeqWindow(1, lines[0][r]))
+            for r in range(k)]
+    for i, rep in enumerate(stacked):
+        errors = [row[i].max_abs_error for row in rows]
+        assert rep.max_abs_error == max(errors)
+        assert rep.extras == {"order": i + 2, "interior": n - int(0.2 * n)}
+        worst.append(max(errors))
     assert all(w > 0.0 for w in worst)
     # the stacked strip table is each row's table, bit for bit
     table = strip_lpp_H(j0, SeqWindow(1, arr), SeqWindow(1, svc))
@@ -437,8 +468,9 @@ def test_intertwining_identity_random_streams():
     spec = RngSpec(88, "twine")
     svc = sample_exp_window(1, 500, 1.0, spec.sub("svc"))
     seqs = [sample_exp_window(1, 500, m, spec.sub(f"L{m}")) for m in (4.5, 3.0, 2.0)]
-    rep = check_intertwining_identity(seqs, svc)
-    assert rep.max_abs_error < 1e-9
+    reps = check_intertwining(seqs[::-1], svc)
+    assert [rep.name for rep in reps] == ["intertwining-2", "intertwining-3"]
+    assert all(rep.passed and rep.max_abs_error < 1e-9 for rep in reps)
 
 
 def test_queue_Dn_identity_on_single_sequence():
@@ -593,12 +625,13 @@ def test_intertwining_interior_is_the_burn_in_trim():
     spec = RngSpec(40, "twine-cut")
     n = 250
     svc = sample_exp_window(1, n, 1.0, spec.sub("svc"))
-    seqs = [sample_exp_window(1, n, m, spec.sub(f"L{m}")) for m in (3.0, 2.0)]
-    assert check_intertwining_identity(seqs, svc).extras["interior"] == n - int(0.2 * n)
-    assert check_intertwining_identity(seqs, svc, fraction=0.0).extras["interior"] == n
-    for fraction in (1.0, 1.5, -0.1):
-        with pytest.raises(ValueError, match="fraction"):
-            check_intertwining_identity(seqs, svc, fraction=fraction)
+    seqs = [sample_exp_window(1, n, m, spec.sub(f"L{m}")) for m in (2.0, 3.0)]
+    (rep,) = check_intertwining(seqs, svc)
+    assert rep.extras["interior"] == n - int(0.2 * n)
+    # one line has no order to check, and no line is refused
+    assert check_intertwining(seqs[:1], svc) == ()
+    with pytest.raises(ValueError, match="line"):
+        check_intertwining([], svc)
 
 
 def test_policy_validation():
@@ -689,7 +722,9 @@ def test_criterion_2_blocks_cover_every_instance(monkeypatch):
 def test_criterion_2_sweeps_once_for_three_identities(monkeypatch):
     # One block of 200 instances: the three sweep identities share one
     # forward sweep and add the duality's reverse one (2), and the order-2
-    # and order-3 intertwining checks fold and chain their streams (5 + 8).
+    # and order-3 intertwining reports share one multiline step of the
+    # three lines (3), their departure folds (1 + 2) and those of the
+    # stepped lines (1 + 2), each order adding its service sweep (2).
     calls = []
 
     def spy(*args):
@@ -698,7 +733,7 @@ def test_criterion_2_sweeps_once_for_three_identities(monkeypatch):
 
     monkeypatch.setattr(queueing, "lindley_iterate", spy)
     assert run_criterion(2).passed
-    assert len(calls) == 15
+    assert len(calls) == 13
     assert {args[1].values.shape for args in calls} == {(200, 1000)}
 
 
