@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import ExpFieldRows, RngSpec, SeqWindow, WeightField
+from .rng import ExpFieldRows, RngSpec, SampledField, SeqWindow, WeightField
 from .lpp import (CornerFill, GTable, GeodesicPath, STEP_E2, _fill_rows, _prefix_sums,
                   _row_step, backtrack_geodesic, corner_fill, walk_to_corner)
 from .queueing import lindley_iterate
@@ -224,6 +224,13 @@ def competition_interface(weights: WeightField, steps: int | None = None) -> np.
     when L(phi - e1) > L(phi - e2), -e1 otherwise, so ties go to -e1.  The
     table is kept as two rows and filled only as far as the walk descends.
 
+    The walk has two row sources and one loop.  A field from
+    rng.sample_exp_field that is still undrawn and not tall gives its
+    reversed rows from 32-row blocks drawn bottom-up at their own stream
+    positions, each drawn when the walk first needs it, so the field is
+    never held or drawn whole; every other field (a tall or drawn one, a
+    plain WeightField) is read whole through values, as lpp fills it.
+
     This is the competition interface of Ferrari and Pimentel (Ann.
     Probab. 33, 2005) reflected into the third quadrant: phi moves onto the
     neighbor with the smaller L.  By induction phi - e1 lies in the tree
@@ -249,12 +256,18 @@ def competition_interface(weights: WeightField, steps: int | None = None) -> np.
     # when the field is tall.  F is R in that orientation and the walk
     # stands at F[p, q], (p, q) = (i, j), or (j, i) when tall.  A step reads
     # F[p + 1, q] and F[p, q + 1], so only rows p and p + 1 are kept, and
-    # row p + 1 is filled when the walk moves onto row p.  After k steps
-    # p + q = k, so row p is read no further than index steps - p.
-    tall, (flip,) = _fill_rows(weights.values[::-1, ::-1])
+    # row p + 1 is taken from the row source and filled when the walk moves
+    # onto row p.  After k steps p + q = k, so row p is read no further
+    # than index steps - p.
+    if isinstance(weights, SampledField) and not weights.drawn and r <= c:
+        tall = False
+        rows = (row for block in weights.source.reversed_blocks() for row in block)
+    else:
+        tall, (flip,) = _fill_rows(weights.values[::-1, ::-1])
+        rows = iter(flip)
     here, ahead, scratch = np.empty((3, steps + 1))
-    _prefix_sums(flip[0, :steps + 1], here)
-    _row_step(here[:steps], flip[1, :steps], ahead[:steps], scratch[:steps])
+    _prefix_sums(next(rows)[:steps + 1], here)
+    _row_step(here[:steps], next(rows)[:steps], ahead[:steps], scratch[:steps])
     p = q = 0
     pts = [(0, 0)]
     for _ in range(steps):
@@ -268,7 +281,7 @@ def competition_interface(weights: WeightField, steps: int | None = None) -> np.
             p += 1
             here, ahead = ahead, here
             w = steps - p
-            _row_step(here[:w], flip[p + 1, :w], ahead[:w], scratch[:w])
+            _row_step(here[:w], next(rows)[:w], ahead[:w], scratch[:w])
         else:
             q += 1
         pts.append((-q, -p) if tall else (-p, -q))

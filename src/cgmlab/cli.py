@@ -5,8 +5,9 @@ files are flat key=value text; command-line flags override file values.
 Verification subcommands write one JSON line per statistical report plus
 any CSV artifacts, print a per-criterion summary, and exit nonzero when a
 criterion fails even after the backup seeds.  Before any work, a command
-refuses an output directory that holds a file it would write, unless
---force, and it writes all of its files once the work is done, or none.
+refuses an output path that is not a directory (or lies under a file),
+and an output directory that holds a file it would write, unless
+--force; it writes all of its files once the work is done, or none.
 """
 
 from __future__ import annotations
@@ -61,11 +62,16 @@ def _csv(header, rows) -> str:
 
 
 def _write_outputs(args, used, work) -> int:
-    """The one writer of output files.  Without --force, an output
-    directory that holds a file matching any glob in used is refused
-    before work runs; work returns (exit code, {name: text}, a line to
-    print once the files are written), and every file is then written."""
+    """The one writer of output files.  Before work runs, an output path
+    that is not a directory, or whose nearest existing ancestor is not
+    one, is refused, and so, without --force, is an output directory
+    that holds a file matching any glob in used; work returns (exit code,
+    {name: text}, a line to print once the files are written), and every
+    file is then written."""
     out = Path(args.out)
+    existing = next((path for path in (out, *out.parents) if path.exists()), out)
+    if not existing.is_dir():
+        raise NotADirectoryError(f"{existing} is not a directory")
     held = sorted({path.name for glob in used for path in out.glob(glob)})
     if held and not args.force:
         raise FileExistsError(f"{out} holds {', '.join(held)}; pass --force to overwrite")

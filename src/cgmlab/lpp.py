@@ -22,7 +22,12 @@ time, so a streamed field is never held whole.  It alone decides the fill
 orientation: a tall field (more rows than columns) is filled by the rows
 of its contiguous transpose, because the row step is not bit-for-bit
 transpose-symmetric, and a tall source is gathered into that transpose a
-block at a time.
+block at a time.  The one reader that bypasses it is
+busemann.competition_interface on an undrawn, not tall field from
+rng.sample_exp_field: it takes the reversed rows from the field's
+positioned blocks (ExpFieldRows.reversed_blocks), which are the rows
+_fill_rows would give values[::-1, ::-1], drawn only as the walk reaches
+them.
 
 One row step, _row_step, fills every row of every max-plus recursion in
 the package, one table's row or the rows of a stack of K tables of one

@@ -20,6 +20,15 @@ per block (one member's slot of a stack of fields drawn in lockstep, or
 a sample block of a fast criterion).  Which way round a table fill reads
 the rows is lpp's to decide, not the source's.
 
+sample_exp_field returns a SampledField, which keeps its ExpFieldRows
+source and draws the whole field, exactly as one whole draw, on the
+first read of its values; shape and index never draw.  Until then a
+reader may draw only the rows it needs: reversed_blocks draws the field
+reversed, a block of rows at a time from the bottom up, each block at
+its own stream position.  Philox is counter-based (Salmon et al., SC11),
+so a block's position is reached by advancing the generator's fresh
+state, and the rows are bit for bit those of the whole draw.
+
 Each container shape has one implementation: WeightField for values on
 a lattice rectangle (lpp.GTable holds passage times), whose index() is
 the one map from a lattice point to an array index, and SeqWindow for a
@@ -109,7 +118,8 @@ class WeightField:
         ValueError outside the rectangle."""
         a = point[0] - self.origin[0]
         b = point[1] - self.origin[1]
-        if not (0 <= a < self.values.shape[0] and 0 <= b < self.values.shape[1]):
+        rows, cols = self.shape
+        if not (0 <= a < rows and 0 <= b < cols):
             raise ValueError(f"point {point} outside the rectangle")
         return a, b
 
@@ -192,13 +202,6 @@ def _check_draw(shape: tuple[int, ...], mean: float) -> None:
         raise ValueError("mean must be positive and finite")
 
 
-def sample_exp_field(rows: int, cols: int, mean: float, spec: RngSpec,
-                     origin: tuple[int, int] = (0, 0)) -> WeightField:
-    """I.i.d. exponential weights with the given mean on a rows x cols rectangle."""
-    _check_draw((rows, cols), mean)
-    return WeightField(origin, _exp_in_place(sample_uniform((rows, cols), spec), mean))
-
-
 # Rows an ExpFieldRows block holds: 384 KB of a 1501-wide field.
 _ROW_BLOCK = 32
 
@@ -245,6 +248,63 @@ class ExpFieldRows:
 
     def __iter__(self):
         return self.blocks()
+
+    def reversed_blocks(self):
+        """Iterate the field reversed along both axes, the rows of
+        sample_exp_field(rows, cols, mean, spec).values[::-1, ::-1] in
+        order, _ROW_BLOCK at a time, each block drawn only when asked for.
+
+        The blocks run bottom-up through the field, so each is drawn at its
+        own stream position pos: the generator's fresh state is restored,
+        advanced by pos // 4 Philox counter steps of four doubles each, and
+        the remaining pos % 4 doubles are discarded.  Every block is a
+        reversed view of one buffer that the next block overwrites.
+        """
+        gen = self.spec.generator()
+        fresh = gen.bit_generator.state
+        buf = np.empty(self.block_shape)
+        for stop in range(self.rows, 0, -len(buf)):
+            start = max(0, stop - len(buf))
+            pos = start * self.cols
+            gen.bit_generator.state = fresh
+            gen.bit_generator.advance(pos // 4)
+            gen.random(pos % 4)
+            rows = buf[:stop - start]
+            yield _exp_in_place(gen.random(out=rows), self.mean)[::-1, ::-1]
+
+
+class SampledField(WeightField):
+    """The WeightField sample_exp_field returns: the weights of source,
+    an ExpFieldRows, drawn whole when values is first read.  Until then
+    (drawn is False) a reader may draw only the rows it needs from source.
+    """
+
+    def __init__(self, origin: tuple[int, int], source: ExpFieldRows):
+        self.origin = (int(origin[0]), int(origin[1]))
+        self.source = source
+        self._values = None
+
+    @property
+    def drawn(self) -> bool:
+        return self._values is not None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.source.shape
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            src = self.source
+            self._values = _exp_in_place(sample_uniform(src.shape, src.spec), src.mean)
+        return self._values
+
+
+def sample_exp_field(rows: int, cols: int, mean: float, spec: RngSpec,
+                     origin: tuple[int, int] = (0, 0)) -> SampledField:
+    """I.i.d. exponential weights with the given mean on a rows x cols
+    rectangle, drawn when their values are first read."""
+    return SampledField(origin, ExpFieldRows(rows, cols, mean, spec))
 
 
 def sample_exp_window(offset: int, length: int, mean: float, spec: RngSpec) -> SeqWindow:

@@ -153,7 +153,8 @@ def chi_square_pmf(counts, probs, name: str, seed: int, claim: str = "",
 
     probs must cover all mass of the binning (include the tail as its own
     bin); bins are merged from the right until every expected count
-    reaches min_expected.
+    reaches min_expected.  A binning that merges into one bin, which
+    leaves no degree of freedom, is refused.
     """
     counts = np.asarray(counts, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
@@ -173,6 +174,9 @@ def chi_square_pmf(counts, probs, name: str, seed: int, claim: str = "",
         obs.pop()
     if exp[0] < min_expected:
         raise ValueError("sample too small for the requested binning")
+    if len(exp) < 2:
+        raise ValueError("the binning merges into one bin, which leaves no "
+                         "degree of freedom")
     obs_a = np.asarray(obs)
     exp_a = np.asarray(exp)
     stat = float(np.sum((obs_a - exp_a) ** 2 / exp_a))

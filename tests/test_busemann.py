@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cgmlab import busemann
+from cgmlab import busemann, rng
 from cgmlab.busemann import (BusemannEdgeEstimates, Direction,
                              busemann_geodesic, coalescence_point,
                              competition_interface, direction_of_rho,
@@ -336,17 +336,47 @@ def test_competition_interface_tie_rule():
     assert ties >= 100
 
 
-def test_competition_interface_fills_only_rows_it_reads():
+def test_undrawn_field_interface_equals_the_drawn_values():
+    # An undrawn sampled field that is not tall is walked on rows drawn a
+    # block at a time from the bottom of the field; the same values in a
+    # plain WeightField are walked on the whole array.
+    spec = RngSpec(46, "cif-undrawn")
+    for r, (rows, cols) in enumerate([(41, 41), (121, 121), (30, 75), (70, 200),
+                                      (3, 8), (3, 3), (100, 101)] * 3):
+        limit = min(rows, cols) - 2
+        for steps in sorted({1, max(1, limit // 2), limit}):
+            field = sample_exp_field(rows, cols, 1.0, spec.sub(f"f{r}"),
+                                     origin=(1 - rows, 1 - cols))
+            pts = competition_interface(field, steps)
+            assert not field.drawn
+            plain = WeightField(field.origin, field.values)
+            assert np.array_equal(pts, competition_interface(plain, steps))
+
+
+def test_competition_interface_fills_only_rows_it_reads(monkeypatch):
     # The reverse table is filled by rows (by columns when the field is
     # tall) as the walk descends, never past the row after its last one.
     # Weights of 1e308 on every later row overflow any fill that reaches
-    # them, so the walk must come out unchanged without overflowing.
+    # them, so the walk must come out unchanged without overflowing.  An
+    # undrawn field that is not tall draws only the 32-row blocks that hold
+    # those rows, counted at the sampler's one exponential transform.
+    drawn = []
+    exp_in_place = rng._exp_in_place
+    monkeypatch.setattr(rng, "_exp_in_place",
+                        lambda u, mean: drawn.append(len(u)) or exp_in_place(u, mean))
     spec = RngSpec(45, "cif-rows")
-    for r, (rows, cols) in enumerate([(121, 121), (60, 150), (150, 60)]):
+    for r, (rows, cols) in enumerate([(121, 121), (60, 150), (150, 60), (400, 420)]):
         field = sample_exp_field(rows, cols, 1.0, spec.sub(f"f{r}"),
                                  origin=(1 - rows, 1 - cols))
+        drawn.clear()
         pts = competition_interface(field)
         i_f, j_f = -pts[-1]
+        if rows > cols:
+            assert drawn == [rows]  # a tall field is read whole
+        else:
+            # rows 0 to i_f + 1 of the reversed field are read
+            assert not field.drawn and max(drawn) <= 32
+            assert sum(drawn) == min(rows, 32 * -(-(i_f + 2) // 32))
         vals = field.values.copy()
         if rows > cols:
             assert i_f >= 3  # a skipped column wide enough to overflow

@@ -174,6 +174,25 @@ def test_used_dump_file_is_refused_before_any_sampling(argv, held, sampler, tmp_
     assert files_in(out) == {held: b"old\n"}
 
 
+@pytest.mark.parametrize("argv, sampler", [
+    (["verify-exact"], "seed_ladder"),
+    (["simulate-lpp", "--n", "5"], "sample_exp_field")])
+@pytest.mark.parametrize("under", [False, True])
+def test_output_path_that_is_no_directory_is_refused_before_any_work(
+        argv, sampler, under, tmp_path, monkeypatch, capsys):
+    # --out naming a file, or a path under one, is a usage error found
+    # before the first criterion or draw, and the file is left as it was
+    calls = []
+    monkeypatch.setattr(cli, sampler, lambda *a, **kw: calls.append(a))
+    held = tmp_path / "held"
+    held.write_text("old\n")
+    out = held / "sub" if under else held
+    assert run([*argv, "--out", str(out)]) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert calls == []
+    assert files_in(tmp_path) == {"held": b"old\n"}
+
+
 def test_import_loads_no_scipy():
     # scipy is imported only inside criterion 8's chi-square test
     code = ("import sys, cgmlab.cli; "

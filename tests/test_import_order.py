@@ -130,6 +130,12 @@ def test_primitives_are_called_only_by_their_drivers():
     assert not wrong, "private recursion loops: " + ", ".join(sorted(wrong))
 
 
+def test_only_the_positioned_blocks_reposition_a_stream():
+    # a stream is advanced to a row's position in one place, the blocks
+    # drawn bottom-up for the interface walk
+    assert callers({"advance"}) == {"rng.ExpFieldRows.reversed_blocks"}
+
+
 def test_only_the_cli_writer_writes_files():
     # every output file is written by one function, after the command's
     # used names are refused and its work is done

@@ -96,6 +96,51 @@ def test_field_rows_are_slices_of_the_whole_draw(rows, cols, block, monkeypatch)
     assert np.array_equal(corner_fill(source, source.shape), corner_fill(whole, whole.shape))
 
 
+def eager_exp_field(rows, cols, mean, spec, origin=(0, 0)):
+    """The previous sample_exp_field, which drew the whole field when
+    called, kept as the oracle of a sampled field's values."""
+    rng._check_draw((rows, cols), mean)
+    return WeightField(origin, rng._exp_in_place(sample_uniform((rows, cols), spec), mean))
+
+
+def test_sampled_field_is_drawn_on_first_read_of_its_values():
+    spec = RngSpec(22, "lazy")
+    field = sample_exp_field(9, 14, 2.5, spec, origin=(-8, -13))
+    assert isinstance(field, WeightField) and not field.drawn
+    # shape and index do not draw
+    assert field.shape == (9, 14)
+    assert field.index((0, 0)) == (8, 13)
+    with pytest.raises(ValueError):
+        field.index((1, 0))
+    assert not field.drawn
+    values = field.values
+    assert field.drawn and field.values is values
+    want = eager_exp_field(9, 14, 2.5, spec, origin=(-8, -13))
+    assert np.array_equal(values.view(np.uint64), want.values.view(np.uint64))
+    assert field.at((-3, -4)) == want.at((-3, -4))
+    for args in ((0, 4, 1.0), (4, 0, 1.0), (4, 4, 0.0), (4, 4, math.nan)):
+        with pytest.raises(ValueError):
+            sample_exp_field(*args, spec)
+
+
+@pytest.mark.parametrize("rows, cols, block", [
+    (70, 13, 32), (64, 5, 32), (33, 7, 5), (50, 9, 7), (29, 6, 4), (1, 40, 32), (1, 7, 3),
+    (1, 1, 3), (5, 3, 100)])
+def test_reversed_blocks_are_slices_of_the_whole_draw(rows, cols, block, monkeypatch):
+    # Blocks start at stream positions of every residue mod 4 (odd widths,
+    # odd block lengths), the last one is short unless block divides rows,
+    # and a one-row field is one block.
+    monkeypatch.setattr(rng, "_ROW_BLOCK", block)
+    spec = RngSpec(23, "reversed").sub(f"{rows}x{cols}")
+    whole = eager_exp_field(rows, cols, 2.5, spec).values[::-1, ::-1]
+    stop = 0
+    for part in ExpFieldRows(rows, cols, 2.5, spec).reversed_blocks():
+        assert part.shape == (min(block, rows - stop), cols)
+        assert np.array_equal(part.view(np.uint64), whole[stop:stop + len(part)].view(np.uint64))
+        stop += len(part)
+    assert stop == rows
+
+
 def test_field_rows_validation():
     for args in ((0, 4, 1.0), (4, 0, 1.0), (4, 4, 0.0), (4, 4, math.inf),
                  (4, 4, math.nan)):

@@ -142,6 +142,17 @@ def test_chi_square_validation():
         chi_square_pmf([1, 1], [0.5, 0.5], "tiny", 0)
 
 
+def test_chi_square_refuses_one_merged_bin():
+    # expected counts [9.9, 0.1] merge into one bin, which leaves no degree
+    # of freedom: the report's threshold and p-value would be NaN
+    with pytest.raises(ValueError, match="one bin"):
+        chi_square_pmf([10, 0], [0.99, 0.01], "x", 1)
+    # two bins left after the merge still make a report, with df = 1
+    rep = chi_square_pmf([10, 10, 0], [0.5, 0.49, 0.01], "y", 1)
+    assert rep.metadata["df"] == 1
+    assert np.isfinite(rep.threshold) and np.isfinite(rep.metadata["p_value"])
+
+
 def test_chi_square_detects_wrong_pmf():
     gen = RngSpec(64, "chibad").generator()
     draws = gen.choice(3, size=5000, p=[0.5, 0.3, 0.2])

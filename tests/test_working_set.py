@@ -18,7 +18,10 @@ corner: an estimate keeps the (window + 1)-square corner whose edges it
 reads (about 0.04 MiB on a 1501x1501 field, against 17 MiB for the full
 table), and a streamed field is held one 32-row block at a time:
 criterion 13 (a 1x1 corner) and one doubling-probe field of criterion 6
-peak near 0.4 MiB, against 34 MiB for a whole field and its table.  A
+peak near 0.4 MiB, against 34 MiB for a whole field and its table.
+Criterion 9's interface walk draws the rows it reads 32 at a time from
+the bottom of its undrawn 1001x1001 field: about 0.3 MiB a site, against
+8 MiB when each site drew its whole field.  A
 tall source is gathered a block at a time into its contiguous transpose,
 the rows lpp fills a tall field by: 2.86 MiB for one rho = 1.5 estimate
 at scale 1500 (bound 3.25 MiB), against 5.5 MiB when the whole field was
@@ -32,10 +35,13 @@ copied from those.
 
 import tracemalloc
 
+# numpy loads numpy.random on first use, about 0.6 MiB of modules; loaded
+# here, so that a test run alone traces its working set and not that import.
+import numpy.random  # noqa: F401
 import pytest
 
 from cgmlab.busemann import (estimate_busemann_level, estimate_nested_levels,
-                             geodesic_initial_runs)
+                             geodesic_initial_runs, rho_star_threshold)
 from cgmlab.rng import RngSpec, exp_from_uniform, sample_exp_field
 from cgmlab.stats import ks_two_sample
 from cgmlab.verification import run_criterion
@@ -66,7 +72,15 @@ def test_ks_two_sample_peak_stays_bounded():
 def test_corner_estimates_hold_no_table():
     big = sample_exp_field(1501, 1501, 1.0, RngSpec(6, "corner-peak"),
                            origin=(-1500, -1500))
+    big.values  # drawn before tracing: the bound is on the estimate alone
     peak = traced_peak(lambda: estimate_busemann_level(2.0, 3000, field=big, window=30))
+    assert peak < 2 ** 20
+
+
+def test_interface_site_field_is_never_held_whole():
+    # criterion 9's site: the walk draws the rows it reads a block at a time
+    peak = traced_peak(lambda: rho_star_threshold(sample_exp_field(
+        1001, 1001, 1.0, RngSpec(9, "interface-peak"), origin=(-1000, -1000))))
     assert peak < 2 ** 20
 
 
