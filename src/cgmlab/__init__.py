@@ -16,7 +16,6 @@ from .lpp import (
     GeodesicPath,
     lpp_grid,
     brute_force_table,
-    brute_force_lpp,
     shape_function,
     backtrack_geodesic,
     stationary_halfplane_lpp,
@@ -54,7 +53,6 @@ from .busemann import (
     rho_of_direction,
     scaled_corner,
     estimate_busemann_level,
-    busemann_geodesic,
     coalescence_point,
     competition_interface,
     rho_star_threshold,

@@ -7,8 +7,7 @@ harvested near the origin approximate the limiting horizontal and
 vertical laws.  Geodesics follow maximal predecessors, which coincides
 with following the smaller of the two increment estimates.  The
 competition interface between the two geodesic trees at the origin yields
-the threshold parameter, estimated from the interface direction and
-cross-checkable on a parameter grid.
+the threshold parameter, estimated from the interface direction.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import ExpFieldRows, RngSpec, SampledField, SeqWindow, WeightField
-from .lpp import (CornerFill, GTable, GeodesicPath, STEP_E2, _fill_rows, _prefix_sums,
-                  _row_step, backtrack_geodesic, corner_fill, walk_to_corner)
+from .rng import ExpFieldRows, RngSpec, SeqWindow, WeightField
+from .lpp import (CornerFill, GeodesicPath, _fill_rows, _prefix_sums, _reversed_fill_rows,
+                  _row_step, corner_fill, walk_to_corner)
 from .queueing import lindley_iterate
 from .exact import initial_run_pmf
 
@@ -33,7 +32,6 @@ __all__ = [
     "scaled_corner",
     "estimate_busemann_level",
     "estimate_nested_levels",
-    "busemann_geodesic",
     "coalescence_point",
     "competition_interface",
     "rho_star_threshold",
@@ -186,14 +184,6 @@ def estimate_nested_levels(rho: float, scales, spec: RngSpec,
             for n, corner, fill in zip(scales, corners, fills)]
 
 
-def busemann_geodesic(table: GTable, start: tuple[int, int],
-                      max_steps: int | None = None) -> GeodesicPath:
-    """Path from start that always leaves through the smaller increment
-    estimate: step -e1 exactly when the horizontal increment is smaller,
-    ties and exhausted axes falling to -e2."""
-    return backtrack_geodesic(table, start, max_steps)
-
-
 def coalescence_point(path1: GeodesicPath, path2: GeodesicPath):
     """First common point after which two walks to the same corner agree.
 
@@ -222,14 +212,10 @@ def competition_interface(weights: WeightField, steps: int | None = None) -> np.
     table suffices: L(x) is the best path sum from x up-right to the
     origin, both ends included.  The walk starts at phi = 0 and steps -e2
     when L(phi - e1) > L(phi - e2), -e1 otherwise, so ties go to -e1.  The
-    table is kept as two rows and filled only as far as the walk descends.
-
-    The walk has two row sources and one loop.  A field from
-    rng.sample_exp_field that is still undrawn and not tall gives its
-    reversed rows from 32-row blocks drawn bottom-up at their own stream
-    positions, each drawn when the walk first needs it, so the field is
-    never held or drawn whole; every other field (a tall or drawn one, a
-    plain WeightField) is read whole through values, as lpp fills it.
+    table is kept as two rows and filled only as far as the walk descends,
+    from rows read one at a time off lpp's row source: an undrawn field
+    from rng.sample_exp_field that is not tall is drawn a block of rows
+    ahead of the walk, never whole.
 
     This is the competition interface of Ferrari and Pimentel (Ann.
     Probab. 33, 2005) reflected into the third quadrant: phi moves onto the
@@ -250,21 +236,17 @@ def competition_interface(weights: WeightField, steps: int | None = None) -> np.
         steps = limit
     if steps < 1 or steps > limit:
         raise ValueError("interface steps must fit inside the field")
-    # R[i, j] = L(-i, -j) is filled in the orientation lpp's row source
-    # gives values[::-1, ::-1], so every value compared is bit for bit the
-    # one lpp_grid fills: by rows, or by the rows of a contiguous transpose
+    # R[i, j] = L(-i, -j) is filled from the rows lpp's row source gives
+    # values[::-1, ::-1], so every value compared is bit for bit the one
+    # lpp_grid fills: by rows, or by the rows of a contiguous transpose
     # when the field is tall.  F is R in that orientation and the walk
     # stands at F[p, q], (p, q) = (i, j), or (j, i) when tall.  A step reads
     # F[p + 1, q] and F[p, q + 1], so only rows p and p + 1 are kept, and
     # row p + 1 is taken from the row source and filled when the walk moves
     # onto row p.  After k steps p + q = k, so row p is read no further
     # than index steps - p.
-    if isinstance(weights, SampledField) and not weights.drawn and r <= c:
-        tall = False
-        rows = (row for block in weights.source.reversed_blocks() for row in block)
-    else:
-        tall, (flip,) = _fill_rows(weights.values[::-1, ::-1])
-        rows = iter(flip)
+    tall, blocks = _reversed_fill_rows(weights)
+    rows = (row for block in blocks for row in block)
     here, ahead, scratch = np.empty((3, steps + 1))
     _prefix_sums(next(rows)[:steps + 1], here)
     _row_step(here[:steps], next(rows)[:steps], ahead[:steps], scratch[:steps])
@@ -296,45 +278,16 @@ class CifThreshold:
     e1_steps: int
     e2_steps: int
     interface: np.ndarray
-    grid: np.ndarray | None = None
-    grid_steps: np.ndarray | None = None
-    crossing: float = math.nan
-    single_crossing: bool | None = None
 
 
-def rho_star_threshold(weights: WeightField, steps: int | None = None,
-                       grid=None) -> CifThreshold:
-    """Estimate the threshold parameter from the interface direction.
-
-    With a grid of parameters, also record the first step of the walk from
-    the origin toward each parameter's corner on the same field; the first
-    parameter whose walk starts with -e2 estimates the threshold a second
-    way, and a single sign change confirms the monotone picture.
-    """
+def rho_star_threshold(weights: WeightField, steps: int | None = None) -> CifThreshold:
+    """Estimate the threshold parameter from the interface direction."""
     pts = competition_interface(weights, steps)
     moves = np.diff(pts, axis=0)
     e1 = int(np.sum(moves[:, 0] == -1))
     e2 = int(np.sum(moves[:, 1] == -1))
     estimate = math.inf if e1 == 0 else 1.0 + math.sqrt(e2 / e1)
-    out = CifThreshold(estimate, e1, e2, pts)
-    if grid is not None:
-        grid = np.asarray(grid, dtype=np.float64)
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        n = min(-weights.origin[0], -weights.origin[1])
-        codes = np.empty(len(grid), dtype=np.int8)
-        for i, rho in enumerate(grid):
-            m1, m2 = scaled_corner(float(rho), n)
-            # One step from the corner reads G[-2:, -2:] only.
-            corner = corner_fill(_slice_to_corner(weights, m1, m2), 2)
-            first, _ = walk_to_corner(corner, 1, 1, max_steps=1)
-            codes[i] = first[0]
-        out.grid = grid
-        out.grid_steps = codes
-        hits = np.flatnonzero(codes == STEP_E2)
-        out.crossing = float(grid[hits[0]]) if len(hits) else math.nan
-        out.single_crossing = bool(np.all(np.diff(codes) >= 0))
-    return out
+    return CifThreshold(estimate, e1, e2, pts)
 
 
 # Run tables geodesic_initial_runs fills in lockstep.  At criterion 8's

@@ -22,12 +22,11 @@ time, so a streamed field is never held whole.  It alone decides the fill
 orientation: a tall field (more rows than columns) is filled by the rows
 of its contiguous transpose, because the row step is not bit-for-bit
 transpose-symmetric, and a tall source is gathered into that transpose a
-block at a time.  The one reader that bypasses it is
-busemann.competition_interface on an undrawn, not tall field from
-rng.sample_exp_field: it takes the reversed rows from the field's
-positioned blocks (ExpFieldRows.reversed_blocks), which are the rows
-_fill_rows would give values[::-1, ::-1], drawn only as the walk reaches
-them.
+block at a time.  A fill from a field's far corner, as the competition
+interface makes, reads the rows _fill_rows gives values[::-1, ::-1]
+through _reversed_fill_rows; on an undrawn, not tall field from
+rng.sample_exp_field these come from the field's positioned blocks,
+each drawn only when its reader reaches it.
 
 One row step, _row_step, fills every row of every max-plus recursion in
 the package, one table's row or the rows of a stack of K tables of one
@@ -66,7 +65,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .rng import ExpFieldRows, WeightField
+from .rng import ExpFieldRows, SampledField, WeightField
 
 if TYPE_CHECKING:
     from .multiclass import MultiConfig
@@ -80,7 +79,6 @@ __all__ = [
     "lpp_grid",
     "corner_fill",
     "brute_force_table",
-    "brute_force_lpp",
     "shape_function",
     "backtrack_geodesic",
     "stationary_halfplane_lpp",
@@ -260,6 +258,21 @@ def _fill_rows(weights):
                   for drawn in zip(*map(ExpFieldRows.blocks, sources, buf)))
 
 
+def _reversed_fill_rows(field: WeightField):
+    """(tall, blocks) of _fill_rows(field.values[::-1, ::-1]), the fill
+    from the field's far corner.
+
+    An undrawn SampledField that is not tall is not drawn whole: its
+    blocks are ExpFieldRows.reversed_blocks, each drawn at its own stream
+    position only when asked for, bit for bit the rows of the reversed
+    values.
+    """
+    rows, cols = field.shape
+    if isinstance(field, SampledField) and not field.drawn and rows <= cols:
+        return False, field.source.reversed_blocks()
+    return _fill_rows(field.values[::-1, ::-1])
+
+
 def corner_fill(weights: np.ndarray | ExpFieldRows | list[ExpFieldRows],
                 keep: int | tuple[int, int]) -> np.ndarray:
     """The corner G[-r:, -c:] of the table G of passage times over weights,
@@ -324,12 +337,6 @@ def brute_force_table(weights: WeightField, start: tuple[int, int],
                 break
             a += 1
     return np.array(best)
-
-
-def brute_force_lpp(weights: WeightField, start: tuple[int, int],
-                    end: tuple[int, int], max_paths: int = 1_000_000) -> float:
-    """Exhaustive-path oracle for G(start, end); refuses more than max_paths paths."""
-    return brute_force_table(weights, start, end, max_paths)[-1, -1]
 
 
 def shape_function(x: tuple[float, float]) -> float:

@@ -10,24 +10,25 @@ underlying uniforms.  That reuse is deliberate, it gives monotone couplings
 under a shared spec).
 
 Exponentials are drawn by inverse CDF, value = -mean * ln(U) with U in
-(0, 1], so the draw is a monotone function of the uniform.
+(0, 1], so the draw is a monotone function of the uniform.  Every sampler
+draws them through one helper, _draw_exp, in place in a given buffer.
 
 A field can also be drawn a block of rows at a time (ExpFieldRows): one
 generator carries the stream from block to block, so the rows are bit for
 bit those of the whole-field draw, and only one block is ever held.  The
 blocks can be drawn into a caller's buffer, whose length sets the rows
-per block (one member's slot of a stack of fields drawn in lockstep, or
-a sample block of a fast criterion).  Which way round a table fill reads
-the rows is lpp's to decide, not the source's.
+per block (one member's slot of a stack of fields drawn in lockstep, a
+sample block of a fast criterion, or a whole field as one block).
+reversed_blocks draws the field reversed, a block of rows at a time from
+the bottom up, each block at its own stream position.  Philox is
+counter-based (Salmon et al., SC11), so a block's position is reached by
+advancing the generator's fresh state, and the rows are bit for bit those
+of the whole draw.  Which blocks a table fill reads, and which way round,
+is lpp's to decide, not the source's.
 
 sample_exp_field returns a SampledField, which keeps its ExpFieldRows
-source and draws the whole field, exactly as one whole draw, on the
-first read of its values; shape and index never draw.  Until then a
-reader may draw only the rows it needs: reversed_blocks draws the field
-reversed, a block of rows at a time from the bottom up, each block at
-its own stream position.  Philox is counter-based (Salmon et al., SC11),
-so a block's position is reached by advancing the generator's fresh
-state, and the rows are bit for bit those of the whole draw.
+source and draws the whole field, as one block of that source, on the
+first read of its values; shape, index and repr never draw.
 
 Each container shape has one implementation: WeightField for values on
 a lattice rectangle (lpp.GTable holds passage times), whose index() is
@@ -50,7 +51,6 @@ __all__ = [
     "ExpFieldRows",
     "sample_exp_field",
     "sample_exp_window",
-    "sample_uniform",
 ]
 
 
@@ -83,9 +83,6 @@ class RngSpec:
     def sub(self, suffix: str) -> "RngSpec":
         """Derive a stream for a sub-experiment, keeping seed and replica."""
         return replace(self, label=f"{self.label}/{suffix}")
-
-    def with_replica(self, replica: int) -> "RngSpec":
-        return replace(self, replica=replica)
 
 
 @dataclass(eq=False)
@@ -184,14 +181,10 @@ def _exp_in_place(u: np.ndarray, mean: float) -> np.ndarray:
     return np.multiply(u, -mean, out=u)
 
 
-def exp_from_uniform(u: np.ndarray, mean: float) -> np.ndarray:
-    """The exponential with the given mean at uniforms u, on a float64 copy."""
-    return _exp_in_place(np.array(u, dtype=np.float64), mean)
-
-
-def sample_uniform(shape, spec: RngSpec) -> np.ndarray:
-    """Uniform [0, 1) draws, the raw stream behind the exponential samplers."""
-    return spec.generator().random(shape)
+def _draw_exp(gen: np.random.Generator, out: np.ndarray, mean: float) -> np.ndarray:
+    """Fill out with exponentials of the given mean drawn from gen, and
+    return it: the one draw of every sampler."""
+    return _exp_in_place(gen.random(out=out), mean)
 
 
 def _check_draw(shape: tuple[int, ...], mean: float) -> None:
@@ -244,7 +237,7 @@ class ExpFieldRows:
         step = len(buf)
         for start in range(0, self.rows, step):
             rows = buf[:min(step, self.rows - start)]
-            yield _exp_in_place(gen.random(out=rows), self.mean)
+            yield _draw_exp(gen, rows, self.mean)
 
     def __iter__(self):
         return self.blocks()
@@ -270,7 +263,7 @@ class ExpFieldRows:
             gen.bit_generator.advance(pos // 4)
             gen.random(pos % 4)
             rows = buf[:stop - start]
-            yield _exp_in_place(gen.random(out=rows), self.mean)[::-1, ::-1]
+            yield _draw_exp(gen, rows, self.mean)[::-1, ::-1]
 
 
 class SampledField(WeightField):
@@ -295,9 +288,11 @@ class SampledField(WeightField):
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            src = self.source
-            self._values = _exp_in_place(sample_uniform(src.shape, src.spec), src.mean)
+            self._values = next(self.source.blocks(np.empty(self.shape)))
         return self._values
+
+    def __repr__(self) -> str:
+        return f"SampledField(origin={self.origin}, shape={self.shape}, source={self.source})"
 
 
 def sample_exp_field(rows: int, cols: int, mean: float, spec: RngSpec,
@@ -310,4 +305,4 @@ def sample_exp_field(rows: int, cols: int, mean: float, spec: RngSpec,
 def sample_exp_window(offset: int, length: int, mean: float, spec: RngSpec) -> SeqWindow:
     """I.i.d. exponential window with the given mean."""
     _check_draw((length,), mean)
-    return SeqWindow(offset, _exp_in_place(sample_uniform(length, spec), mean))
+    return SeqWindow(offset, _draw_exp(spec.generator(), np.empty(length), mean))

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .rng import (ExpFieldRows, RngSpec, SeqWindow, _exp_in_place, exp_from_uniform,
-                  sample_exp_field, sample_exp_window)
+from .rng import (ExpFieldRows, RngSpec, SeqWindow, _draw_exp, sample_exp_field,
+                  sample_exp_window)
 from .lpp import brute_force_table, corner_fill, lpp_grid
 from .queueing import DEFAULT_POLICY, check_strip_identities, check_sweep_identities
 from .multiclass import (MultiConfig, check_intertwining, coupled_step, multiline_step,
@@ -99,20 +99,16 @@ def criterion_1(seed: int, instances: int = 100) -> CriterionResult:
 _STACK_BLOCK = 256
 
 
-def _draw_exp(row: np.ndarray, mean: float, spec: RngSpec) -> None:
-    # sample_exp_window's draw, written into a row of a preallocated stack.
-    _exp_in_place(spec.generator().random(out=row), mean)
-
-
 def _queue_instance(s: RngSpec, rows: np.ndarray) -> tuple[float, np.random.Generator]:
     """Draw one random stable queue into rows (arrivals, services) and
     return its j0 and its generator, carried on for further parameters."""
     gen = s.generator()
     rho = 1.5 + 2.5 * gen.random()
     lam = rho * (0.35 + 0.5 * gen.random())
-    j0 = float(exp_from_uniform(gen.random(), 1.0))
-    _draw_exp(rows[0], rho, s.sub("I"))
-    _draw_exp(rows[1], lam, s.sub("w"))
+    j0 = float(_draw_exp(gen, np.empty(()), 1.0))
+    # sample_exp_window's draws, written into the rows of a stack
+    _draw_exp(s.sub("I").generator(), rows[0], rho)
+    _draw_exp(s.sub("w").generator(), rows[1], lam)
     return j0, gen
 
 
@@ -124,7 +120,7 @@ def _criterion_2_instance(s: RngSpec, rows: np.ndarray) -> float:
     means = base * np.array([1.0, 1.8 + 0.4 * gen.random(),
                              3.0 + 0.8 * gen.random(), 4.6 + gen.random()])
     for k in range(4):
-        _draw_exp(rows[2 + k], means[k], s.sub(f"L{k}"))
+        _draw_exp(s.sub(f"L{k}").generator(), rows[2 + k], means[k])
     return j0
 
 
@@ -240,7 +236,13 @@ def _busemann_harvest(rho: float, n: int, target: int, spec: RngSpec):
 
 
 def criterion_6(seed: int) -> CriterionResult:
-    """Exponential marginals of the directional increment estimates."""
+    """Exponential marginals of the directional increment estimates.
+
+    The KS bound of 0.04 at n = 2000 sees a bias in an estimate's mean of
+    about 3-7% at the least: the sup distance between exponentials whose
+    means differ by a fraction eps is about eps/e, and at the primary
+    seed the distances already sit at 0.016-0.031.
+    """
     spec = RngSpec(seed, "criterion6")
     reps = []
     edge_rows = []

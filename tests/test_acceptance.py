@@ -126,7 +126,9 @@ def test_primary_seed_report_aggregate():
 # sha256 of the primary-seed reports of the slow table-filling criteria,
 # the reports.jsonl text the CLI's verify run makes of the cached ladder
 # runs, so pinning them costs no extra run.  Recorded, like the fast suites'
-# digests in test_cli.py, with numpy 2.4 on x86-64.
+# digests in test_cli.py, with numpy 2.4 on x86-64 running numpy's AVX-512
+# kernels for log1p, log, exp and expm1; NPY_DISABLE_CPU_FEATURES="X86_V4
+# AVX512_ICL AVX512_SPR" reproduces the kernels of a CPU without AVX-512.
 SLOW_REPORT_DIGESTS = {
     6: "3af638d2928d4297cda0612d50ef49ba434acf256931c5e9a6c198347e609529",
     8: "0143a2c11ee4b2a506c74923a67af26f18caa5c167a52a7aec96a15daeb59b0f",

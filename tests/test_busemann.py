@@ -4,22 +4,22 @@ import numpy as np
 import pytest
 
 from cgmlab import busemann, rng
-from cgmlab.busemann import (BusemannEdgeEstimates, Direction,
-                             busemann_geodesic, coalescence_point,
+from cgmlab.busemann import (BusemannEdgeEstimates, Direction, coalescence_point,
                              competition_interface, direction_of_rho,
                              estimate_busemann_level, estimate_nested_levels,
                              geodesic_initial_runs, initial_run_statistics,
                              rho_of_direction, rho_star_threshold,
                              scaled_corner, wait_indicator_run)
 from cgmlab.exact import initial_run_pmf
-from cgmlab.lpp import STEP_E1, STEP_E2, backtrack_geodesic, lpp_grid, walk_to_corner
+from cgmlab.lpp import (STEP_E1, STEP_E2, backtrack_geodesic, corner_fill, lpp_grid,
+                        walk_to_corner)
 from cgmlab.multiclass import sample_mu_rho
 from cgmlab.queueing import BoundaryPolicy, lindley_iterate
-from cgmlab.rng import (RngSpec, SeqWindow, WeightField, exp_from_uniform,
-                        sample_exp_field)
+from cgmlab.rng import RngSpec, SeqWindow, WeightField, sample_exp_field
 from cgmlab.stats import chi_square_pmf, correlation_test, ks_two_sample
 from cgmlab.verification import DEFAULT_MASTER_SEED
 from test_lpp import cumsum_fill
+from test_rng import exp_from_uniform
 
 
 def test_direction_roundtrip():
@@ -216,7 +216,7 @@ def test_increment_independence_along_boundary():
 def test_geodesic_walk_follows_min_rule():
     t, _ = corner_table(2.0, 200, RngSpec(40, "walk"))
     m1, m2 = scaled_corner(2.0, 200)
-    path = busemann_geodesic(t, (0, 0))
+    path = backtrack_geodesic(t, (0, 0))
     pts = path.points()
     assert pts[-1] == (-m1, -m2)
     assert not path.truncated
@@ -230,10 +230,8 @@ def test_geodesic_walk_follows_min_rule():
             west = t.at((x1 - 1, x2))
             south = t.at((x1, x2 - 1))
             assert step == (STEP_E1 if west > south else STEP_E2)
-    twin = backtrack_geodesic(t, (0, 0))
-    assert np.array_equal(twin.steps, path.steps)
     with pytest.raises(ValueError):
-        busemann_geodesic(t, (1, 1))
+        backtrack_geodesic(t, (1, 1))
 
 
 def test_path_weight_sum_and_coalescence_difference():
@@ -244,8 +242,8 @@ def test_path_weight_sum_and_coalescence_difference():
     interior = 0
     for r in range(25):
         table, weights = corner_table(2.0, 400, spec.sub(f"c{r}"))
-        p1 = busemann_geodesic(table, (0, 0))
-        p2 = busemann_geodesic(table, (0, -1))
+        p1 = backtrack_geodesic(table, (0, 0))
+        p2 = backtrack_geodesic(table, (0, -1))
         total = sum(weights.at(p) for p in p1.points())
         assert total == pytest.approx(table.at((0, 0)), abs=1e-9)
         z = coalescence_point(p1, p2)
@@ -404,21 +402,23 @@ def test_threshold_estimate_and_grid_crossing():
     n = 300
     field = sample_exp_field(n + 1, n + 1, 1.0, RngSpec(42, "cif"),
                              origin=(-n, -n))
-    out = rho_star_threshold(field, steps=200,
-                             grid=np.linspace(1.05, 8.0, 60))
+    out = rho_star_threshold(field, steps=200)
     assert out.e1_steps + out.e2_steps == 200
     assert out.estimate == pytest.approx(
         1.0 + np.sqrt(out.e2_steps / out.e1_steps))
-    assert out.single_crossing
-    assert np.isfinite(out.crossing)
-    with pytest.raises(ValueError):
-        rho_star_threshold(field, grid=[2.0, 1.5])
-    # the first step off each corner's full table, as it was read before
-    # the grid kept only the corner's last two rows
-    for rho, code in zip(out.grid, out.grid_steps):
+    # On a grid of parameters, the first step of the walk from the origin
+    # toward each parameter's corner, read off the corner's last two rows
+    # and off its full table, changes sign once: the first parameter whose
+    # walk starts with -e2 estimates the threshold a second way.
+    codes = []
+    for rho in np.linspace(1.05, 8.0, 60):
         m1, m2 = scaled_corner(float(rho), n)
-        g = cumsum_fill(field.values[n - m1:, n - m2:])
-        assert code == walk_to_corner(g, m1, m2, max_steps=1)[0][0]
+        vals = field.values[n - m1:, n - m2:]
+        code = walk_to_corner(corner_fill(vals, 2), 1, 1, max_steps=1)[0][0]
+        assert code == walk_to_corner(cumsum_fill(vals), m1, m2, max_steps=1)[0][0]
+        codes.append(code)
+    assert codes[0] == STEP_E1 and codes[-1] == STEP_E2
+    assert np.all(np.diff(codes) >= 0)
 
 
 def test_initial_run_histogram_and_masses():

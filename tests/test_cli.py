@@ -79,8 +79,11 @@ def test_verify_queueing_spans_instance_blocks(tmp_path):
 # sha256 of each fast suite's reports.jsonl at the default seed.  A
 # speed-up must leave every report bit for bit as it is; a change that moves
 # a statistic on purpose records new digests and says why.  Recorded with
-# numpy 2.4 on x86-64: a build whose exp or log1p rounds differently moves
-# the statistics, and with them these digests.
+# numpy 2.4 on x86-64 running numpy's AVX-512 kernels for log1p, log, exp
+# and expm1: kernels that round a last bit differently move the statistics,
+# and with them these digests.  NPY_DISABLE_CPU_FEATURES="X86_V4
+# AVX512_ICL AVX512_SPR" makes numpy pick the kernels of a CPU without
+# AVX-512, which reproduces those other digests on an AVX-512 host.
 FAST_SUITE_DIGESTS = {
     "verify-queueing": "b54bacbb4cdb2ac03aebcc6be0d294f4123e26c2f4aa539c7d7916a0378cf05a",
     "verify-multiline": "050ea1d2eaca5fccb92450a65c8cfc32bec25c119dfeb1f30ddbaf34f5488177",

@@ -15,10 +15,11 @@ from cgmlab.exact import (AtomTailLaw, MarkedPointProcess, X_value,
                           initial_run_pmf, initial_run_pmf2,
                           poisson_competition_A, poisson_competition_B,
                           rho_star_cdf, sample_X_blocks, sample_X_process)
-from cgmlab.rng import RngSpec, exp_from_uniform
+from cgmlab.rng import RngSpec
 from cgmlab import verification
 from cgmlab.stats import TestReport, ks_one_sample, ks_two_sample
 from cgmlab.verification import criterion_10, criterion_11
+from test_rng import exp_from_uniform
 
 
 def test_catalan_numbers():

@@ -136,6 +136,20 @@ def test_only_the_positioned_blocks_reposition_a_stream():
     assert callers({"advance"}) == {"rng.ExpFieldRows.reversed_blocks"}
 
 
+def test_one_row_source_draws_the_reversed_blocks():
+    # the positioned blocks are read through lpp's row source alone, so the
+    # interface walk takes its rows as every table fill does
+    assert callers({"reversed_blocks"}) == {"lpp._reversed_fill_rows"}
+
+
+def test_one_draw_turns_uniforms_into_exponentials():
+    # log1p, the one transcendental of every exponential, has one call
+    # site: the transform that the one draw, and nothing else, applies to
+    # a generator's uniforms
+    assert callers({"log1p"}) == {"rng._exp_in_place"}
+    assert callers({"_exp_in_place"}) == {"rng._draw_exp"}
+
+
 def test_only_the_cli_writer_writes_files():
     # every output file is written by one function, after the command's
     # used names are refused and its work is done

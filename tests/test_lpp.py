@@ -10,7 +10,7 @@ from cgmlab import rng
 from cgmlab.rng import (ExpFieldRows, RngSpec, SeqWindow, WeightField, sample_exp_field,
                         sample_exp_window)
 from cgmlab.lpp import (CornerFill, GTable, STEP_E1, STEP_E2, _prefix_sums,
-                        _row_step, backtrack_geodesic, corner_fill, brute_force_lpp,
+                        _row_step, backtrack_geodesic, corner_fill,
                         brute_force_table, lpp_grid, shape_function, stationary_halfplane_lpp,
                         walk_to_corner)
 from cgmlab.multiclass import MultiConfig
@@ -62,8 +62,8 @@ def test_single_row_is_cumsum():
 
 
 def per_endpoint_brute_force(weights, start, end):
-    """One exhaustive walk per endpoint, as brute_force_lpp did before it
-    read its value off brute_force_table, kept as the oracle."""
+    """One exhaustive walk per endpoint, as the oracle walked before
+    brute_force_table walked every endpoint at once, kept as the oracle."""
     a0, b0 = start[0] - weights.origin[0], start[1] - weights.origin[1]
     a1, b1 = end[0] - weights.origin[0], end[1] - weights.origin[1]
     vals = weights.values
@@ -90,7 +90,6 @@ def assert_table_is_per_endpoint_oracle(weights, start, end):
     for a, b in np.ndindex(table.shape):
         point = (start[0] + a, start[1] + b)
         assert table[a, b] == per_endpoint_brute_force(weights, start, point)
-    assert brute_force_lpp(weights, start, end) == table[-1, -1]
     return table
 
 
@@ -121,8 +120,6 @@ def test_brute_force_refuses_too_many_paths():
     with pytest.raises(ValueError):
         brute_force_table(field, (0, 0), (3, 3), max_paths=19)
     with pytest.raises(ValueError):
-        brute_force_lpp(field, (0, 0), (3, 3), max_paths=19)
-    with pytest.raises(ValueError):
         brute_force_table(field, (2, 2), (1, 3))
 
 
@@ -130,7 +127,6 @@ def test_brute_force_refuses_too_many_paths():
 def test_brute_force_walks_paths_longer_than_the_recursion_limit(shape):
     field = WeightField((0, 0), np.ones(shape))
     end = (shape[0] - 1, shape[1] - 1)
-    assert brute_force_lpp(field, (0, 0), end) == 1500.0
     assert brute_force_table(field, (0, 0), end).ravel().tolist() == \
         [float(k) for k in range(1, 1501)]
 

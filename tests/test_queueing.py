@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgmlab.rng import RngSpec, SeqWindow, exp_from_uniform, sample_exp_window, same_window
+from cgmlab.rng import RngSpec, SeqWindow, sample_exp_window, same_window
 from cgmlab import queueing, verification
 from cgmlab.verification import _STACK_BLOCK, criterion_2, criterion_3, run_criterion
 from cgmlab.queueing import (BoundaryPolicy, IdentityReport, _check, _fold, _prepend,
@@ -14,6 +14,7 @@ from cgmlab.queueing import (BoundaryPolicy, IdentityReport, _check, _fold, _pre
                              check_sweep_identities, lindley_iterate, queue_D,
                              queue_Dn, queue_R, queue_S, strip_lpp_H)
 from cgmlab.multiclass import check_intertwining
+from test_rng import exp_from_uniform
 
 
 def branch_sweep(j_left, arrivals, services):

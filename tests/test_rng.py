@@ -7,21 +7,27 @@ import pytest
 
 from cgmlab import rng
 from cgmlab.lpp import corner_fill
-from cgmlab.rng import (ExpFieldRows, RngSpec, SeqWindow, WeightField, exp_from_uniform,
-                        sample_exp_field, sample_exp_window, sample_uniform)
+from cgmlab.rng import (ExpFieldRows, RngSpec, SeqWindow, WeightField, sample_exp_field,
+                        sample_exp_window)
+
+
+def exp_from_uniform(u, mean):
+    """The exponential with the given mean at uniforms u, on a float64 copy:
+    the samplers' transform, for oracles that draw their own uniforms."""
+    return rng._exp_in_place(np.array(u, dtype=np.float64), mean)
 
 
 def test_same_spec_same_draws():
-    a = sample_uniform(64, RngSpec(7, "x"))
-    b = sample_uniform(64, RngSpec(7, "x"))
+    a = RngSpec(7, "x").generator().random(64)
+    b = RngSpec(7, "x").generator().random(64)
     assert np.array_equal(a, b)
 
 
 def test_labels_and_replicas_separate_streams():
     base = RngSpec(7, "x")
-    a = sample_uniform(4096, base)
-    b = sample_uniform(4096, base.sub("y"))
-    c = sample_uniform(4096, base.with_replica(1))
+    a = base.generator().random(4096)
+    b = base.sub("y").generator().random(4096)
+    c = RngSpec(7, "x", 1).generator().random(4096)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     # unrelated streams should look independent
@@ -33,28 +39,32 @@ def test_draws_do_not_depend_on_creation_order():
     # streams are keyed by value, not by when generators get made
     s1 = RngSpec(11, "first")
     s2 = RngSpec(11, "second")
-    a2 = sample_uniform(16, s2)
-    a1 = sample_uniform(16, s1)
-    assert np.array_equal(a1, sample_uniform(16, RngSpec(11, "first")))
-    assert np.array_equal(a2, sample_uniform(16, RngSpec(11, "second")))
+    a2 = s2.generator().random(16)
+    a1 = s1.generator().random(16)
+    assert np.array_equal(a1, RngSpec(11, "first").generator().random(16))
+    assert np.array_equal(a2, RngSpec(11, "second").generator().random(16))
 
 
 def test_sub_labels_compose():
     assert RngSpec(3, "a").sub("b").label == "a/b"
-    assert np.array_equal(sample_uniform(8, RngSpec(3, "a").sub("b")),
-                          sample_uniform(8, RngSpec(3, "a/b")))
+    assert np.array_equal(RngSpec(3, "a").sub("b").generator().random(8),
+                          RngSpec(3, "a/b").generator().random(8))
 
 
 def test_exp_from_uniform_is_inverse_cdf():
     u = np.array([0.0, 0.5, 0.9])
     np.testing.assert_allclose(exp_from_uniform(u, 2.0),
                                -2.0 * np.log1p(-u), rtol=0, atol=0)
-    # it is the samplers' in-place draw, on a copy of u
-    u = sample_uniform(1000, RngSpec(4, "copy"))
+    # it is the samplers' one draw, in place in the draw's buffer, on a copy
+    # of the same uniforms
+    spec = RngSpec(4, "copy")
+    u = spec.generator().random(1000)
     kept = u.copy()
     got = exp_from_uniform(u, 2.5)
     assert np.array_equal(u, kept)
-    assert np.array_equal(got.view(np.uint64), rng._exp_in_place(kept, 2.5).view(np.uint64))
+    buf = np.empty(1000)
+    assert rng._draw_exp(spec.generator(), buf, 2.5) is buf
+    assert np.array_equal(got.view(np.uint64), buf.view(np.uint64))
     assert float(exp_from_uniform(0.5, 2.0)) == float(-2.0 * np.log1p(-0.5))
 
 
@@ -69,6 +79,14 @@ def test_monotone_coupling_between_means():
     small = sample_exp_window(0, 1000, 1.0, spec)
     large = sample_exp_window(0, 1000, 2.5, spec)
     np.testing.assert_allclose(large.values, 2.5 * small.values, rtol=1e-12)
+
+
+def test_repr_of_an_undrawn_field_does_not_draw():
+    field = sample_exp_field(300, 400, 1.0, RngSpec(1), origin=(-299, -399))
+    text = repr(field)
+    assert not field.drawn
+    assert "origin=(-299, -399)" in text and "shape=(300, 400)" in text
+    assert repr(field.source) in text
 
 
 @pytest.mark.parametrize("rows, cols, block", [
@@ -100,7 +118,7 @@ def eager_exp_field(rows, cols, mean, spec, origin=(0, 0)):
     """The previous sample_exp_field, which drew the whole field when
     called, kept as the oracle of a sampled field's values."""
     rng._check_draw((rows, cols), mean)
-    return WeightField(origin, rng._exp_in_place(sample_uniform((rows, cols), spec), mean))
+    return WeightField(origin, rng._exp_in_place(spec.generator().random((rows, cols)), mean))
 
 
 def test_sampled_field_is_drawn_on_first_read_of_its_values():

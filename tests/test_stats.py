@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from cgmlab.rng import RngSpec, exp_from_uniform
+from cgmlab.rng import RngSpec
 from cgmlab.stats import (DEFAULT_ALPHA, KS_MIN_N, binomial_atom_test,
                           chi_square_pmf, correlation_test, ks_distance,
                           ks_one_sample, ks_two_sample)
+from test_rng import exp_from_uniform
 
 
 def exp1_cdf(x):

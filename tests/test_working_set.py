@@ -42,9 +42,10 @@ import pytest
 
 from cgmlab.busemann import (estimate_busemann_level, estimate_nested_levels,
                              geodesic_initial_runs, rho_star_threshold)
-from cgmlab.rng import RngSpec, exp_from_uniform, sample_exp_field
+from cgmlab.rng import RngSpec, sample_exp_field
 from cgmlab.stats import ks_two_sample
 from cgmlab.verification import run_criterion
+from test_rng import exp_from_uniform
 
 
 def traced_peak(call, *args):
