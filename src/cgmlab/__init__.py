@@ -66,7 +66,6 @@ from .exact import (
     catalan_number,
     catalan_triangle,
     initial_run_pmf,
-    initial_run_pmf2,
     poisson_competition_A,
     poisson_competition_B,
     increment_law,

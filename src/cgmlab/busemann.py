@@ -79,7 +79,9 @@ def rho_of_direction(u) -> float:
 
 
 def scaled_corner(rho: float, n: int) -> tuple[int, int]:
-    """Far corner (-m1, -m2) at scale n along the direction for rho."""
+    """Far corner (-m1, -m2) at scale n >= 1 along the direction for rho."""
+    if not n >= 1:
+        raise ValueError("scale n must be at least 1")
     u = direction_of_rho(rho)
     m1 = max(1, round(n * -u.e1))
     m2 = max(1, round(n * -u.e2))
@@ -205,7 +207,7 @@ def coalescence_point(path1: GeodesicPath, path2: GeodesicPath):
     return None
 
 
-def competition_interface(weights: WeightField, steps: int | None = None) -> np.ndarray:
+def competition_interface(weights: WeightField) -> np.ndarray:
     """Boundary between origin-rooted geodesic trees through (-1,0) and (0,-1).
 
     The field must have its top-right value at (0, 0).  One passage-time
@@ -226,16 +228,16 @@ def competition_interface(weights: WeightField, steps: int | None = None) -> np.
     onto the other neighbor, which keeps the induction.  So the walk traces
     the same boundary as comparing each site's best sums to (-1, 0) and to
     (0, -1), with a site that ties counted in the tree through (0, -1).
-    Returns the visited points, shape (steps+1, 2).
+    The walk takes steps = min(r, c) - 2 steps on an r x c field, which
+    must be at least 3 x 3, and returns the visited points, shape
+    (steps + 1, 2).
     """
     r, c = weights.shape
     if weights.index((0, 0)) != (r - 1, c - 1):
         raise ValueError("field must end at the origin")
-    limit = min(r, c) - 2
-    if steps is None:
-        steps = limit
-    if steps < 1 or steps > limit:
-        raise ValueError("interface steps must fit inside the field")
+    steps = min(r, c) - 2
+    if steps < 1:
+        raise ValueError("the interface needs a field of at least 3 x 3")
     # R[i, j] = L(-i, -j) is filled from the rows lpp's row source gives
     # values[::-1, ::-1], so every value compared is bit for bit the one
     # lpp_grid fills: by rows, or by the rows of a contiguous transpose
@@ -280,9 +282,9 @@ class CifThreshold:
     interface: np.ndarray
 
 
-def rho_star_threshold(weights: WeightField, steps: int | None = None) -> CifThreshold:
+def rho_star_threshold(weights: WeightField) -> CifThreshold:
     """Estimate the threshold parameter from the interface direction."""
-    pts = competition_interface(weights, steps)
+    pts = competition_interface(weights)
     moves = np.diff(pts, axis=0)
     e1 = int(np.sum(moves[:, 0] == -1))
     e2 = int(np.sum(moves[:, 1] == -1))
@@ -294,17 +296,19 @@ def rho_star_threshold(weights: WeightField, steps: int | None = None) -> CifThr
 # 401 columns a stacked row is 51 KB, long enough to amortise the row
 # step's per-call cost, and a drawn block of the stack is 1.6 MB.
 _RUN_STACK = 16
+# Walks start _RUN_STARTS to a table, _RUN_SPACING apart.
+_RUN_STARTS = 5
+_RUN_SPACING = 48
 
 
 def geodesic_initial_runs(rho: float, n: int, count: int, spec: RngSpec,
-                          spacing: int = 48, starts_per_table: int = 5,
                           max_run: int = 64) -> np.ndarray:
     """Initial straight-run lengths of walks toward the rho corner.
 
-    Each fresh table contributes starts_per_table starts placed
-    symmetrically on the two boundary segments through the origin, far
-    enough apart that their runs are effectively independent.  Runs are
-    censored at max_run.
+    Each fresh table contributes _RUN_STARTS starts, _RUN_SPACING apart,
+    placed symmetrically on the two boundary segments through the origin,
+    far enough apart that their runs are effectively independent.  Runs
+    are censored at max_run.
 
     Table t is drawn from its own stream spec.sub(f"runtab{t}").  The
     tables are filled _RUN_STACK at a time as one stack through
@@ -318,8 +322,7 @@ def geodesic_initial_runs(rho: float, n: int, count: int, spec: RngSpec,
     if count < 0:
         raise ValueError("count must be nonnegative")
     m1, m2 = scaled_corner(rho, n)
-    offsets = [spacing * (i - (starts_per_table - 1) // 2)
-               for i in range(starts_per_table)]
+    offsets = [_RUN_SPACING * (i - (_RUN_STARTS - 1) // 2) for i in range(_RUN_STARTS)]
     reach = max(abs(o) for o in offsets) + max_run + 1
     if reach > min(m1, m2):
         raise ValueError("starts and run cap do not fit inside the table")
@@ -328,7 +331,7 @@ def geodesic_initial_runs(rho: float, n: int, count: int, spec: RngSpec,
     # first row and column, so the walks compare the values they compared
     # on G, and never reach g's edges.
     starts = [(reach + o, reach) if o <= 0 else (reach, reach - o) for o in offsets]
-    tables = -(-count // starts_per_table)
+    tables = -(-count // _RUN_STARTS)
     runs = []
     for first in range(0, tables, _RUN_STACK):
         sources = [ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec.sub(f"runtab{t}"))

@@ -23,7 +23,6 @@ __all__ = [
     "catalan_number",
     "catalan_triangle",
     "initial_run_pmf",
-    "initial_run_pmf2",
     "poisson_competition_A",
     "poisson_competition_B",
     "AtomTailLaw",
@@ -92,19 +91,12 @@ def _triangle_weighted_sum(n: int, log_hi: float, log_lo: float) -> float:
 
 def initial_run_pmf(rho: float, n: int) -> float:
     """Length law of the initial straight run of the stationary geodesic
-    at mean parameter rho: atom 1 - 1/rho at zero, Catalan-weighted tail."""
-    return initial_run_pmf2(1.0, rho, n)
-
-
-def initial_run_pmf2(lam: float, rho: float, n: int) -> float:
-    """Two-parameter run-length law for service mean lam against arrival
-    mean rho, lam < rho (lam = 1 recovers initial_run_pmf): the chance
-    (rho - lam) / rho of the atom times poisson_competition_A(n, lam, rho)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 0 < lam < rho:
-        raise ValueError("need 0 < lam < rho")
-    return (rho - lam) / rho * poisson_competition_A(n, lam, rho)
+    at mean parameter rho > 1: atom 1 - 1/rho at zero, Catalan-weighted
+    tail, the chance (rho - 1) / rho of the atom times
+    poisson_competition_A(n, 1, rho)."""
+    if not rho > 1:
+        raise ValueError("rho must exceed 1")
+    return (rho - 1) / rho * poisson_competition_A(n, 1.0, rho)
 
 
 def poisson_competition_A(n: int, alpha: float, beta: float) -> float:

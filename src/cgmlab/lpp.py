@@ -302,8 +302,12 @@ def lpp_grid(weights: WeightField) -> GTable:
     return GTable(weights.origin, corner_fill(weights.values, weights.shape))
 
 
+# The most paths brute_force_table walks.
+_MAX_PATHS = 1_000_000
+
+
 def brute_force_table(weights: WeightField, start: tuple[int, int],
-                      end: tuple[int, int], max_paths: int = 1_000_000) -> np.ndarray:
+                      end: tuple[int, int]) -> np.ndarray:
     """Exhaustive-path oracle for G(start, v) at every v of the rectangle
     from start to end, as an array indexed from start.
 
@@ -311,13 +315,13 @@ def brute_force_table(weights: WeightField, start: tuple[int, int],
     not bounded by Python's recursion limit, enumerates every up-right path
     from start to end; its prefixes are every path from start to each point
     of the rectangle, each summed in path order.  Refuses more than
-    max_paths paths to end.
+    _MAX_PATHS paths to end before walking any.
     """
     (a0, b0), (a1, b1) = weights.index(start), weights.index(end)
     da, db = a1 - a0, b1 - b0
     if da < 0 or db < 0:
         raise ValueError("end must lie northeast of start")
-    if math.comb(da + db, da) > max_paths:
+    if math.comb(da + db, da) > _MAX_PATHS:
         raise ValueError("too many paths for brute force enumeration")
     vals = weights.values[a0:a1 + 1, b0:b1 + 1].tolist()
     best = [[-math.inf] * (db + 1) for _ in range(da + 1)]
@@ -375,14 +379,12 @@ def walk_to_corner(gvalues: np.ndarray, a: int, b: int,
     return np.asarray(steps, dtype=np.int8), truncated
 
 
-def backtrack_geodesic(table: GTable, target: tuple[int, int],
-                       max_steps: int | None = None) -> GeodesicPath:
+def backtrack_geodesic(table: GTable, target: tuple[int, int]) -> GeodesicPath:
     """The maximizing path from target back to the table origin.
 
     The recorded weight sum along the path equals table.at(target).
     """
-    steps, truncated = walk_to_corner(table.values, *table.index(target), max_steps)
-    return GeodesicPath(target, steps, truncated)
+    return GeodesicPath(target, *walk_to_corner(table.values, *table.index(target)))
 
 
 def stationary_halfplane_lpp(initial: MultiConfig, weights: WeightField) -> list[MultiConfig]:

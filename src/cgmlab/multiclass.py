@@ -138,7 +138,7 @@ def sample_mu_rho(rates, offset: int, length: int, spec: RngSpec,
     through the iterated departure map; tied means (exact float equality)
     share one computed line, and unsorted inputs are sorted for the
     computation and unsorted on output.  Different draws must use different
-    RngSpec labels or replicas, the sampler is a pure function of its spec.
+    RngSpec labels, the sampler is a pure function of its spec.
     Each rate is a draw mean, so one outside (0, inf), or a NaN, is refused.
     """
     rates = tuple(float(r) for r in rates)
@@ -178,15 +178,14 @@ class TriArray:
 
 
 def build_triangular_arrays(config: MultiConfig,
-                            policy: BoundaryPolicy = DEFAULT_POLICY,
-                            validate: bool = True) -> TriArray:
+                            policy: BoundaryPolicy = DEFAULT_POLICY) -> TriArray:
     """All intermediate departure/unused stages of the iterated departure map.
 
     Row i starts from line i and is driven stage by stage through the
     unused outputs of row i-1, so column j is one multiline step: lines
-    j, ..., n-1 at stage j-1 against the diagonal entry eta[j-1][j-1].  With
-    validate set, the diagonal is checked against the direct fold, both
-    started from the policy's left sojourn value, over the whole window.
+    j, ..., n-1 at stage j-1 against the diagonal entry eta[j-1][j-1].  The
+    diagonal is checked against the direct fold, both started from the
+    policy's left sojourn value, over the whole window.
     """
     n = config.n_lines
     eta = [[config.line(i)] for i in range(n)]
@@ -200,7 +199,7 @@ def build_triangular_arrays(config: MultiConfig,
     for i in range(n):
         xi[i].append(eta[i][i])
     arr = TriArray(config.offset, eta, xi, config.rates)
-    if validate and n > 1:
+    if n > 1:
         direct = _fold_lines([config.line(i) for i in range(n)], policy.j_left)
         err = np.max(np.abs(arr.diagonal().values - MultiConfig.from_lines(direct).values))
         if err > 1e-9:

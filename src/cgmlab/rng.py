@@ -1,8 +1,8 @@
 """Deterministic random streams and lattice containers.
 
-Streams are counter-based (Philox) and keyed by (master_seed, label,
-replica), so replicated experiments produce identical draws no matter how
-work is scheduled across threads or processes.  Every sampler is a pure
+Streams are counter-based (Philox) and keyed by (master_seed, label), so
+repeated experiments produce identical draws no matter how work is
+scheduled across threads or processes.  Every sampler is a pure
 function of its arguments plus an RngSpec: the same spec always yields the
 same output, and two samplers handed the same spec consume the same
 underlying uniforms.  That reuse is deliberate, it gives monotone couplings
@@ -62,27 +62,23 @@ def _label_key(label: str) -> int:
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Key for a deterministic stream: (master seed, experiment label, replica)."""
+    """Key for a deterministic stream: (master seed, experiment label)."""
 
     master_seed: int
     label: str = "default"
-    replica: int = 0
 
     def __post_init__(self):
         if not isinstance(self.master_seed, int) or self.master_seed < 0:
             raise ValueError("master_seed must be a nonnegative integer")
-        if not isinstance(self.replica, int) or self.replica < 0:
-            raise ValueError("replica must be a nonnegative integer")
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            self.master_seed, spawn_key=(_label_key(self.label), self.replica)
-        )
+        # The key's second entry is fixed at 0, as every pinned stream was keyed.
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=(_label_key(self.label), 0))
         return np.random.Generator(np.random.Philox(seq))
 
     def sub(self, suffix: str) -> "RngSpec":
-        """Derive a stream for a sub-experiment, keeping seed and replica."""
-        return replace(self, label=f"{self.label}/{suffix}")
+        """Derive a stream for a sub-experiment, keeping the seed."""
+        return RngSpec(self.master_seed, f"{self.label}/{suffix}")
 
 
 @dataclass(eq=False)

@@ -1,16 +1,20 @@
 """Fixed-policy statistical tests for the verification harness.
 
-Every test uses the same per-test significance level and emits a
-TestReport whose json form has a fixed seven-key schema, so reports from
-different criteria can be concatenated and audited uniformly.  KS tests
-refuse small samples rather than silently losing power; the chi-square
-helper merges sparse tail bins; atom masses are checked by a normal
+Every test emits a TestReport whose json form has a fixed seven-key
+schema, so reports from different criteria can be concatenated and
+audited uniformly.  The levels are module constants, which no caller
+sets: the per-test significance DEFAULT_ALPHA of the KS and chi-square
+tests, the expected count _MIN_EXPECTED that every chi-square bin
+reaches, and the sigma bound _Z_MAX of the atom test.  KS tests refuse
+small samples rather than silently losing power; the chi-square helper
+merges sparse tail bins; atom masses are checked by a normal
 approximation to the binomial and independence claims by a hard
 correlation bound.
 
-Samples must be finite: every KS helper raises ValueError on a NaN or an
-infinity.  NaN breaks the total order the empirical cdfs rest on, and an
-infinity is no draw from the continuous laws these tests compare.
+Samples must be finite: the KS and correlation helpers raise ValueError
+on a NaN or an infinity.  NaN breaks the total order the empirical cdfs
+rest on and has no correlation, and an infinity is no draw from the
+continuous laws these tests compare.
 
 The two-sample statistic is computed from one stable merge of the two
 sorted samples.  Walking the merge, the counts c_a and c_b of points from
@@ -43,6 +47,8 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = 0.001
+_MIN_EXPECTED = 5.0
+_Z_MAX = 3.0
 # below this a KS test at our alpha cannot resolve the deviations we care about
 KS_MIN_N = 2000
 
@@ -84,19 +90,20 @@ class TestReport:
                 f"threshold={self.threshold:.5g} n={self.n}")
 
 
-def _ks_critical(alpha: float) -> float:
-    return math.sqrt(-math.log(alpha / 2.0) / 2.0)
+# the Kolmogorov-Smirnov critical value at DEFAULT_ALPHA
+_KS_CRITICAL = math.sqrt(-math.log(DEFAULT_ALPHA / 2.0) / 2.0)
 
 
-def _finite(x: np.ndarray) -> np.ndarray:
+def _finite(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
-        raise ValueError("KS tests need a finite sample")
+        raise ValueError("the test needs a finite sample")
     return x
 
 
 def ks_distance(sample, cdf) -> float:
     """Sup distance between the empirical cdf of sample and a cdf."""
-    x = np.sort(_finite(np.asarray(sample, dtype=np.float64)))
+    x = np.sort(_finite(sample))
     n = len(x)
     if n == 0:
         raise ValueError("empty sample")
@@ -105,23 +112,20 @@ def ks_distance(sample, cdf) -> float:
     return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / n))))
 
 
-def ks_one_sample(sample, cdf, name: str, seed: int, claim: str = "",
-                  alpha: float = DEFAULT_ALPHA) -> TestReport:
+def ks_one_sample(sample, cdf, name: str, seed: int, claim: str = "") -> TestReport:
     """Kolmogorov-Smirnov test of sample against a continuous cdf."""
     n = len(np.asarray(sample))
     if n < KS_MIN_N:
         raise ValueError(f"KS test needs at least {KS_MIN_N} points, got {n}")
     d = ks_distance(sample, cdf)
-    threshold = _ks_critical(alpha) / math.sqrt(n)
+    threshold = _KS_CRITICAL / math.sqrt(n)
     return TestReport(name, d, threshold, n, seed, d < threshold, claim,
-                      {"alpha": alpha})
+                      {"alpha": DEFAULT_ALPHA})
 
 
-def ks_two_sample(a, b, name: str, seed: int, claim: str = "",
-                  alpha: float = DEFAULT_ALPHA) -> TestReport:
+def ks_two_sample(a, b, name: str, seed: int, claim: str = "") -> TestReport:
     """Two-sample Kolmogorov-Smirnov test for equality of continuous laws."""
-    a = _finite(np.asarray(a, dtype=np.float64))
-    b = _finite(np.asarray(b, dtype=np.float64))
+    a, b = _finite(a), _finite(b)
     n, m = len(a), len(b)
     if min(n, m) < KS_MIN_N:
         raise ValueError(f"KS test needs at least {KS_MIN_N} points per sample")
@@ -141,19 +145,17 @@ def ks_two_sample(a, b, name: str, seed: int, claim: str = "",
     cdf_b = np.cumsum(np.logical_not(from_a, out=from_a), out=order) / m
     gap = np.abs(np.subtract(cdf_a, cdf_b, out=cdf_a), out=cdf_a)
     d = float(np.max(gap, where=last, initial=0.0))
-    threshold = _ks_critical(alpha) * math.sqrt((n + m) / (n * m))
+    threshold = _KS_CRITICAL * math.sqrt((n + m) / (n * m))
     return TestReport(name, d, threshold, n + m, seed, d < threshold, claim,
-                      {"alpha": alpha, "n_a": n, "n_b": m})
+                      {"alpha": DEFAULT_ALPHA, "n_a": n, "n_b": m})
 
 
-def chi_square_pmf(counts, probs, name: str, seed: int, claim: str = "",
-                   alpha: float = DEFAULT_ALPHA,
-                   min_expected: float = 5.0) -> TestReport:
+def chi_square_pmf(counts, probs, name: str, seed: int, claim: str = "") -> TestReport:
     """Chi-square goodness of fit of observed bin counts to a pmf.
 
     probs must cover all mass of the binning (include the tail as its own
     bin); bins are merged from the right until every expected count
-    reaches min_expected.  A binning that merges into one bin, which
+    reaches _MIN_EXPECTED.  A binning that merges into one bin, which
     leaves no degree of freedom, is refused.
     """
     counts = np.asarray(counts, dtype=np.float64)
@@ -167,12 +169,12 @@ def chi_square_pmf(counts, probs, name: str, seed: int, claim: str = "",
     expected = total * probs
     obs = list(counts)
     exp = list(expected)
-    while len(exp) > 1 and exp[-1] < min_expected:
+    while len(exp) > 1 and exp[-1] < _MIN_EXPECTED:
         exp[-2] = exp[-2] + exp[-1]
         exp.pop()
         obs[-2] = obs[-2] + obs[-1]
         obs.pop()
-    if exp[0] < min_expected:
+    if exp[0] < _MIN_EXPECTED:
         raise ValueError("sample too small for the requested binning")
     if len(exp) < 2:
         raise ValueError("the binning merges into one bin, which leaves no "
@@ -184,34 +186,33 @@ def chi_square_pmf(counts, probs, name: str, seed: int, claim: str = "",
     # Imported here, not at module level: only this test needs scipy, and
     # importing it would cost every other user of cgmlab (the CLI included).
     from scipy.stats import chi2
-    threshold = float(chi2.ppf(1.0 - alpha, df))
+    threshold = float(chi2.ppf(1.0 - DEFAULT_ALPHA, df))
     return TestReport(name, stat, threshold, int(total), seed, stat < threshold,
-                      claim, {"alpha": alpha, "df": df,
+                      claim, {"alpha": DEFAULT_ALPHA, "df": df,
                               "p_value": float(chi2.sf(stat, df)),
                               "bins": len(exp)})
 
 
 def binomial_atom_test(hits: int, n: int, p0: float, name: str, seed: int,
-                       claim: str = "", z_max: float = 3.0) -> TestReport:
+                       claim: str = "") -> TestReport:
     """Normal-approximation test that an event frequency matches p0.
 
-    The z-score of the observed count is judged against a fixed sigma
-    bound (default three) rather than an alpha level.
+    The z-score of the observed count is judged against the fixed sigma
+    bound _Z_MAX, three, rather than an alpha level.
     """
     if n <= 0:
         raise ValueError("need a positive sample size")
     if not 0.0 < p0 < 1.0:
         raise ValueError("p0 must lie strictly inside (0, 1)")
     z = (hits - n * p0) / math.sqrt(n * p0 * (1.0 - p0))
-    return TestReport(name, abs(z), z_max, n, seed, abs(z) < z_max,
+    return TestReport(name, abs(z), _Z_MAX, n, seed, abs(z) < _Z_MAX,
                       claim, {"hits": int(hits), "p0": p0})
 
 
 def correlation_test(x, y, name: str, seed: int, claim: str = "") -> TestReport:
     """Sample correlation of two supposedly independent sequences, judged
     against the hard bound 4/sqrt(n)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _finite(x), _finite(y)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("need two equal-length vectors")
     n = len(x)

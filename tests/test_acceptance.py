@@ -11,12 +11,12 @@ them for a quick loop, and a plain run keeps them.
 """
 
 import argparse
-import hashlib
 
 import pytest
 
 from cgmlab import cli
 from cgmlab.verification import seed_ladder
+from kernels import AVX512, NO_AVX512, assert_pinned
 
 BUDGET_SECONDS = {1: 5, 2: 10, 3: 5, 4: 30, 5: 60, 6: 180, 7: 30, 8: 180,
                   9: 120, 10: 30, 11: 30, 12: 1, 13: 120}
@@ -125,24 +125,29 @@ def test_primary_seed_report_aggregate():
 
 # sha256 of the primary-seed reports of the slow table-filling criteria,
 # the reports.jsonl text the CLI's verify run makes of the cached ladder
-# runs, so pinning them costs no extra run.  Recorded, like the fast suites'
-# digests in test_cli.py, with numpy 2.4 on x86-64 running numpy's AVX-512
-# kernels for log1p, log, exp and expm1; NPY_DISABLE_CPU_FEATURES="X86_V4
-# AVX512_ICL AVX512_SPR" reproduces the kernels of a CPU without AVX-512.
+# runs, so pinning them costs no extra run.  One column per math-kernel
+# fingerprint, like the fast suites' digests in test_cli.py (see kernels.py).
 SLOW_REPORT_DIGESTS = {
-    6: "3af638d2928d4297cda0612d50ef49ba434acf256931c5e9a6c198347e609529",
-    8: "0143a2c11ee4b2a506c74923a67af26f18caa5c167a52a7aec96a15daeb59b0f",
-    9: "2ac107c2c1f3f0ddcbe57bd75bdf6513a917e35a8961d515cfea27ad74839de9",
-    13: "0322b9f1b2c4371a5c792e0aef4ff6ffd05739ff170a85998f1eafdf40c11305",
+    AVX512: {
+        6: "3af638d2928d4297cda0612d50ef49ba434acf256931c5e9a6c198347e609529",
+        8: "0143a2c11ee4b2a506c74923a67af26f18caa5c167a52a7aec96a15daeb59b0f",
+        9: "2ac107c2c1f3f0ddcbe57bd75bdf6513a917e35a8961d515cfea27ad74839de9",
+        13: "0322b9f1b2c4371a5c792e0aef4ff6ffd05739ff170a85998f1eafdf40c11305",
+    },
+    NO_AVX512: {
+        6: "7a091363e77d232fbd1eb70e96c869147550031fd8b7ee3fdd1f8424f6779dff",
+        8: "0143a2c11ee4b2a506c74923a67af26f18caa5c167a52a7aec96a15daeb59b0f",
+        9: "2ac107c2c1f3f0ddcbe57bd75bdf6513a917e35a8961d515cfea27ad74839de9",
+        13: "810745866e21e66d700b42911fece1a687e2b46a13e3ad3bd0a5b281b7c0778c",
+    },
 }
 
 
 @pytest.mark.parametrize("index", [
     pytest.param(i, marks=pytest.mark.slow) if i in (6, 8, 9) else i
-    for i in sorted(SLOW_REPORT_DIGESTS)])
+    for i in sorted(SLOW_REPORT_DIGESTS[AVX512])])
 def test_slow_criterion_reports_are_pinned(index, monkeypatch):
     primary, _ = outcome(index)
     monkeypatch.setattr(cli, "seed_ladder", lambda *a, **kw: [(primary, 0.0)])
     _, files, _ = cli._run_verify(argparse.Namespace(seed=primary.seed, out="."), (index,))
-    data = files["reports.jsonl"].encode()
-    assert hashlib.sha256(data).hexdigest() == SLOW_REPORT_DIGESTS[index]
+    assert_pinned(SLOW_REPORT_DIGESTS, index, files["reports.jsonl"].encode())

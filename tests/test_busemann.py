@@ -63,6 +63,13 @@ def test_scaled_corner_sums_to_scale():
             m1, m2 = scaled_corner(rho, n)
             assert m1 >= 1 and m2 >= 1
             assert abs(m1 + m2 - n) <= 1
+    # a scale below 1 is refused, not rounded up to a 1 x 1 corner
+    assert scaled_corner(2.0, 1) == (1, 1)
+    for n in (0, -5):
+        with pytest.raises(ValueError):
+            scaled_corner(2.0, n)
+        with pytest.raises(ValueError):
+            estimate_busemann_level(2.0, n, RngSpec(1, "x"), window=1)
 
 
 def corner_table(rho, n, spec):
@@ -260,15 +267,17 @@ def test_path_weight_sum_and_coalescence_difference():
 def test_competition_interface_first_step():
     vals = np.ones((3, 3))
     vals[1, 2] = 5.0  # site (-1, 0): routing through the west neighbor wins
-    pts = competition_interface(WeightField((-2, -2), vals), steps=1)
+    pts = competition_interface(WeightField((-2, -2), vals))
     assert pts[0].tolist() == [0, 0]
     assert pts[1].tolist() == [0, -1]
     vals = np.ones((3, 3))
     vals[2, 1] = 5.0  # site (0, -1): the south route wins instead
-    pts = competition_interface(WeightField((-2, -2), vals), steps=1)
-    assert pts[1].tolist() == [-1, 0]
-    with pytest.raises(ValueError):
-        competition_interface(WeightField((-2, -2), np.ones((3, 3))), steps=2)
+    pts = competition_interface(WeightField((-2, -2), vals))
+    assert pts.shape == (2, 2) and pts[1].tolist() == [-1, 0]
+    # a field under 3 x 3 leaves no step
+    for shape in ((2, 2), (2, 9), (9, 2)):
+        with pytest.raises(ValueError):
+            competition_interface(WeightField((1 - shape[0], 1 - shape[1]), np.ones(shape)))
     with pytest.raises(ValueError):
         competition_interface(WeightField((0, 0), np.ones((3, 3))))
 
@@ -314,10 +323,11 @@ def test_competition_interface_matches_two_table_walk():
         field = sample_exp_field(rows, cols, 1.0, spec.sub(f"f{r}"),
                                  origin=(1 - rows, 1 - cols))
         limit = min(rows, cols) - 2
+        pts = competition_interface(field)
+        assert pts.shape == (limit + 1, 2)
+        # a walk of k steps is the first k + 1 points of the whole walk
         for steps in sorted({1, max(1, limit // 2), limit}):
-            pts = competition_interface(field, steps)
-            assert pts.shape == (steps + 1, 2)
-            assert np.array_equal(pts, two_table_interface(field, steps))
+            assert np.array_equal(pts[:steps + 1], two_table_interface(field, steps))
 
 
 def test_competition_interface_tie_rule():
@@ -341,14 +351,12 @@ def test_undrawn_field_interface_equals_the_drawn_values():
     spec = RngSpec(46, "cif-undrawn")
     for r, (rows, cols) in enumerate([(41, 41), (121, 121), (30, 75), (70, 200),
                                       (3, 8), (3, 3), (100, 101)] * 3):
-        limit = min(rows, cols) - 2
-        for steps in sorted({1, max(1, limit // 2), limit}):
-            field = sample_exp_field(rows, cols, 1.0, spec.sub(f"f{r}"),
-                                     origin=(1 - rows, 1 - cols))
-            pts = competition_interface(field, steps)
-            assert not field.drawn
-            plain = WeightField(field.origin, field.values)
-            assert np.array_equal(pts, competition_interface(plain, steps))
+        field = sample_exp_field(rows, cols, 1.0, spec.sub(f"f{r}"),
+                                 origin=(1 - rows, 1 - cols))
+        pts = competition_interface(field)
+        assert not field.drawn
+        plain = WeightField(field.origin, field.values)
+        assert np.array_equal(pts, competition_interface(plain))
 
 
 def test_competition_interface_fills_only_rows_it_reads(monkeypatch):
@@ -399,10 +407,9 @@ def test_competition_interface_on_criterion9_field():
 
 
 def test_threshold_estimate_and_grid_crossing():
-    n = 300
-    field = sample_exp_field(n + 1, n + 1, 1.0, RngSpec(42, "cif"),
-                             origin=(-n, -n))
-    out = rho_star_threshold(field, steps=200)
+    # a 202 x 202 field gives a walk of 200 steps
+    out = rho_star_threshold(sample_exp_field(202, 202, 1.0, RngSpec(42, "cif-threshold"),
+                                              origin=(-201, -201)))
     assert out.e1_steps + out.e2_steps == 200
     assert out.estimate == pytest.approx(
         1.0 + np.sqrt(out.e2_steps / out.e1_steps))
@@ -410,6 +417,8 @@ def test_threshold_estimate_and_grid_crossing():
     # toward each parameter's corner, read off the corner's last two rows
     # and off its full table, changes sign once: the first parameter whose
     # walk starts with -e2 estimates the threshold a second way.
+    n = 300
+    field = sample_exp_field(n + 1, n + 1, 1.0, RngSpec(42, "cif"), origin=(-n, -n))
     codes = []
     for rho in np.linspace(1.05, 8.0, 60):
         m1, m2 = scaled_corner(float(rho), n)
@@ -422,8 +431,9 @@ def test_threshold_estimate_and_grid_crossing():
 
 
 def test_initial_run_histogram_and_masses():
-    runs = geodesic_initial_runs(2.0, 200, 300, RngSpec(35, "runs"),
-                                 spacing=24, starts_per_table=3, max_run=8)
+    # the smallest rho = 2 corner that holds five starts 48 apart and a
+    # run cap of 8: 105 = 96 + 8 + 1 on a side
+    runs = geodesic_initial_runs(2.0, 210, 300, RngSpec(35, "runs"), max_run=8)
     counts, probs = initial_run_statistics(runs, 2.0, 8)
     assert counts.sum() == 300
     assert probs[0] == pytest.approx(0.5)
@@ -435,12 +445,12 @@ def test_initial_run_histogram_and_masses():
         geodesic_initial_runs(2.0, 100, 10, RngSpec(35, "bad"))
 
 
-def full_table_initial_runs(rho, n, count, spec, spacing, starts_per_table, max_run):
+def full_table_initial_runs(rho, n, count, spec, max_run):
     """geodesic_initial_runs as it was before it kept only the rows its
-    walks read: every walk on the full table, kept as the oracle."""
+    walks read: every walk on the full table, five starts 48 apart, kept
+    as the oracle."""
     m1, m2 = scaled_corner(rho, n)
-    offsets = [spacing * (i - (starts_per_table - 1) // 2)
-               for i in range(starts_per_table)]
+    offsets = [48 * (i - 2) for i in range(5)]
     runs = []
     t = 0
     while len(runs) < count:
@@ -455,38 +465,35 @@ def full_table_initial_runs(rho, n, count, spec, spacing, starts_per_table, max_
     return runs
 
 
-@pytest.mark.parametrize("rho, n, spacing, starts", [
-    (2.0, 200, 24, 3), (1.5, 400, 10, 4), (4.0, 300, 8, 5), (2.0, 62, 12, 5)])
-def test_initial_runs_match_full_table_walks(rho, n, spacing, starts):
-    # (2.0, 62, 12, 5) puts the walks' reach at the corner's whole side
+# Five starts 48 apart and max_run = 6 reach 96 + 6 + 1 = 103 from the
+# corner: the whole side of the square (2.0, 206) corner, 103 x 103, and
+# within a row of the short side of the tall (1.5, 520) one, 416 x 104, and
+# of the wide (4.0, 1040) one, 104 x 936.
+RUN_CORNERS = [(2.0, 206), (1.5, 520), (4.0, 1040)]
+
+
+# (2.0, 240) is a square corner, 120 x 120, whose side the walks' reach
+# stays within
+@pytest.mark.parametrize("rho, n", RUN_CORNERS + [(2.0, 240)])
+def test_initial_runs_match_full_table_walks(rho, n):
     spec = RngSpec(45, "runs-oracle").sub(f"{rho}/{n}")
-    runs = geodesic_initial_runs(rho, n, 37, spec, spacing=spacing,
-                                 starts_per_table=starts, max_run=6)
-    assert runs.tolist() == full_table_initial_runs(rho, n, 37, spec, spacing,
-                                                    starts, 6)
+    runs = geodesic_initial_runs(rho, n, 37, spec, max_run=6)
+    assert runs.tolist() == full_table_initial_runs(rho, n, 37, spec, 6)
 
 
 @pytest.mark.parametrize("stack", [1, 2, 3, 64])
-@pytest.mark.parametrize("rho, n, spacing, starts", [
-    (2.0, 200, 24, 3), (1.5, 400, 10, 4), (4.0, 300, 8, 5)])
-def test_stacked_initial_runs_match_full_table_walks(stack, rho, n, spacing, starts,
-                                                     monkeypatch):
-    # 37 runs take 13, 10 and 8 tables: one table per stack, stacks of 2
-    # and 3 with a ragged last one where the count does not divide, and
-    # one stack larger than the count; rho 1.5 makes the corners tall and
-    # rho 4.0 wide
+@pytest.mark.parametrize("rho, n", RUN_CORNERS)
+def test_stacked_initial_runs_match_full_table_walks(stack, rho, n, monkeypatch):
+    # 37 runs take 8 tables: one table per stack, stacks of 2, stacks of
+    # 3 with a ragged last one, and one stack larger than the count
     monkeypatch.setattr(busemann, "_RUN_STACK", stack)
     spec = RngSpec(46, "runs-stack").sub(f"{rho}/{n}")
-    runs = geodesic_initial_runs(rho, n, 37, spec, spacing=spacing,
-                                 starts_per_table=starts, max_run=6)
+    runs = geodesic_initial_runs(rho, n, 37, spec, max_run=6)
     assert runs.dtype == np.int64
-    assert runs.tolist() == full_table_initial_runs(rho, n, 37, spec, spacing,
-                                                    starts, 6)
-    assert geodesic_initial_runs(rho, n, 0, spec, spacing=spacing,
-                                 starts_per_table=starts, max_run=6).shape == (0,)
+    assert runs.tolist() == full_table_initial_runs(rho, n, 37, spec, 6)
+    assert geodesic_initial_runs(rho, n, 0, spec, max_run=6).shape == (0,)
     with pytest.raises(ValueError):
-        geodesic_initial_runs(rho, n, -5, spec, spacing=spacing,
-                              starts_per_table=starts, max_run=6)
+        geodesic_initial_runs(rho, n, -5, spec, max_run=6)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -12,9 +12,11 @@ import pytest
 from cgmlab import cli, verification
 from cgmlab.stats import TestReport
 from cgmlab.verification import CriterionResult
+from kernels import AVX512, NO_AVX512, NO_AVX512_ENV, assert_pinned, kernel_fingerprint
 
 
 SRC = str(Path(cli.__file__).parents[1])
+TESTS = str(Path(__file__).parent)
 
 
 def run(argv):
@@ -76,28 +78,53 @@ def test_verify_queueing_spans_instance_blocks(tmp_path):
     assert all(row["n"] == instances and row["pass"] for row in queueing)
 
 
-# sha256 of each fast suite's reports.jsonl at the default seed.  A
-# speed-up must leave every report bit for bit as it is; a change that moves
-# a statistic on purpose records new digests and says why.  Recorded with
-# numpy 2.4 on x86-64 running numpy's AVX-512 kernels for log1p, log, exp
-# and expm1: kernels that round a last bit differently move the statistics,
-# and with them these digests.  NPY_DISABLE_CPU_FEATURES="X86_V4
-# AVX512_ICL AVX512_SPR" makes numpy pick the kernels of a CPU without
-# AVX-512, which reproduces those other digests on an AVX-512 host.
+# sha256 of each fast suite's reports.jsonl at the default seed, one column
+# per math-kernel fingerprint (see kernels.py).  A speed-up must leave every
+# report bit for bit as it is; a change that moves a statistic on purpose
+# records new digests and says why.
 FAST_SUITE_DIGESTS = {
-    "verify-queueing": "b54bacbb4cdb2ac03aebcc6be0d294f4123e26c2f4aa539c7d7916a0378cf05a",
-    "verify-multiline": "050ea1d2eaca5fccb92450a65c8cfc32bec25c119dfeb1f30ddbaf34f5488177",
-    "verify-coupled": "9fded2afb839deeaa3b06e4d1cf3323dbffe09438e967aeae4f683077f9dabc6",
-    "verify-exact": "1d23344c1fd7dc5ecd2030580e13870c442c3c52272af86951afaf7e097d9398",
+    AVX512: {
+        "verify-queueing": "b54bacbb4cdb2ac03aebcc6be0d294f4123e26c2f4aa539c7d7916a0378cf05a",
+        "verify-multiline": "050ea1d2eaca5fccb92450a65c8cfc32bec25c119dfeb1f30ddbaf34f5488177",
+        "verify-coupled": "9fded2afb839deeaa3b06e4d1cf3323dbffe09438e967aeae4f683077f9dabc6",
+        "verify-exact": "1d23344c1fd7dc5ecd2030580e13870c442c3c52272af86951afaf7e097d9398",
+    },
+    NO_AVX512: {
+        "verify-queueing": "92ba3f356d1738a9e284e346c2e2f3626238c7d240ba4cbcd543e323f2a495f5",
+        "verify-multiline": "7527bba4ade875aa4e4f7711afb12e84582a8ba1d09db27419080a7245ab08e7",
+        "verify-coupled": "9fded2afb839deeaa3b06e4d1cf3323dbffe09438e967aeae4f683077f9dabc6",
+        "verify-exact": "1d23344c1fd7dc5ecd2030580e13870c442c3c52272af86951afaf7e097d9398",
+    },
 }
 
 
-@pytest.mark.parametrize("suite", sorted(FAST_SUITE_DIGESTS))
+@pytest.mark.parametrize("suite", sorted(FAST_SUITE_DIGESTS[AVX512]))
 def test_fast_suite_reports_are_pinned(suite, tmp_path, monkeypatch):
     monkeypatch.delenv("CGMLAB_SEED", raising=False)
     assert run([suite, "--out", str(tmp_path)]) == 0
+    assert_pinned(FAST_SUITE_DIGESTS, suite, (tmp_path / "reports.jsonl").read_bytes())
+
+
+def test_a_pin_fails_on_kernels_it_has_no_column_for():
+    # it names the fingerprint and how to record a column, and never skips
+    with pytest.raises(pytest.fail.Exception, match=kernel_fingerprint()) as exc:
+        assert_pinned({"other kernels": {}}, "verify-exact", b"")
+    assert "To record them" in str(exc.value)
+
+
+def test_fast_suite_pin_holds_on_the_kernels_without_avx512(tmp_path):
+    # A child process under numpy's switch runs the kernels of a CPU
+    # without AVX-512, so that column is checked on an AVX-512 host too.
+    env = {**os.environ, **NO_AVX512_ENV, "PYTHONPATH": os.pathsep.join([SRC, TESTS])}
+    env.pop("CGMLAB_SEED", None)
+    code = ("import sys; from kernels import kernel_fingerprint; from cgmlab import cli; "
+            "print(kernel_fingerprint(), file=sys.stderr); sys.exit(cli.main(sys.argv[1:]))")
+    out = subprocess.run([sys.executable, "-c", code, "verify-multiline", "--out", str(tmp_path)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.split()[0] == NO_AVX512
     data = (tmp_path / "reports.jsonl").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == FAST_SUITE_DIGESTS[suite]
+    assert hashlib.sha256(data).hexdigest() == FAST_SUITE_DIGESTS[NO_AVX512]["verify-multiline"]
 
 
 def test_existing_output_needs_force(tmp_path, capsys):
@@ -302,22 +329,27 @@ def test_simulate_lpp_dump(tmp_path):
 
 
 # sha256 of sample-mu's mu.csv at the default seed, at the default burn-in
-# and with none, recorded as the fast suites' digests above: the departure
+# and with none, keyed as the fast suites' digests above: the departure
 # fold and the boundary cut must leave the sample as it is.
 SAMPLE_MU_DIGESTS = {
-    (): "f7919929a83af9427b9857560a3aee3bb9569ae3058e111603ef8ab82895ddf0",
-    ("--burn-in", "0"): "7b261770e11cd1ccab1ca5f252651ae7321d0c671a634e9befd706276cabcd01",
+    AVX512: {
+        (): "f7919929a83af9427b9857560a3aee3bb9569ae3058e111603ef8ab82895ddf0",
+        ("--burn-in", "0"): "7b261770e11cd1ccab1ca5f252651ae7321d0c671a634e9befd706276cabcd01",
+    },
+    NO_AVX512: {
+        (): "581766ceed743128525f822da9b2b11a56d56318ed2e8922d5dbcf9b1ebf8b47",
+        ("--burn-in", "0"): "2d5ec7150056e8ed602f3a7ded47d659e2e81758f3f25a69896ed76ea5e1ead9",
+    },
 }
 
 
 def test_sample_mu_output_is_pinned(tmp_path, monkeypatch):
     monkeypatch.delenv("CGMLAB_SEED", raising=False)
-    for extra, digest in SAMPLE_MU_DIGESTS.items():
+    for extra in SAMPLE_MU_DIGESTS[AVX512]:
         out = tmp_path / "-".join(("mu",) + extra)
         assert run(["sample-mu", "--rates", "1.5,2,4", "--length", "2000",
                     "--out", str(out), *extra]) == 0
-        data = (out / "mu.csv").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest
+        assert_pinned(SAMPLE_MU_DIGESTS, extra, (out / "mu.csv").read_bytes())
 
 
 def test_sample_mu_dump(tmp_path):

@@ -12,7 +12,7 @@ from scipy.special import gammaln
 from cgmlab import exact
 from cgmlab.exact import (AtomTailLaw, MarkedPointProcess, X_value,
                           catalan_number, catalan_triangle, increment_law,
-                          initial_run_pmf, initial_run_pmf2,
+                          initial_run_pmf,
                           poisson_competition_A, poisson_competition_B,
                           rho_star_cdf, sample_X_blocks, sample_X_process)
 from cgmlab.rng import RngSpec
@@ -107,10 +107,9 @@ def test_run_pmf_values_and_normalization():
     for rho, depth in ((1.5, 800), (2.0, 400), (5.0, 200)):
         total = math.fsum(initial_run_pmf(rho, n) for n in range(depth + 1))
         assert abs(total - 1.0) < 1e-10
-    assert initial_run_pmf2(1.0, 3.0, 4) == pytest.approx(
-        initial_run_pmf(3.0, 4), rel=1e-14)
-    with pytest.raises(ValueError):
-        initial_run_pmf2(2.0, 2.0, 1)
+    for rho in (1.0, 0.5, -2.0, math.nan):
+        with pytest.raises(ValueError):
+            initial_run_pmf(rho, 1)
     with pytest.raises(ValueError):
         initial_run_pmf(2.0, -1)
 
@@ -156,9 +155,11 @@ def test_run_pmf_against_ballot_oracle():
         for n in range(13):
             assert initial_run_pmf(float(rho), n) == pytest.approx(
                 _run_pmf_oracle(Fraction(1), rho, n), rel=1e-12)
+    # the law for service mean 3/2 against arrival mean 3: the atom's
+    # chance (3 - 3/2) / 3 = 1/2 times the Poisson race
     lam, rho = Fraction(3, 2), Fraction(3)
     for n in range(13):
-        assert initial_run_pmf2(1.5, 3.0, n) == pytest.approx(
+        assert 0.5 * poisson_competition_A(n, 1.5, 3.0) == pytest.approx(
             _run_pmf_oracle(lam, rho, n), rel=1e-12)
 
 

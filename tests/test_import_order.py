@@ -159,13 +159,18 @@ def test_only_the_cli_writer_writes_files():
 
 def test_no_check_takes_a_tolerance_or_a_fraction():
     # Each identity check holds its identity to one fixed tolerance on one
-    # fixed interior; a knob for either would let a caller loosen it.
+    # fixed interior, and each statistical test its law to one fixed level;
+    # a knob for any of them would let a caller loosen it.
     wrong = []
     for path in MODULES:
         module = importlib.import_module(f"cgmlab.{path.stem}")
         for name in getattr(module, "__all__", ()):
-            if name.startswith("check_"):
-                params = inspect.signature(getattr(module, name)).parameters
-                wrong += [f"{path.stem}.{name}({p})" for p in params
-                          if p in ("tolerance", "fraction")]
-    assert not wrong, "identity checks with a knob: " + ", ".join(wrong)
+            if path.stem == "stats" and callable(getattr(module, name)):
+                knobs = ("alpha", "min_expected", "z_max")
+            elif name.startswith("check_"):
+                knobs = ("tolerance", "fraction")
+            else:
+                continue
+            params = inspect.signature(getattr(module, name)).parameters
+            wrong += [f"{path.stem}.{name}({p})" for p in params if p in knobs]
+    assert not wrong, "checks with a knob: " + ", ".join(wrong)

@@ -115,10 +115,14 @@ def test_grid_recursion_property(flat):
 
 
 def test_brute_force_refuses_too_many_paths():
-    field = WeightField((0, 0), np.ones((4, 4)))
-    assert brute_force_table(field, (0, 0), (3, 3), max_paths=20).shape == (4, 4)
-    with pytest.raises(ValueError):
-        brute_force_table(field, (0, 0), (3, 3), max_paths=19)
+    # a 13 x 13 rectangle has C(24, 12) = 2704156 paths, over the cap of a
+    # million, and is refused before any path is walked: its weights are
+    # never even drawn
+    assert math.comb(24, 12) > 1_000_000
+    field = sample_exp_field(13, 13, 1.0, RngSpec(3, "brute-cap"))
+    with pytest.raises(ValueError, match="too many paths"):
+        brute_force_table(field, (0, 0), (12, 12))
+    assert not field.drawn
     with pytest.raises(ValueError):
         brute_force_table(field, (2, 2), (1, 3))
 

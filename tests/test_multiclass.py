@@ -158,7 +158,7 @@ def test_triangular_diagonal_matches_iterated_departures():
     spec = RngSpec(20, "tri")
     cfg = random_config(spec, means=(1.8, 3.0, 5.0), length=400)
     tri = build_triangular_arrays(cfg, BoundaryPolicy.given(0.0))
-    # validate=True has already asserted the whole diagonal; spot-check shape
+    # the build has already checked the whole diagonal; spot-check shape
     assert tri.n_lines == 3
     diag = tri.diagonal()
     ref = dmap(cfg, BoundaryPolicy.given(0.0))
@@ -204,7 +204,7 @@ def test_triangular_columns_match_the_double_loop(ties, policy):
             if ties:
                 lines = [SeqWindow(1, half_integers(w.values)) for w in lines]
             cfg = MultiConfig.from_lines(lines)
-            tri = build_triangular_arrays(cfg, policy, validate=False)
+            tri = build_triangular_arrays(cfg, policy)
             eta, xi = triangular_double_loop(cfg, policy)
             for got, want in ((tri.eta, eta), (tri.xi, xi)):
                 assert [len(row) for row in got] == [len(row) for row in want]
@@ -222,7 +222,7 @@ def test_triangular_column_marginals():
     lines = [sample_exp_window(1, length, r, spec.sub(f"line{i}"))
              for i, r in enumerate(rates)]
     cfg = MultiConfig.from_lines(lines, rates)
-    tri = build_triangular_arrays(cfg, BURN, validate=False)
+    tri = build_triangular_arrays(cfg, BURN)
     cut = int(0.2 * length)
     for i in range(3):
         for j in range(i + 1):
@@ -362,8 +362,7 @@ def test_independence_structure_bound():
         lines = [sample_exp_window(1, 40, rate, spec.sub(f"rep{r}/line{i}"))
                  for i, rate in enumerate(rates)]
         cfg = MultiConfig.from_lines(lines, rates)
-        arrays.append(build_triangular_arrays(cfg, BoundaryPolicy.given(0.0),
-                                              validate=False))
+        arrays.append(build_triangular_arrays(cfg, BoundaryPolicy.given(0.0)))
     rep = check_independence_structure(arrays, k=20)
     assert rep.passed, rep
     assert rep.max_cross_corr < rep.bound

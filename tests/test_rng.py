@@ -23,11 +23,19 @@ def test_same_spec_same_draws():
     assert np.array_equal(a, b)
 
 
+def replica_generator(seed, label, replica):
+    """The stream of a label's replica: RngSpec(seed, label) is replica 0,
+    and a test that needs many streams of one label spawns the others."""
+    seq = np.random.SeedSequence(seed, spawn_key=(rng._label_key(label), replica))
+    return np.random.Generator(np.random.Philox(seq))
+
+
 def test_labels_and_replicas_separate_streams():
     base = RngSpec(7, "x")
     a = base.generator().random(4096)
     b = base.sub("y").generator().random(4096)
-    c = RngSpec(7, "x", 1).generator().random(4096)
+    c = replica_generator(7, "x", 1).random(4096)
+    assert np.array_equal(a, replica_generator(7, "x", 0).random(4096))
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     # unrelated streams should look independent
@@ -198,8 +206,8 @@ def test_field_lookup_and_origin():
 def test_spec_validation():
     with pytest.raises(ValueError):
         RngSpec(-1, "x")
-    with pytest.raises(ValueError):
-        RngSpec(2, "x", replica=-3)
+    with pytest.raises(TypeError):  # a spec is a seed and a label, nothing more
+        RngSpec(2, "x", 0)
     with pytest.raises(ValueError):
         sample_exp_window(0, 0, 1.0, RngSpec(1, "x"))
     for mean in (0.0, math.inf, math.nan):

@@ -7,7 +7,7 @@ from cgmlab.rng import RngSpec
 from cgmlab.stats import (DEFAULT_ALPHA, KS_MIN_N, binomial_atom_test,
                           chi_square_pmf, correlation_test, ks_distance,
                           ks_one_sample, ks_two_sample)
-from test_rng import exp_from_uniform
+from test_rng import exp_from_uniform, replica_generator
 
 
 def exp1_cdf(x):
@@ -46,7 +46,7 @@ def test_ks_self_calibration():
     # correct-law samples must pass essentially always at alpha 0.001
     passed = 0
     for s in range(100):
-        u = RngSpec(60, "cal", replica=s).generator().random(3000)
+        u = replica_generator(60, "cal", s).random(3000)
         rep = ks_one_sample(exp_from_uniform(u, 1.0), exp1_cdf, "cal", s)
         passed += rep.passed
     assert passed >= 99
@@ -189,3 +189,12 @@ def test_correlation_bound_and_errors():
         correlation_test(np.ones(100), y[:100], "flat", 65)
     with pytest.raises(ValueError):
         correlation_test(x[:100], y[:200], "shape", 65)
+    # a NaN would make a failing report whose statistic json.dumps writes
+    # as the bare token NaN, which is not JSON; an infinity is no draw
+    for bad in (np.nan, np.inf, -np.inf):
+        z = x.copy()
+        z[1234] = bad
+        with pytest.raises(ValueError, match="finite"):
+            correlation_test(z, y, "bad", 65)
+        with pytest.raises(ValueError, match="finite"):
+            correlation_test(y, z, "bad", 65)

@@ -96,6 +96,6 @@ def test_tall_corner_estimate_holds_only_the_transpose():
 
 
 def test_stacked_run_tables_keep_one_block_and_their_corners():
-    peak = traced_peak(geodesic_initial_runs, 2.0, 800, 150, RngSpec(8, "runs-peak"),
-                       48, 5, 9)
+    peak = traced_peak(lambda: geodesic_initial_runs(2.0, 800, 150, RngSpec(8, "runs-peak"),
+                                                     max_run=9))
     assert peak < 3.6 * 2 ** 20
