@@ -8,6 +8,15 @@ vertical laws.  Geodesics follow maximal predecessors, which coincides
 with following the smaller of the two increment estimates.  The
 competition interface between the two geodesic trees at the origin yields
 the threshold parameter, estimated from the interface direction.
+
+The estimates and the interface read their field through lpp's window
+reader, whose rule is "drawn is read from memory, undrawn is streamed".
+A field from rng.sample_exp_field whose values were never read is not
+drawn by them: each reads its window's rows off the field's stream a
+32-row block at a time, so an estimate on an undrawn 1501x1501 field
+holds about 0.4 MiB, and a criterion 9 site about 0.3 MiB.  Each reading
+draws its window again, so a caller that wants many rho from one draw
+reads values once first; the field is then sliced from memory.
 """
 
 from __future__ import annotations
@@ -17,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import ExpFieldRows, RngSpec, SeqWindow, WeightField
-from .lpp import (CornerFill, GeodesicPath, _fill_rows, _prefix_sums, _reversed_fill_rows,
+from .rng import ExpFieldRows, RngSpec, SeqWindow, WeightField, sample_exp_field
+from .lpp import (CornerFill, GeodesicPath, _corner_of, _field_rows, _fill_rows, _prefix_sums,
                   _row_step, corner_fill, walk_to_corner)
 from .queueing import lindley_iterate
 from .exact import initial_run_pmf
@@ -108,12 +117,6 @@ class BusemannEdgeEstimates:
     vertical: np.ndarray
 
 
-def _slice_to_corner(field: WeightField, m1: int, m2: int) -> np.ndarray:
-    """Values of field on [-m1, 0] x [-m2, 0]; the field must cover it."""
-    (i0, j0), (i1, j1) = field.index((-m1, -m2)), field.index((0, 0))
-    return field.values[i0:i1 + 1, j0:j1 + 1]
-
-
 def _window(m1: int, m2: int, window: int | None) -> int:
     w = window if window is not None else max(4, int(0.02 * min(m1, m2)))
     if w < 1 or w > min(m1, m2):
@@ -135,27 +138,33 @@ def estimate_busemann_level(rho: float, n: int, spec: RngSpec | None = None,
                             window: int | None = None) -> BusemannEdgeEstimates:
     """Estimate limit increments at parameter rho from a corner table at scale n.
 
-    With a shared field (covering [-m1, 0] x [-m2, 0] with zero at its
-    top-right), estimates at different rho use nested corners of the same
-    weights, which keeps the rho-monotonicity of the increments exact.
-    Without one, a fresh field of exactly the needed size is drawn from spec.
-    The window defaults to about two percent of the short side, small
-    enough that direction drift along the boundary stays below a percent.
+    With a shared field (covering [-m1, 0] x [-m2, 0]), estimates at
+    different rho use nested corners of the same weights, which keeps the
+    rho-monotonicity of the increments exact.  Without one, a fresh field
+    of exactly the needed size is drawn from spec; a field and a spec
+    together are refused.  The window defaults to about two percent of
+    the short side, small enough that direction drift along the boundary
+    stays below a percent.
 
-    The table is filled by lpp.corner_fill, which holds two rows and keeps
-    the (window + 1)-square corner at the origin, both edges of which the
-    estimates read: a shared field is walked row by row, and a fresh one
-    is drawn a block of rows at a time.
+    The corner's rows come from lpp's window reader and feed one
+    lpp.CornerFill, which holds two rows and keeps the (window + 1)-square
+    corner at the origin, both edges of which the estimates read.  Drawn
+    is read from memory, undrawn is streamed: a plain WeightField, or a
+    sampled field whose values were read, is sliced; an undrawn one (a
+    fresh field too) is not drawn, and its corner's rows are drawn a
+    32-row block at a time from the first row's stream position.  At
+    scale 3000 on an undrawn 1501x1501 field that is 0.4 MiB held, against
+    17.2 MiB for the drawn field.  To get many rho from one draw, read the
+    shared field's values once first.
     """
+    if (field is None) == (spec is None):
+        raise ValueError("need either a field or a spec, not both")
     m1, m2 = scaled_corner(rho, n)
     w = _window(m1, m2, window)
-    if field is not None:
-        vals = _slice_to_corner(field, m1, m2)
-    elif spec is None:
-        raise ValueError("need either a field or a spec")
-    else:
-        vals = ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec)
-    return _edge_estimates(rho, n, (m1, m2), corner_fill(vals, w + 1))
+    if field is None:
+        field = sample_exp_field(m1 + 1, m2 + 1, 1.0, spec, origin=(-m1, -m2))
+    g = _corner_of((m1 + 1, m2 + 1), *_field_rows(field, (-m1, -m2), (0, 0)), w + 1)
+    return _edge_estimates(rho, n, (m1, m2), g)
 
 
 def estimate_nested_levels(rho: float, scales, spec: RngSpec,
@@ -170,6 +179,8 @@ def estimate_nested_levels(rho: float, scales, spec: RngSpec,
     and keeps its (window + 1)-square corner at the origin.  The corners
     must not be tall, since CornerFill fills rows as given.
     """
+    if not scales:
+        raise ValueError("scales must name at least one scale; got no scales")
     corners = [scaled_corner(rho, n) for n in scales]
     m1, m2 = max(corners)
     if m1 > m2:
@@ -215,9 +226,9 @@ def competition_interface(weights: WeightField) -> np.ndarray:
     origin, both ends included.  The walk starts at phi = 0 and steps -e2
     when L(phi - e1) > L(phi - e2), -e1 otherwise, so ties go to -e1.  The
     table is kept as two rows and filled only as far as the walk descends,
-    from rows read one at a time off lpp's row source: an undrawn field
-    from rng.sample_exp_field that is not tall is drawn a block of rows
-    ahead of the walk, never whole.
+    from rows read one at a time off lpp's window reader: an undrawn field
+    from rng.sample_exp_field is drawn a block of rows ahead of the walk
+    (gathered into its transpose when tall), never whole.
 
     This is the competition interface of Ferrari and Pimentel (Ann.
     Probab. 33, 2005) reflected into the third quadrant: phi moves onto the
@@ -238,7 +249,7 @@ def competition_interface(weights: WeightField) -> np.ndarray:
     steps = min(r, c) - 2
     if steps < 1:
         raise ValueError("the interface needs a field of at least 3 x 3")
-    # R[i, j] = L(-i, -j) is filled from the rows lpp's row source gives
+    # R[i, j] = L(-i, -j) is filled from the rows lpp's window reader gives
     # values[::-1, ::-1], so every value compared is bit for bit the one
     # lpp_grid fills: by rows, or by the rows of a contiguous transpose
     # when the field is tall.  F is R in that orientation and the walk
@@ -247,7 +258,7 @@ def competition_interface(weights: WeightField) -> np.ndarray:
     # row p + 1 is taken from the row source and filled when the walk moves
     # onto row p.  After k steps p + q = k, so row p is read no further
     # than index steps - p.
-    tall, blocks = _reversed_fill_rows(weights)
+    tall, blocks = _field_rows(weights, weights.origin, (0, 0), reverse=True)
     rows = (row for block in blocks for row in block)
     here, ahead, scratch = np.empty((3, steps + 1))
     _prefix_sums(next(rows)[:steps + 1], here)
@@ -321,6 +332,8 @@ def geodesic_initial_runs(rho: float, n: int, count: int, spec: RngSpec,
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if max_run < 1:
+        raise ValueError("max_run must be at least 1")
     m1, m2 = scaled_corner(rho, n)
     offsets = [_RUN_SPACING * (i - (_RUN_STARTS - 1) // 2) for i in range(_RUN_STARTS)]
     reach = max(abs(o) for o in offsets) + max_run + 1

@@ -22,11 +22,22 @@ time, so a streamed field is never held whole.  It alone decides the fill
 orientation: a tall field (more rows than columns) is filled by the rows
 of its contiguous transpose, because the row step is not bit-for-bit
 transpose-symmetric, and a tall source is gathered into that transpose a
-block at a time.  A fill from a field's far corner, as the competition
-interface makes, reads the rows _fill_rows gives values[::-1, ::-1]
-through _reversed_fill_rows; on an undrawn, not tall field from
-rng.sample_exp_field these come from the field's positioned blocks,
-each drawn only when its reader reaches it.
+block at a time.
+
+A window of a WeightField, the rectangle between two lattice points, is
+read through _field_rows, forward or reversed along both axes (the fill
+from the window's far corner, as the competition interface makes).  Its
+rule is "drawn is read from memory, undrawn is streamed": a plain
+WeightField, or a field from rng.sample_exp_field whose values were read,
+is sliced, and the slice goes to _fill_rows.  An undrawn field is left
+undrawn: the window's rows are drawn from its source in 32-row blocks,
+from the first row's own stream position (each block at its own when
+reversed), cut to the window's columns and stopped at its last row, and
+a tall window is gathered into its transpose from those blocks.  The
+rows are bit for bit the slice's.  A Busemann estimate on an undrawn
+1501x1501 field so holds one block, about 0.4 MiB, where reading values
+draws 17.2 MiB; a caller that estimates at many rho on one field reads
+values once first.
 
 One row step, _row_step, fills every row of every max-plus recursion in
 the package, one table's row or the rows of a stack of K tables of one
@@ -219,6 +230,16 @@ class CornerFill:
         self._filled = start + len(block)
 
 
+def _transpose_of(blocks, out: np.ndarray) -> np.ndarray:
+    """Gather consecutive row blocks into out, their (cols, rows)
+    transpose, a block at a time."""
+    start = 0
+    for block in blocks:
+        out[:, start:start + len(block)] = block.T
+        start += len(block)
+    return out
+
+
 def _fill_rows(weights):
     """(tall, blocks): the one statement of the fill orientation, and the
     consecutive blocks of rows a fill runs over.
@@ -233,6 +254,8 @@ def _fill_rows(weights):
     own slot of one buffer, and the blocks are (n, K, cols).
     """
     stack = isinstance(weights, list)
+    if stack and not weights:
+        raise ValueError("a stack needs at least one field; got an empty stack")
     rows, cols = weights[0].shape if stack else weights.shape
     tall = rows > cols
     if isinstance(weights, np.ndarray):
@@ -248,29 +271,56 @@ def _fill_rows(weights):
     if tall:
         buf = np.empty((len(sources), cols, rows))
         for source, slot in zip(sources, buf):
-            start = 0
-            for block in source:
-                slot[:, start:start + len(block)] = block.T
-                start += len(block)
+            _transpose_of(source, slot)
         return tall, [rows_of(buf)]
     buf = np.empty((len(sources), *sources[0].block_shape))
     return tall, (rows_of(buf[:, :len(drawn[0])])
                   for drawn in zip(*map(ExpFieldRows.blocks, sources, buf)))
 
 
-def _reversed_fill_rows(field: WeightField):
-    """(tall, blocks) of _fill_rows(field.values[::-1, ::-1]), the fill
-    from the field's far corner.
+def _field_rows(field: WeightField, lo: tuple[int, int], hi: tuple[int, int],
+                reverse: bool = False):
+    """(tall, blocks) of _fill_rows(v), v the field's values on the
+    lattice rectangle from lo to hi, both included, or v[::-1, ::-1] when
+    reverse (the fill from the window's far corner): the one reader of a
+    window of a field.
 
-    An undrawn SampledField that is not tall is not drawn whole: its
-    blocks are ExpFieldRows.reversed_blocks, each drawn at its own stream
-    position only when asked for, bit for bit the rows of the reversed
-    values.
+    Drawn is read from memory, undrawn is streamed.  A plain WeightField,
+    or a SampledField whose values were read, is sliced.  An undrawn
+    SampledField is not drawn: the window's rows come from its source in
+    _ROW_BLOCK-row blocks, the first at the window's first row's own
+    stream position (bottom-up, each block at its own, when reverse), cut
+    to the window's columns and stopped at its last row, and a tall window
+    is gathered into its transpose from those blocks.  Either way the
+    rows are bit for bit those of the slice.
     """
-    rows, cols = field.shape
-    if isinstance(field, SampledField) and not field.drawn and rows <= cols:
-        return False, field.source.reversed_blocks()
-    return _fill_rows(field.values[::-1, ::-1])
+    (i0, j0), (i1, j1) = field.index(lo), field.index(hi)
+    if not isinstance(field, SampledField) or field.drawn:
+        v = field.values[i0:i1 + 1, j0:j1 + 1]
+        return _fill_rows(v[::-1, ::-1] if reverse else v)
+    width = field.shape[1]
+    cut = slice(width - 1 - j1, width - j0) if reverse else slice(j0, j1 + 1)
+    blocks = (block[:, cut] for block in field.source._row_blocks(i0, i1 + 1, reverse))
+    rows, cols = i1 + 1 - i0, j1 + 1 - j0
+    if rows > cols:
+        return True, [_transpose_of(blocks, np.empty((cols, rows)))]
+    return False, blocks
+
+
+def _corner_of(shape: tuple[int, int], tall: bool, blocks,
+               keep: int | tuple[int, int], members: int = 0) -> np.ndarray:
+    """The corner G[-r:, -c:], keep = r = c or (r, c), of the table over
+    the (tall, blocks) of a row source for a rows x cols field, shape =
+    (rows, cols), or of each of a stack of members tables, (K, r, c)."""
+    rows, cols = shape
+    r, c = keep if isinstance(keep, tuple) else (keep, keep)
+    if tall:
+        rows, cols, r, c = cols, rows, c, r
+    fill = CornerFill(rows, (members, cols) if members else cols, (r, c))
+    for block in blocks:
+        fill.feed(block)
+    corner = fill.corner.swapaxes(0, 1) if members else fill.corner
+    return corner.swapaxes(-1, -2) if tall else corner
 
 
 def corner_fill(weights: np.ndarray | ExpFieldRows | list[ExpFieldRows],
@@ -286,15 +336,8 @@ def corner_fill(weights: np.ndarray | ExpFieldRows | list[ExpFieldRows],
     """
     tall, blocks = _fill_rows(weights)
     stack = isinstance(weights, list)
-    rows, cols = weights[0].shape if stack else weights.shape
-    r, c = keep if isinstance(keep, tuple) else (keep, keep)
-    if tall:
-        rows, cols, r, c = cols, rows, c, r
-    fill = CornerFill(rows, (len(weights), cols) if stack else cols, (r, c))
-    for block in blocks:
-        fill.feed(block)
-    corner = fill.corner.swapaxes(0, 1) if stack else fill.corner
-    return corner.swapaxes(-1, -2) if tall else corner
+    return _corner_of(weights[0].shape if stack else weights.shape, tall, blocks, keep,
+                      len(weights) if stack else 0)
 
 
 def lpp_grid(weights: WeightField) -> GTable:

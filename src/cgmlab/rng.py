@@ -18,17 +18,25 @@ generator carries the stream from block to block, so the rows are bit for
 bit those of the whole-field draw, and only one block is ever held.  The
 blocks can be drawn into a caller's buffer, whose length sets the rows
 per block (one member's slot of a stack of fields drawn in lockstep, a
-sample block of a fast criterion, or a whole field as one block).
-reversed_blocks draws the field reversed, a block of rows at a time from
-the bottom up, each block at its own stream position.  Philox is
-counter-based (Salmon et al., SC11), so a block's position is reached by
-advancing the generator's fresh state, and the rows are bit for bit those
-of the whole draw.  Which blocks a table fill reads, and which way round,
-is lpp's to decide, not the source's.
+sample block of a fast criterion, or a whole field as one block).  A
+range of rows can also be drawn on its own, forward or reversed along
+both axes.  Philox is counter-based (Salmon et al., SC11), so a row's
+stream position is reached by advancing the generator's fresh state, and
+one helper, ExpFieldRows._seek, moves a generator there.  A forward range
+is drawn from its first row's position on, a reversed one a block at a
+time from the bottom up, each block at its own position; either way the
+rows are bit for bit those of the whole draw.  Which rows a table fill
+reads, and which way round, is lpp's to decide, not the source's.
 
 sample_exp_field returns a SampledField, which keeps its ExpFieldRows
 source and draws the whole field, as one block of that source, on the
-first read of its values; shape, index and repr never draw.
+first read of its values; shape, index and repr never draw.  Its readers
+keep one rule, "drawn is read from memory, undrawn is streamed": lpp
+reads a window of an undrawn field off the source a 32-row block at a
+time (0.4 MiB of a 1501-wide field) and leaves the field undrawn, so each
+reading draws its window again.  A caller that reads one field many
+times (estimates at many rho, say) reads values once first, and the
+field is drawn once and then sliced.
 
 Each container shape has one implementation: WeightField for values on
 a lattice rectangle (lpp.GTable holds passage times), whose index() is
@@ -238,28 +246,38 @@ class ExpFieldRows:
     def __iter__(self):
         return self.blocks()
 
-    def reversed_blocks(self):
-        """Iterate the field reversed along both axes, the rows of
-        sample_exp_field(rows, cols, mean, spec).values[::-1, ::-1] in
-        order, _ROW_BLOCK at a time, each block drawn only when asked for.
+    def _seek(self, gen: np.random.Generator, fresh: dict, row: int) -> None:
+        """Move gen to the stream position pos of row's first double: the
+        fresh state restored, advanced by pos // 4 Philox counter steps of
+        four doubles each, and the remaining pos % 4 doubles discarded."""
+        pos = row * self.cols
+        gen.bit_generator.state = fresh
+        gen.bit_generator.advance(pos // 4)
+        gen.random(pos % 4)
 
-        The blocks run bottom-up through the field, so each is drawn at its
-        own stream position pos: the generator's fresh state is restored,
-        advanced by pos // 4 Philox counter steps of four doubles each, and
-        the remaining pos % 4 doubles are discarded.  Every block is a
-        reversed view of one buffer that the next block overwrites.
+    def _row_blocks(self, start: int, stop: int, reverse: bool = False):
+        """Iterate rows start .. stop - 1 of the draw, _ROW_BLOCK at a
+        time, each block drawn only when asked for: in order, from start's
+        own stream position on, or, when reverse, reversed along both axes,
+        the rows of values[start:stop][::-1, ::-1] in order.
+
+        Reversed blocks run bottom-up through the field, so each is drawn
+        at its own stream position.  Either way the rows are bit for bit
+        those of the whole draw, and every block is a view of one buffer
+        that the next block overwrites.
         """
         gen = self.spec.generator()
         fresh = gen.bit_generator.state
-        buf = np.empty(self.block_shape)
-        for stop in range(self.rows, 0, -len(buf)):
-            start = max(0, stop - len(buf))
-            pos = start * self.cols
-            gen.bit_generator.state = fresh
-            gen.bit_generator.advance(pos // 4)
-            gen.random(pos % 4)
-            rows = buf[:stop - start]
-            yield _draw_exp(gen, rows, self.mean)[::-1, ::-1]
+        buf = np.empty((min(_ROW_BLOCK, stop - start), self.cols))
+        if not reverse:
+            self._seek(gen, fresh, start)
+            for first in range(start, stop, len(buf)):
+                yield _draw_exp(gen, buf[:min(len(buf), stop - first)], self.mean)
+            return
+        for end in range(stop, start, -len(buf)):
+            first = max(start, end - len(buf))
+            self._seek(gen, fresh, first)
+            yield _draw_exp(gen, buf[:end - first], self.mean)[::-1, ::-1]
 
 
 class SampledField(WeightField):

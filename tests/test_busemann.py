@@ -125,29 +125,49 @@ def test_estimate_without_table_equals_full_fill(rho):
     for window in (None, 5):
         bare = estimate_busemann_level(rho, 400, spec, window=window)
         assert same_estimates(bare, table_estimates(rho, 400, table, bare.window))
-    shared = sample_exp_field(420, 420, 1.0, spec.sub("shared"), origin=(-419, -419))
+    # An undrawn shared field streams the corner's rows and stays undrawn;
+    # drawn, it is sliced.  The second field reaches past the origin on
+    # both axes, so the streamed read stops at the origin's row and column.
     m1, m2 = scaled_corner(rho, 400)
-    table = lpp_grid(WeightField((-m1, -m2), shared.values[-m1 - 1:, -m2 - 1:]))
-    assert same_estimates(estimate_busemann_level(rho, 400, field=shared, window=7),
-                          table_estimates(rho, 400, table, 7))
+    for k, shape in enumerate([(420, 420), (437, 431)]):
+        shared = sample_exp_field(*shape, 1.0, spec.sub(f"shared{k}"), origin=(-419, -419))
+        streamed = estimate_busemann_level(rho, 400, field=shared, window=7)
+        assert not shared.drawn
+        table = lpp_grid(WeightField((-m1, -m2), shared.values[419 - m1:420, 419 - m2:420]))
+        assert same_estimates(streamed, table_estimates(rho, 400, table, 7))
+        assert same_estimates(streamed, estimate_busemann_level(rho, 400, field=shared,
+                                                                window=7))
 
 
 def test_nested_levels_equal_shared_field_estimates():
+    # Each nested estimate on the undrawn field streams its corner's rows
+    # from the first one's stream position, whose residue mod 4 (the doubles
+    # discarded after the counter steps) takes every value, and leaves the
+    # field undrawn; the same estimates on the drawn field slice it.
     spec = RngSpec(44, "nested")
-    for rho, scales in ((2.0, (600, 300)), (3.0, (500, 90, 500)), (2.0, (41,))):
+    residues = set()
+    for rho, scales in ((2.0, (600, 300, 298, 294)), (3.0, (500, 90, 500)), (2.0, (41,))):
         m1, m2 = scaled_corner(rho, max(scales))
         field = sample_exp_field(m1 + 1, m2 + 1, 1.0, spec.sub(f"{rho}"),
                                  origin=(-m1, -m2))
         got = estimate_nested_levels(rho, scales, spec.sub(f"{rho}"), window=6)
         assert len(got) == len(scales)
+        streamed = []
         for n, est in zip(scales, got):
             assert est.n == n
-            ref = estimate_busemann_level(rho, n, field=field, window=6)
-            assert same_estimates(est, ref)
+            streamed.append(estimate_busemann_level(rho, n, field=field, window=6))
+            assert not field.drawn
+            assert same_estimates(est, streamed[-1])
+            residues.add((m1 - est.corner[0]) * (m2 + 1) % 4)
+        for n, est in zip(scales, streamed):
+            assert same_estimates(est, estimate_busemann_level(rho, n, field=field, window=6))
+    assert residues == {0, 1, 2, 3}
     with pytest.raises(ValueError):
         estimate_nested_levels(1.5, (300,), spec, window=6)
     with pytest.raises(ValueError):
         estimate_nested_levels(2.0, (300, 10), spec, window=6)
+    with pytest.raises(ValueError, match="no scales"):
+        estimate_nested_levels(2.0, [], spec, window=6)
 
 
 def test_recovery_residual_vanishes():
@@ -169,6 +189,10 @@ def test_estimate_validation():
     small = sample_exp_field(11, 11, 1.0, RngSpec(38, "w"), origin=(-10, -10))
     with pytest.raises(ValueError):
         estimate_busemann_level(2.0, 100, field=small)
+    # a field and a spec are refused together: which would be drawn is unclear
+    big = sample_exp_field(101, 101, 1.0, RngSpec(38, "w"), origin=(-100, -100))
+    with pytest.raises(ValueError, match="not both"):
+        estimate_busemann_level(2.0, 100, RngSpec(38, "w"), field=big)
 
 
 def test_increment_monotonicity_on_shared_field():
@@ -345,12 +369,13 @@ def test_competition_interface_tie_rule():
 
 
 def test_undrawn_field_interface_equals_the_drawn_values():
-    # An undrawn sampled field that is not tall is walked on rows drawn a
-    # block at a time from the bottom of the field; the same values in a
-    # plain WeightField are walked on the whole array.
+    # An undrawn sampled field is walked on rows drawn a block at a time
+    # from the bottom of the field (gathered into their transpose when the
+    # field is tall); the same values in a plain WeightField are walked on
+    # the whole array.
     spec = RngSpec(46, "cif-undrawn")
     for r, (rows, cols) in enumerate([(41, 41), (121, 121), (30, 75), (70, 200),
-                                      (3, 8), (3, 3), (100, 101)] * 3):
+                                      (3, 8), (3, 3), (100, 101), (90, 24), (8, 3)] * 3):
         field = sample_exp_field(rows, cols, 1.0, spec.sub(f"f{r}"),
                                  origin=(1 - rows, 1 - cols))
         pts = competition_interface(field)
@@ -365,7 +390,8 @@ def test_competition_interface_fills_only_rows_it_reads(monkeypatch):
     # Weights of 1e308 on every later row overflow any fill that reaches
     # them, so the walk must come out unchanged without overflowing.  An
     # undrawn field that is not tall draws only the 32-row blocks that hold
-    # those rows, counted at the sampler's one exponential transform.
+    # those rows, counted at the sampler's one exponential transform; a
+    # tall one is gathered whole into its transpose, 32 rows at a time.
     drawn = []
     exp_in_place = rng._exp_in_place
     monkeypatch.setattr(rng, "_exp_in_place",
@@ -377,11 +403,11 @@ def test_competition_interface_fills_only_rows_it_reads(monkeypatch):
         drawn.clear()
         pts = competition_interface(field)
         i_f, j_f = -pts[-1]
+        assert not field.drawn and max(drawn) <= 32
         if rows > cols:
-            assert drawn == [rows]  # a tall field is read whole
+            assert sum(drawn) == rows
         else:
             # rows 0 to i_f + 1 of the reversed field are read
-            assert not field.drawn and max(drawn) <= 32
             assert sum(drawn) == min(rows, 32 * -(-(i_f + 2) // 32))
         vals = field.values.copy()
         if rows > cols:
@@ -443,6 +469,17 @@ def test_initial_run_histogram_and_masses():
     assert abs(f0 - 0.5) < 3.0 * np.sqrt(0.25 / 300.0)
     with pytest.raises(ValueError):
         geodesic_initial_runs(2.0, 100, 10, RngSpec(35, "bad"))
+
+
+@pytest.mark.parametrize("max_run", [0, -1])
+def test_initial_runs_refuse_a_run_cap_below_one(max_run, monkeypatch):
+    # a cap below one would censor every run at or below zero; it is
+    # refused before any table is drawn
+    drawn = []
+    monkeypatch.setattr(rng, "_exp_in_place", lambda u, mean: drawn.append(len(u)))
+    with pytest.raises(ValueError, match="max_run"):
+        geodesic_initial_runs(2.0, 210, 10, RngSpec(35, "cap"), max_run=max_run)
+    assert drawn == []
 
 
 def full_table_initial_runs(rho, n, count, spec, max_run):

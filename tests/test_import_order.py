@@ -131,15 +131,17 @@ def test_primitives_are_called_only_by_their_drivers():
 
 
 def test_only_the_positioned_blocks_reposition_a_stream():
-    # a stream is advanced to a row's position in one place, the blocks
-    # drawn bottom-up for the interface walk
-    assert callers({"advance"}) == {"rng.ExpFieldRows.reversed_blocks"}
+    # a stream is advanced to a row's position in one place, the helper
+    # that the blocks of a field's window, read either way, call
+    assert callers({"advance"}) == {"rng.ExpFieldRows._seek"}
+    assert callers({"_seek"}) == {"rng.ExpFieldRows._row_blocks"}
 
 
-def test_one_row_source_draws_the_reversed_blocks():
-    # the positioned blocks are read through lpp's row source alone, so the
-    # interface walk takes its rows as every table fill does
-    assert callers({"reversed_blocks"}) == {"lpp._reversed_fill_rows"}
+def test_one_row_source_draws_the_positioned_blocks():
+    # the positioned blocks are read through lpp's window reader alone, so
+    # the estimates on a shared field and the interface walk take their
+    # rows as every table fill does
+    assert callers({"_row_blocks"}) == {"lpp._field_rows"}
 
 
 def test_one_draw_turns_uniforms_into_exponentials():

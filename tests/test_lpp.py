@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cgmlab import rng
 from cgmlab.rng import (ExpFieldRows, RngSpec, SeqWindow, WeightField, sample_exp_field,
                         sample_exp_window)
-from cgmlab.lpp import (CornerFill, GTable, STEP_E1, STEP_E2, _prefix_sums,
+from cgmlab.lpp import (CornerFill, GTable, STEP_E1, STEP_E2, _field_rows, _prefix_sums,
                         _row_step, backtrack_geodesic, corner_fill,
                         brute_force_table, lpp_grid, shape_function, stationary_halfplane_lpp,
                         walk_to_corner)
@@ -193,6 +193,26 @@ def test_corner_fill_on_nested_views():
     assert_corner_fill_is_full_fill(big[::-1, ::-1])
 
 
+def test_window_rows_of_an_undrawn_field_are_the_slice_rows(monkeypatch):
+    # Windows wide and tall, inside the field and touching its edges, read
+    # forward and from the far corner: an undrawn field streams, in blocks
+    # of 7 rows, the rows the drawn field's slice gives, and stays undrawn.
+    monkeypatch.setattr(rng, "_ROW_BLOCK", 7)
+    spec = RngSpec(108, "window-rows")
+    field = sample_exp_field(40, 31, 1.0, spec, origin=(-30, -20))
+    drawn = sample_exp_field(40, 31, 1.0, spec, origin=(-30, -20))
+    drawn.values
+    for lo, hi in [((-30, -20), (9, 10)), ((-25, -18), (0, 0)), ((-12, -20), (3, -1)),
+                   ((-30, -2), (9, 10)), ((0, 0), (0, 0))]:
+        for reverse in (False, True):
+            got = _field_rows(field, lo, hi, reverse)
+            want = _field_rows(drawn, lo, hi, reverse)
+            assert got[0] == want[0]
+            assert np.array_equal(bits(np.concatenate([b.copy() for b in got[1]])),
+                                  bits(np.concatenate(list(want[1]))))
+            assert not field.drawn
+
+
 def test_row_fill_keeps_last_rows_fed_in_any_blocks():
     vals = sample_exp_field(30, 50, 1.0, RngSpec(107, "row-fill")).values
     g = cumsum_fill(vals)
@@ -361,6 +381,8 @@ def test_corner_fill_on_a_stack_of_sources(rows, cols, monkeypatch):
             assert np.array_equal(bits(corner), bits(corner_of(g, keep)))
     with pytest.raises(ValueError):
         corner_fill([sources[0], ExpFieldRows(rows + 1, cols, 1.0, spec)], 1)
+    with pytest.raises(ValueError, match="empty stack"):
+        corner_fill([], 1)
 
 
 def _with(values, cell, bad):

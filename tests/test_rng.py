@@ -155,16 +155,24 @@ def test_sampled_field_is_drawn_on_first_read_of_its_values():
 def test_reversed_blocks_are_slices_of_the_whole_draw(rows, cols, block, monkeypatch):
     # Blocks start at stream positions of every residue mod 4 (odd widths,
     # odd block lengths), the last one is short unless block divides rows,
-    # and a one-row field is one block.
+    # and a one-row field is one block.  A row range, read either way, is
+    # the slice of the whole draw: forward from its first row's position,
+    # reversed from each block's own.
     monkeypatch.setattr(rng, "_ROW_BLOCK", block)
     spec = RngSpec(23, "reversed").sub(f"{rows}x{cols}")
-    whole = eager_exp_field(rows, cols, 2.5, spec).values[::-1, ::-1]
-    stop = 0
-    for part in ExpFieldRows(rows, cols, 2.5, spec).reversed_blocks():
-        assert part.shape == (min(block, rows - stop), cols)
-        assert np.array_equal(part.view(np.uint64), whole[stop:stop + len(part)].view(np.uint64))
-        stop += len(part)
-    assert stop == rows
+    whole = eager_exp_field(rows, cols, 2.5, spec).values
+    source = ExpFieldRows(rows, cols, 2.5, spec)
+    for start, stop in {(0, rows), (rows // 3, rows), (0, rows - rows // 4),
+                        (rows // 3, max(rows // 3 + 1, rows - rows // 4))}:
+        for reverse in (True, False):
+            want = whole[start:stop][::-1, ::-1] if reverse else whole[start:stop]
+            at = 0
+            for part in source._row_blocks(start, stop, reverse):
+                assert part.shape == (min(block, stop - start - at), cols)
+                assert np.array_equal(part.view(np.uint64),
+                                      want[at:at + len(part)].view(np.uint64))
+                at += len(part)
+            assert at == stop - start
 
 
 def test_field_rows_validation():

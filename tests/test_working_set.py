@@ -13,19 +13,25 @@ into full-length cdf arrays.  Criteria 4, 5 and 7 fold their lines through
 the departure map one line at a time and stack the folded lines once
 (about 14, 15 and 20 MiB; criterion 7 reads 24 MiB when every line is
 stacked first and then regrouped by fancy indexing).  Every corner reader
-fills through lpp.corner_fill, which holds two table rows and keeps one
+fills through lpp.CornerFill, which holds two table rows and keeps one
 corner: an estimate keeps the (window + 1)-square corner whose edges it
-reads (about 0.04 MiB on a 1501x1501 field, against 17 MiB for the full
-table), and a streamed field is held one 32-row block at a time:
+reads (about 0.04 MiB on a drawn 1501x1501 field, against 17 MiB for the
+full table), and a streamed field is held one 32-row block at a time:
 criterion 13 (a 1x1 corner) and one doubling-probe field of criterion 6
-peak near 0.4 MiB, against 34 MiB for a whole field and its table.
-Criterion 9's interface walk draws the rows it reads 32 at a time from
-the bottom of its undrawn 1001x1001 field: about 0.3 MiB a site, against
-8 MiB when each site drew its whole field.  A
-tall source is gathered a block at a time into its contiguous transpose,
-the rows lpp fills a tall field by: 2.86 MiB for one rho = 1.5 estimate
-at scale 1500 (bound 3.25 MiB), against 5.5 MiB when the whole field was
-drawn and then transposed.  Criterion 8 fills its run tables 16 at a
+peak near 0.4 MiB, against 34 MiB for a whole field and its table.  A
+field is read by the rule "drawn is read from memory, undrawn is
+streamed": a scale-3000 estimate on an undrawn 1501x1501 field draws its
+corner's rows a block at a time and leaves the field undrawn, 0.41 MiB
+against 17.2 MiB when the estimate drew the field whole; a caller that
+wants many rho from one draw reads values once first, and is covered by
+the drawn-field bound above.  Criterion 9's interface walk draws the rows
+it reads 32 at a time from the bottom of its undrawn 1001x1001 field:
+about 0.3 MiB a site, against 8 MiB when each site drew its whole field.
+A tall source or window is gathered a block at a time into its
+contiguous transpose, the rows lpp fills a tall field by: 2.84 MiB for
+one rho = 1.5 estimate at scale 1500, and 3.07 MiB for the same corner of
+an undrawn 1251x1251 shared field (bound 3.25 MiB for both), against
+5.5 MiB when the whole field was drawn and then transposed.  Criterion 8 fills its run tables 16 at a
 time: one drawn block of the stack (1.6 MB) and each member's 107x107
 corner (1.5 MB) make 3.2 MiB for the 30 tables of the benchmark's call
 (bound 3.6 MiB), against 0.8 MiB one table at a time and about 7.3 MiB
@@ -76,6 +82,22 @@ def test_corner_estimates_hold_no_table():
     big.values  # drawn before tracing: the bound is on the estimate alone
     peak = traced_peak(lambda: estimate_busemann_level(2.0, 3000, field=big, window=30))
     assert peak < 2 ** 20
+
+
+def test_estimate_on_an_undrawn_field_streams_its_corner():
+    # drawn is read from memory, undrawn is streamed: one block of the
+    # field is held, and the field stays undrawn
+    big = sample_exp_field(1501, 1501, 1.0, RngSpec(6, "corner-peak"),
+                           origin=(-1500, -1500))
+    peak = traced_peak(lambda: estimate_busemann_level(2.0, 3000, field=big, window=30))
+    assert peak < 2 ** 20 and not big.drawn
+
+
+def test_tall_estimate_on_an_undrawn_field_holds_only_the_transpose():
+    shared = sample_exp_field(1251, 1251, 1.0, RngSpec(6, "tall-shared-peak"),
+                              origin=(-1250, -1250))
+    peak = traced_peak(lambda: estimate_busemann_level(1.5, 1500, field=shared))
+    assert peak < 3.25 * 2 ** 20 and not shared.drawn
 
 
 def test_interface_site_field_is_never_held_whole():
