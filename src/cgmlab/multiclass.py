@@ -97,7 +97,7 @@ def multiline_step(config: MultiConfig, services: SeqWindow,
     same_window(config.line(0), services)
     lines = [config.line(i) for i in range(config.n_lines)]
     chain = _unused_chain(lines, services, policy.j_left)
-    return policy.trim(MultiConfig.from_lines([o.departures for o in chain], config.rates))
+    return policy.trim(MultiConfig.from_lines([dep for dep, _ in chain], config.rates))
 
 
 def coupled_step(config: MultiConfig, services: SeqWindow,
@@ -150,8 +150,13 @@ def sample_mu_rho(rates, offset: int, length: int, spec: RngSpec,
     group = {r: g for g, r in enumerate(distinct)}
     lines = [sample_exp_window(offset, length, r, spec.sub(f"line{g}"))
              for g, r in enumerate(distinct)]
-    folded = _fold_lines(lines, policy.j_left)
-    return policy.trim(MultiConfig.from_lines([folded[group[r]] for r in rates], rates))
+    # Each line is folded over its own draw, the top line first: line i is
+    # read as a service only by the folds of the lines above it.
+    for i in range(len(lines) - 1, 0, -1):
+        _fold(lines[i::-1], policy.j_left, lines[i].values)
+    # each line trimmed before the stack is built, so the stack holds only
+    # the slots the config keeps
+    return MultiConfig.from_lines([policy.trim(lines[group[r]]) for r in rates], rates)
 
 
 @dataclass(eq=False)
@@ -193,9 +198,9 @@ def build_triangular_arrays(config: MultiConfig,
     for j in range(1, n):
         chain = _unused_chain([row[j - 1] for row in eta[j:]], eta[j - 1][j - 1],
                               policy.j_left)
-        for i, out in enumerate(chain, j):
-            eta[i].append(out.departures)
-            xi[i].append(out.unused)
+        for i, (dep, rel) in enumerate(chain, j):
+            eta[i].append(dep)
+            xi[i].append(rel)
     for i in range(n):
         xi[i].append(eta[i][i])
     arr = TriArray(config.offset, eta, xi, config.rates)
@@ -228,15 +233,18 @@ def check_intertwining(lines: list[SeqWindow],
         raise ValueError("need at least one line")
     same_window(*lines, services)
     j = DEFAULT_POLICY.j_left
-    folded = _fold_lines(lines, j)
-    stepped = _fold_lines([out.departures for out in _unused_chain(lines, services, j)], j)
-    reports = []
-    for k in range(2, len(lines) + 1):
-        lhs = DEFAULT_POLICY.trim(_fold([folded[k - 1], services], j))
-        rhs = DEFAULT_POLICY.trim(stepped[k - 1])
-        reports.append(_check(f"intertwining-{k}", [lhs.values - rhs.values], 1e-9,
-                              order=k, interior=len(lhs)))
-    return tuple(reports)
+    stepped = [dep for dep, _ in _unused_chain(lines, services, j)]
+    interior = len(DEFAULT_POLICY.trim(services))
+
+    def error(k):
+        # line k-1 folded through lines k-2, ..., 0 and then the services,
+        # against the multiline step's line k-1 folded the same way; only
+        # the difference outlives this line
+        yield (DEFAULT_POLICY.trim(_fold([*lines[k - 1::-1], services], j)).values
+               - DEFAULT_POLICY.trim(_fold(stepped[k - 1::-1], j)).values)
+
+    return tuple(_check(f"intertwining-{k}", error(k), 1e-9, order=k, interior=interior)
+                 for k in range(2, len(lines) + 1))
 
 
 @dataclass(eq=False)

@@ -87,7 +87,10 @@ multiclass's intertwining compares two different folds, hence their
 looser tolerance.
 
 Identity checks reduce each error piece to its own max |e|; the maximum
-is exact, so no piece needs to be joined to the others first.
+is exact, so no piece needs to be joined to the others first, and each is
+built only when it is reduced.  The departure fold runs its stages a block
+of slots at a time, each stage carrying its sojourn across blocks; the
+scan above is exact at any split, so the fold is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -189,7 +192,11 @@ class IdentityReport:
 
 
 def _check(name, pieces, tolerance, **extras) -> IdentityReport:
-    """Report the largest |error| over a list of error arrays."""
+    """Report the largest |error| over the error arrays that pieces yields.
+
+    Each is reduced as it comes, so pieces built as they are read are held
+    one at a time.  A NaN in any piece fails the report, and an empty piece
+    is skipped."""
     worst = [np.max(np.abs(e)) for e in pieces if np.size(e)]
     # np.max, unlike max(), keeps a NaN from any piece
     err = float(np.max(worst)) if worst else 0.0
@@ -225,16 +232,18 @@ def _left_values(j_left: float | np.ndarray, arr: np.ndarray) -> float | np.ndar
 _CHUNKED_FROM = 4096
 
 
-def _sojourn_scan(j_left: float | np.ndarray, arr: np.ndarray,
-                  svc: np.ndarray) -> np.ndarray:
-    """J_k = w_k + (J_{k-1} - I_k)^+ from J_0 = j_left, the one sequential pass.
+def _sojourn_scan(j_left: float | np.ndarray, arr: np.ndarray, svc: np.ndarray,
+                  soj: np.ndarray | None = None) -> np.ndarray:
+    """J_k = w_k + (J_{k-1} - I_k)^+ from J_0 = j_left, the one sequential pass,
+    into soj (a contiguous single window, or a stack) or a new array.
 
     A stack of windows, and the whole chunks of a long single window, are
     swept in lockstep; a long window's chunk heads are then repaired to the
     exact sojourn, and its tail (all of a short window) runs the branch in a
     Python float loop.  See the module's exactness notes.
     """
-    soj = np.empty(arr.shape)
+    if soj is None:
+        soj = np.empty(arr.shape)
     n = arr.shape[-1]
     size = math.isqrt(n)
     head = 0
@@ -284,6 +293,15 @@ def _sojourn_scan(j_left: float | np.ndarray, arr: np.ndarray,
     return soj
 
 
+def _departures(arr: np.ndarray, j_prev: np.ndarray, svc: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """D = max(I - J_prev, 0) + w, the branch bit for bit (module exactness
+    notes), into out or a new array."""
+    dep = np.subtract(arr, j_prev, out=out)
+    np.maximum(dep, 0.0, out=dep)
+    return np.add(dep, svc, out=dep)
+
+
 def lindley_iterate(j_left: float | np.ndarray, arrivals: SeqWindow,
                     services: SeqWindow) -> QueueOutput:
     """One sweep of the queue recursion from the left sojourn value j_left.
@@ -298,12 +316,10 @@ def lindley_iterate(j_left: float | np.ndarray, arrivals: SeqWindow,
     svc = services.values
     j_left = _left_values(j_left, arr)
     soj = _sojourn_scan(j_left, arr, svc)
-    # D = max(I - J_prev, 0) + w and R = min(I, J_prev), the branch bit for
-    # bit (module exactness notes); R overwrites J_prev's buffer.
     j_prev = _prepend(j_left, soj[..., :-1])
-    dep = np.subtract(arr, j_prev)
-    np.maximum(dep, 0.0, out=dep)
-    np.add(dep, svc, out=dep)
+    dep = _departures(arr, j_prev, svc)
+    # R = min(I, J_prev), the branch bit for bit (module exactness notes),
+    # over J_prev's buffer.
     rel = np.minimum(arr, j_prev, out=j_prev)
     off = arrivals.offset
     return QueueOutput(j_left, SeqWindow(off, dep), SeqWindow(off, soj),
@@ -349,26 +365,61 @@ def queue_Dn(sequences: list[SeqWindow],
     return policy.trim(_fold(sequences, policy.j_left))
 
 
-def _fold(sequences: list[SeqWindow], j_left: float) -> SeqWindow:
+# The departure fold runs all of its stages over one block of this many
+# slots before the next, each stage carrying its last sojourn on to its next
+# block, so a stage holds a block, not a window, of sojourn.
+_FOLD_BLOCK = 2 ** 18
+
+
+def _fold(sequences: list[SeqWindow], j_left: float,
+          out: np.ndarray | None = None) -> SeqWindow:
     """queue_Dn untrimmed: sequences[0] departs through each of the rest in
-    turn, every queue started from the left sojourn value j_left."""
-    acc = sequences[0]
-    for svc in sequences[1:]:
-        acc = lindley_iterate(j_left, acc, svc).departures
-    return acc
+    turn, every queue started from the left sojourn value j_left; into out,
+    which may be sequences[0]'s own values, or a new array.
+
+    Every stage writes its departures over the block of the output that
+    the next stage reads as arrivals, and its sojourn, after the carried
+    J_0, into one block buffer whose first slots are then J_{k-1}.  A block
+    of sequences[0] is read before that block of the output is written.
+    """
+    first = sequences[0]
+    if len(sequences) == 1:
+        return first
+    same_window(*sequences)
+    if len(first) == 0:
+        raise ValueError("empty window")
+    arr = first.values
+    n = arr.shape[-1]
+    # each stage's sojourn at the slot left of the current block
+    carry = [_left_values(j_left, arr) for _ in sequences[1:]]
+    if out is None:
+        out = np.empty(arr.shape)
+    buf = np.empty((*arr.shape[:-1], min(n, _FOLD_BLOCK) + 1))
+    for lo in range(0, n, _FOLD_BLOCK):
+        hi = min(lo + _FOLD_BLOCK, n)
+        acc, dep = arr[..., lo:hi], out[..., lo:hi]
+        j_prev = buf[..., :hi - lo]
+        for s, svc in enumerate(sequences[1:]):
+            w = svc.values[..., lo:hi]
+            buf[..., 0] = carry[s]
+            _sojourn_scan(carry[s], acc, w, buf[..., 1:hi - lo + 1])
+            carry[s] = float(buf[hi - lo]) if buf.ndim == 1 else buf[:, hi - lo].copy()
+            acc = _departures(acc, j_prev, w, dep)
+    return SeqWindow(first.offset, out)
 
 
 def _unused_chain(lines: list[SeqWindow], services: SeqWindow, j_left: float):
-    """Yield each line's sweep against the unused input of the line before,
-    the first line against services, untrimmed; every queue starts from the
-    left sojourn value j_left: one multiline step, or a column of the
-    triangular arrays.  A caller that keeps only the departures holds one
-    stage's sojourn and unused input at a time."""
+    """Yield each line's departures and unused input, swept against the
+    unused input of the line before, the first line against services,
+    untrimmed; every queue starts from the left sojourn value j_left: one
+    multiline step, or a column of the triangular arrays.  Each stage's
+    sojourn is let go before the next stage is swept."""
     w = services
     for arr in lines:
         out = lindley_iterate(j_left, arr, w)
-        yield out
-        w = out.unused
+        dep, w = out.departures, out.unused
+        del out
+        yield dep, w
 
 
 @dataclass(eq=False)
@@ -424,30 +475,37 @@ def check_sweep_identities(j_left: float | np.ndarray, arrivals: SeqWindow,
     the best arrival/service split computed from the inputs equals the same
     split computed from the outputs in the reversed roles, the split index
     ranging over the full window.  The incoming sojourn J_{k-1} is built
-    once, for conservation and duality both.
+    once, for conservation and duality both.  Each error is reduced as it
+    is built, and each sweep's outputs are dropped after their last read.
     """
     out = lindley_iterate(j_left, arrivals, services)
     arr, svc = arrivals.values, services.values
     dep, soj, rel = out.departures.values, out.sojourn.values, out.unused.values
     j_prev = _prepend(out.j_left, soj[..., :-1])
-    conservation = _check("conservation", [
-        (arr + soj) - (j_prev + dep),
-        (svc + arr) - (rel + dep),
-        rel - np.minimum(arr, j_prev),
-    ], 1e-12)
+
+    def conservation_errors():
+        yield (arr + soj) - (j_prev + dep)
+        yield (svc + arr) - (rel + dep)
+        yield rel - np.minimum(arr, j_prev)
+
+    conservation = _check("conservation", conservation_errors(), 1e-12)
     start = 2 - out.departures.end
     back = lindley_iterate(out.final_sojourn, SeqWindow(start, dep[..., ::-1]),
                            SeqWindow(start, rel[..., ::-1]))
-    duality = _check("duality", [
-        back.departures.values[..., ::-1] - arr,
-        back.unused.values[..., ::-1] - svc,
-        back.sojourn.values - j_prev[..., ::-1],
-    ], 1e-12)
+    del out, soj
+
+    def duality_errors():
+        yield back.departures.values[..., ::-1] - arr
+        yield back.unused.values[..., ::-1] - svc
+        yield back.sojourn.values - j_prev[..., ::-1]
+
+    duality = _check("duality", duality_errors(), 1e-12)
+    del back, j_prev
 
     def best_split(first: np.ndarray, second: np.ndarray) -> np.ndarray:
         pre = np.cumsum(first, axis=-1)
-        suf = np.cumsum(second[..., ::-1], axis=-1)[..., ::-1]
-        return np.max(pre + suf, axis=-1)
+        pre += np.cumsum(second[..., ::-1], axis=-1)[..., ::-1]
+        return np.max(pre, axis=-1)
 
     t_direct = best_split(arr, svc)
     t_identity = _check("T-identity", [best_split(rel, dep) - t_direct], 1e-9,
@@ -464,7 +522,8 @@ def check_strip_identities(j_left: float | np.ndarray, arrivals: SeqWindow,
     column, sojourn there, departures after) gives the level-1 endpoint for
     every split column; and for every left column the remaining strip value
     is the larger of the reversed-role split and the all-unused-plus-final-
-    sojourn route, whose left-end case is the dual value identity.
+    sojourn route, whose left-end case is the dual value identity.  Each
+    error is reduced as it is built.
     """
     table = strip_lpp_H(j_left, arrivals, services)
     out = lindley_iterate(j_left, arrivals, services)
@@ -473,22 +532,29 @@ def check_strip_identities(j_left: float | np.ndarray, arrivals: SeqWindow,
     dep = out.departures.values
     soj = out.sojourn.values
     end = h1[..., -1:]
-    errors = [
-        np.diff(h1, axis=-1) - dep,
-        (h1 - h0)[..., 1:] - soj,
-        h1[..., 0] - h0[..., 0] - out.j_left,
-    ]
-    # split form: h1[end] = h0[k] + sojourn[k] + sum of departures past k
     zero = np.zeros(dep.shape[:-1])
-    dep_suffix = _append(np.cumsum(dep[..., ::-1], axis=-1)[..., ::-1], zero)
-    errors.append((h0 + _prepend(out.j_left, soj) + dep_suffix) - end)
-    # reversed-role form: for every left column l,
-    # h1[end] - h0[l] = max(best split of (unused, departures) past l,
-    #                       all unused past l + final sojourn)
-    a_pre = _prepend(zero, np.cumsum(out.unused.values, axis=-1))
-    comb = a_pre[..., 1:] + dep_suffix[..., :-1]
-    suffix_best = _append(np.maximum.accumulate(comb[..., ::-1], axis=-1)[..., ::-1],
-                          zero - np.inf)
-    rhs = np.maximum(suffix_best - a_pre, (a_pre[..., -1:] - a_pre) + soj[..., -1:])
-    errors.append((end - h0) - rhs)
-    return _check("strip-identities", errors, 1e-9)
+
+    def errors():
+        yield np.diff(h1, axis=-1) - dep
+        yield (h1 - h0)[..., 1:] - soj
+        yield h1[..., 0] - h0[..., 0] - out.j_left
+        # split form: h1[end] = h0[k] + sojourn[k] + sum of departures past k
+        dep_suffix = _append(np.cumsum(dep[..., ::-1], axis=-1)[..., ::-1], zero)
+        yield (h0 + _prepend(out.j_left, soj) + dep_suffix) - end
+        # reversed-role form: for every left column l,
+        # h1[end] - h0[l] = max(best split of (unused, departures) past l,
+        #                       all unused past l + final sojourn)
+        a_pre = _prepend(zero, np.cumsum(out.unused.values, axis=-1))
+        comb = a_pre[..., 1:] + dep_suffix[..., :-1]
+        del dep_suffix
+        rhs = _append(np.maximum.accumulate(comb[..., ::-1], axis=-1)[..., ::-1],
+                      zero - np.inf)
+        del comb
+        rhs -= a_pre
+        tail = a_pre[..., -1:] - a_pre
+        tail += soj[..., -1:]
+        np.maximum(rhs, tail, out=rhs)
+        del tail
+        yield (end - h0) - rhs
+
+    return _check("strip-identities", errors(), 1e-9)

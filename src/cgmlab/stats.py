@@ -11,8 +11,9 @@ merges sparse tail bins; atom masses are checked by a normal
 approximation to the binomial and independence claims by a hard
 correlation bound.
 
-Samples must be finite: the KS and correlation helpers raise ValueError
-on a NaN or an infinity.  NaN breaks the total order the empirical cdfs
+Samples must be finite and one-dimensional: the KS and correlation
+helpers raise ValueError on a NaN or an infinity, and on a stack of
+samples or a scalar, naming its shape.  NaN breaks the total order the empirical cdfs
 rest on and has no correlation, and an infinity is no draw from the
 continuous laws these tests compare.
 
@@ -101,9 +102,18 @@ def _finite(x) -> np.ndarray:
     return x
 
 
+def _sample(x) -> np.ndarray:
+    """x as a finite one-dimensional sample; a stack or a scalar is refused
+    by its shape."""
+    x = _finite(x)
+    if x.ndim != 1:
+        raise ValueError(f"the test needs a one-dimensional sample, got shape {x.shape}")
+    return x
+
+
 def ks_distance(sample, cdf) -> float:
     """Sup distance between the empirical cdf of sample and a cdf."""
-    x = np.sort(_finite(sample))
+    x = np.sort(_sample(sample))
     n = len(x)
     if n == 0:
         raise ValueError("empty sample")
@@ -114,7 +124,8 @@ def ks_distance(sample, cdf) -> float:
 
 def ks_one_sample(sample, cdf, name: str, seed: int, claim: str = "") -> TestReport:
     """Kolmogorov-Smirnov test of sample against a continuous cdf."""
-    n = len(np.asarray(sample))
+    sample = _sample(sample)
+    n = len(sample)
     if n < KS_MIN_N:
         raise ValueError(f"KS test needs at least {KS_MIN_N} points, got {n}")
     d = ks_distance(sample, cdf)
@@ -125,7 +136,7 @@ def ks_one_sample(sample, cdf, name: str, seed: int, claim: str = "") -> TestRep
 
 def ks_two_sample(a, b, name: str, seed: int, claim: str = "") -> TestReport:
     """Two-sample Kolmogorov-Smirnov test for equality of continuous laws."""
-    a, b = _finite(a), _finite(b)
+    a, b = _sample(a), _sample(b)
     n, m = len(a), len(b)
     if min(n, m) < KS_MIN_N:
         raise ValueError(f"KS test needs at least {KS_MIN_N} points per sample")

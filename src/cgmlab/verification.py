@@ -14,7 +14,8 @@ at a time; criterion 11 reads the blocks of exact.sample_X_blocks, the
 one sampler of the marked point process.  Each stream is carried on by
 one generator from block to block, so their results are bit for bit those
 of one whole-array draw.  Criterion 2 draws each block of instances
-straight into one stack of windows.
+straight into stacks of windows: the block's queues, which its sweep
+checks read and which are freed before its four lines are drawn.
 """
 
 from __future__ import annotations
@@ -112,39 +113,49 @@ def _queue_instance(s: RngSpec, rows: np.ndarray) -> tuple[float, np.random.Gene
     return j0, gen
 
 
-def _criterion_2_instance(s: RngSpec, rows: np.ndarray) -> float:
-    """Draw one instance's six windows into rows (arrivals, services, lines
-    0-3) and return its j0."""
-    j0, gen = _queue_instance(s, rows)
-    base = 0.7 + 0.6 * gen.random()
-    means = base * np.array([1.0, 1.8 + 0.4 * gen.random(),
-                             3.0 + 0.8 * gen.random(), 4.6 + gen.random()])
-    for k in range(4):
-        _draw_exp(s.sub(f"L{k}").generator(), rows[2 + k], means[k])
-    return j0
-
-
-def _instance_stacks(spec: RngSpec, instances: int, window: int, streams: int, draw):
-    """The instances in blocks of at most _STACK_BLOCK, in order, each block
-    as (j0 array, `streams` stacked SeqWindows).  draw(spec, rows) fills
-    one instance's (streams, window) rows and returns its j0."""
+def _spec_blocks(spec: RngSpec, instances: int):
+    """The instances' specs in blocks of at most _STACK_BLOCK, in order."""
     for start in range(0, instances, _STACK_BLOCK):
-        count = min(_STACK_BLOCK, instances - start)
-        stack = np.empty((streams, count, window))
-        j0 = np.array([draw(spec.sub(f"i{start + r}"), stack[:, r]) for r in range(count)])
-        yield j0, [SeqWindow(1, rows) for rows in stack]
+        yield [spec.sub(f"i{r}") for r in range(start, min(start + _STACK_BLOCK, instances))]
+
+
+def _queue_stack(specs: list[RngSpec], window: int):
+    """One block of queues: its instances' generators and j0 (an array),
+    and its arrival and service stacks."""
+    stack = np.empty((2, len(specs), window))
+    drawn = [_queue_instance(s, stack[:, r]) for r, s in enumerate(specs)]
+    j0 = np.array([j for j, _ in drawn])
+    return [gen for _, gen in drawn], j0, SeqWindow(1, stack[0]), SeqWindow(1, stack[1])
+
+
+def _line_stack(specs: list[RngSpec], gens: list, window: int) -> list[SeqWindow]:
+    """One block's four line stacks for criterion 2; each instance's line
+    means come next from its own generator, after its queue's parameters."""
+    lines = np.empty((4, len(specs), window))
+    for r, (s, gen) in enumerate(zip(specs, gens)):
+        base = 0.7 + 0.6 * gen.random()
+        means = base * np.array([1.0, 1.8 + 0.4 * gen.random(),
+                                 3.0 + 0.8 * gen.random(), 4.6 + gen.random()])
+        for k in range(4):
+            _draw_exp(s.sub(f"L{k}").generator(), lines[k, r], means[k])
+    return [SeqWindow(1, rows) for rows in lines]
 
 
 def criterion_2(seed: int, instances: int = 200, window: int = 1000) -> CriterionResult:
     """Queueing identities on random stable instances, checked a block of
-    instances at a time as stacks of windows."""
+    instances at a time as stacks of windows: the sweep identities on the
+    block's queues, then, once those are freed, the intertwining on its
+    four lines."""
     spec = RngSpec(seed, "criterion2")
     worst: dict[str, float] = {}
     threshold: dict[str, float] = {}
-    for j0, (arr, svc, *seqs) in _instance_stacks(spec, instances, window, 6,
-                                                  _criterion_2_instance):
-        for rep in (*check_sweep_identities(j0, arr, svc),
-                    *check_intertwining(seqs[1:], seqs[0])):
+    for specs in _spec_blocks(spec, instances):
+        gens, j0, arr, svc = _queue_stack(specs, window)
+        reps = list(check_sweep_identities(j0, arr, svc))
+        del arr, svc
+        seqs = _line_stack(specs, gens, window)
+        reps += check_intertwining(seqs[1:], seqs[0])
+        for rep in reps:
             worst[rep.name] = max(worst.get(rep.name, 0.0), rep.max_abs_error)
             threshold[rep.name] = rep.tolerance
     claims = {
@@ -166,9 +177,8 @@ def criterion_3(seed: int, instances: int = 100, window: int = 1000) -> Criterio
     block of instances at a time as stacks of windows."""
     spec = RngSpec(seed, "criterion3")
     worst = 0.0
-    for j0, (arr, svc) in _instance_stacks(spec, instances, window, 2,
-                                           lambda s, rows: _queue_instance(s, rows)[0]):
-        check = check_strip_identities(j0, arr, svc)
+    for specs in _spec_blocks(spec, instances):
+        check = check_strip_identities(*_queue_stack(specs, window)[1:])
         worst = max(worst, check.max_abs_error)
     rep = _strict_report("strip-identities", worst, check.tolerance, instances, seed,
                          "split, reversed-role, and dual strip values agree")
@@ -183,6 +193,7 @@ def criterion_4(seed: int) -> CriterionResult:
     lines = [sample_exp_window(1, length, r, spec.sub(f"line{i}"))
              for i, r in enumerate(rates)]
     config = MultiConfig.from_lines(lines, rates)
+    del lines  # the config holds their one copy
     svc = sample_exp_window(1, length, 1.0, spec.sub("svc"))
     out = multiline_step(config, svc, DEFAULT_POLICY)
     reps = []

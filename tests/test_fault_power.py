@@ -68,8 +68,8 @@ FAULTS = [
      strip_table_without_its_left_sojourn, (3,)),
     ("coupled-step-of-line-0", verification, "coupled_step",
      coupled_step_of_line_0, (5,)),
-    ("fold-skipped", multiclass, "_fold_lines",
-     lambda real: lambda lines, j_left: list(lines), (5, 7)),
+    ("fold-skipped", multiclass, "_fold",
+     lambda real: lambda sequences, j_left, out=None: sequences[0], (5, 7)),
     ("competition-A-x1.01", verification, "poisson_competition_A",
      scaled(1.01), (10,)),
     ("increment-atom-x1.03", verification, "increment_law", atom_scaled(1.03), (11,)),

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgmlab.rng import RngSpec, SeqWindow, sample_exp_window, same_window
-from cgmlab import queueing, verification
+from cgmlab import multiclass, queueing, verification
 from cgmlab.verification import _STACK_BLOCK, criterion_2, criterion_3, run_criterion
-from cgmlab.queueing import (BoundaryPolicy, IdentityReport, _check, _fold, _prepend,
-                             _unused_chain, check_strip_identities,
-                             check_sweep_identities, lindley_iterate, queue_D,
-                             queue_Dn, queue_R, queue_S, strip_lpp_H)
-from cgmlab.multiclass import check_intertwining
+from cgmlab.queueing import (_CHUNKED_FROM, _FOLD_BLOCK, BoundaryPolicy, DEFAULT_POLICY,
+                             IdentityReport, _check, _fold, _prepend, _unused_chain,
+                             check_strip_identities, check_sweep_identities,
+                             lindley_iterate, queue_D, queue_Dn, queue_R, queue_S,
+                             strip_lpp_H)
+from cgmlab.multiclass import MultiConfig, check_intertwining, sample_mu_rho
 from test_rng import exp_from_uniform
 
 
@@ -142,8 +143,7 @@ def check_intertwining_identity(arrival_seqs: list[SeqWindow], services: SeqWind
     burn = BoundaryPolicy.burn_in(fraction)
     lhs = _fold(list(arrival_seqs) + [services], 0.0)
     # Chain the unused input upward from the bottom stream.
-    transformed = [out.departures
-                   for out in _unused_chain(arrival_seqs[::-1], services, 0.0)]
+    transformed = [dep for dep, _ in _unused_chain(arrival_seqs[::-1], services, 0.0)]
     rhs = _fold(transformed[::-1], 0.0)
     lhs, rhs = burn.trim(lhs), burn.trim(rhs)
     return _check("intertwining", [lhs.values - rhs.values], 1e-9,
@@ -481,6 +481,143 @@ def test_queue_Dn_identity_on_single_sequence():
     assert out.offset == w.offset
 
 
+def whole_window_fold(sequences, j_left):
+    """The departure fold as it was before it ran in blocks of slots, each
+    stage one sweep of the whole window: kept as the blocked fold's oracle."""
+    acc = sequences[0]
+    for svc in sequences[1:]:
+        acc = lindley_iterate(j_left, acc, svc).departures
+    return acc
+
+
+def whole_window_sample_mu_rho(rates, offset, length, spec, policy):
+    """sample_mu_rho as it was before its fold ran in blocks of slots."""
+    rates = tuple(float(r) for r in rates)
+    distinct = sorted(set(rates))
+    group = {r: g for g, r in enumerate(distinct)}
+    lines = [sample_exp_window(offset, length, r, spec.sub(f"line{g}"))
+             for g, r in enumerate(distinct)]
+    folded = [lines[0]] + [whole_window_fold(lines[i::-1], policy.j_left)
+                           for i in range(1, len(lines))]
+    return policy.trim(MultiConfig.from_lines([folded[group[r]] for r in rates], rates))
+
+
+def fold_inputs(spec, shape, means, ties):
+    """Aligned windows of the given shape, exponential or half-integer."""
+    gen = spec.generator()
+    if ties:
+        return [SeqWindow(3, gen.integers(0, int(2 * m) + 2, shape) / 2.0) for m in means]
+    return [SeqWindow(3, exp_from_uniform(gen.random(shape), m)) for m in means]
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["exp", "half-integers"])
+def test_blocked_fold_is_the_whole_window_fold_on_a_long_window(ties):
+    # three blocks, the last one shorter than a chunked sweep, so it runs
+    # the float loop from the sojourn the block before carried
+    n = 2 * _FOLD_BLOCK + _CHUNKED_FROM - 1
+    seqs = fold_inputs(RngSpec(31, f"fold-long/{ties}"), (n,), (4.0, 3.0, 2.0, 1.0), ties)
+    for j_left in (0.0, 1.25):
+        for k in (2, 4):
+            want = whole_window_fold(seqs[:k], j_left).values
+            got = _fold(seqs[:k], j_left)
+            assert got.offset == 3
+            assert np.array_equal(got.values, want)
+            # folded over its own arrivals, as sample_mu_rho folds a line
+            own = SeqWindow(3, seqs[0].values.copy())
+            assert _fold([own, *seqs[1:k]], j_left, own.values).values is own.values
+            assert np.array_equal(own.values, want)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["exp", "half-integers"])
+def test_blocked_fold_is_the_whole_window_fold_on_a_stack(ties):
+    shape = (3, _FOLD_BLOCK + 1000)
+    seqs = fold_inputs(RngSpec(32, f"fold-stack/{ties}"), shape, (3.5, 2.0, 1.0), ties)
+    for j_left in (0.0, np.array([0.0, 0.5, 2.0])):
+        got = _fold(seqs, j_left)
+        assert np.array_equal(got.values, whole_window_fold(seqs, j_left).values)
+
+
+@pytest.mark.parametrize("length", [_FOLD_BLOCK - 1, _FOLD_BLOCK, _FOLD_BLOCK + 1])
+def test_sample_mu_rho_with_blocked_folds_is_the_whole_window_draw(length):
+    # tied and unsorted rates: three distinct lines, two folds
+    spec = RngSpec(33, f"mu-blocks/{length}")
+    for policy in (DEFAULT_POLICY, BoundaryPolicy.given(0.75)):
+        got = sample_mu_rho((3.0, 1.5, 3.0, 2.0), 5, length, spec, policy)
+        want = whole_window_sample_mu_rho((3.0, 1.5, 3.0, 2.0), 5, length, spec, policy)
+        assert (got.offset, got.rates) == (want.offset, want.rates)
+        assert np.array_equal(got.values, want.values)
+
+
+def spoil_piece(monkeypatch, report, index, spoil):
+    """Let _check see piece index of the named report through spoil, and
+    return the max |e| of each piece it saw unspoiled, the count of pieces
+    last in the list."""
+    seen = []
+
+    def spy(name, pieces, tolerance, **extras):
+        if name != report:
+            return _check(name, pieces, tolerance, **extras)
+        assert iter(pieces) is pieces  # built as it is read, not a list
+
+        def watched():
+            count = 0
+            for i, e in enumerate(pieces):
+                count += 1
+                if i == index:
+                    yield spoil(e)
+                else:
+                    seen.append(float(np.max(np.abs(e))))
+                    yield e
+            seen.append(count)
+
+        return _check(name, watched(), tolerance, **extras)
+
+    monkeypatch.setattr(queueing, "_check", spy)
+    monkeypatch.setattr(multiclass, "_check", spy)
+    return seen
+
+
+def lazy_check_reports():
+    """Every report built from lazy pieces, on a stack of three windows."""
+    spec = RngSpec(34, "lazy-pieces")
+    j0 = np.array([0.0, 0.4, 1.3])
+    arr, svc, *lines = fold_inputs(spec, (3, 300), (3.0, 1.2, 1.0, 2.0, 3.0, 4.5), False)
+    reports = [*check_sweep_identities(j0, arr, svc), check_strip_identities(j0, arr, svc),
+               *check_intertwining(lines[1:], lines[0])]
+    return {r.name: r for r in reports}
+
+
+def nan_at_the_middle(e):
+    e = np.array(e, dtype=np.float64)
+    e.flat[e.size // 2] = np.nan
+    return e
+
+
+LAZY_PIECES = [("conservation", 3), ("duality", 3), ("strip-identities", 5),
+               ("intertwining-2", 1), ("intertwining-3", 1)]
+
+
+@pytest.mark.parametrize("report, pieces", LAZY_PIECES)
+def test_a_nan_in_any_lazy_piece_fails_its_report(monkeypatch, report, pieces):
+    for index in range(pieces):
+        seen = spoil_piece(monkeypatch, report, index, nan_at_the_middle)
+        reports = lazy_check_reports()
+        assert seen[-1] == pieces
+        assert math.isnan(reports[report].max_abs_error)
+        assert not reports[report].passed
+        assert all(r.passed for name, r in reports.items() if name != report)
+
+
+@pytest.mark.parametrize("report, pieces", LAZY_PIECES)
+def test_an_empty_lazy_piece_is_skipped(monkeypatch, report, pieces):
+    for index in range(pieces):
+        seen = spoil_piece(monkeypatch, report, index, lambda e: np.empty(0))
+        rep = lazy_check_reports()[report]
+        *others, count = seen
+        assert count == pieces
+        assert rep.max_abs_error == max(others, default=0.0) and rep.passed
+
+
 def test_operator_windows_and_burn_in_trim():
     spec = RngSpec(10, "ops")
     arr = sample_exp_window(1, 100, 3.0, spec.sub("I"))
@@ -726,16 +863,18 @@ def test_criterion_2_sweeps_once_for_three_identities(monkeypatch):
     # and order-3 intertwining reports share one multiline step of the
     # three lines (3), their departure folds (1 + 2) and those of the
     # stepped lines (1 + 2), each order adding its service sweep (2).
+    # Every sweep, the fold's stages included, is one sojourn scan.
     calls = []
+    scan = queueing._sojourn_scan
 
     def spy(*args):
         calls.append(args)
-        return lindley_iterate(*args)
+        return scan(*args)
 
-    monkeypatch.setattr(queueing, "lindley_iterate", spy)
+    monkeypatch.setattr(queueing, "_sojourn_scan", spy)
     assert run_criterion(2).passed
     assert len(calls) == 13
-    assert {args[1].values.shape for args in calls} == {(200, 1000)}
+    assert {args[1].shape for args in calls} == {(200, 1000)}
 
 
 def criterion_3_per_instance(seed, instances, window):

@@ -1,5 +1,7 @@
 """Behavior of the fixed-policy statistical test helpers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,24 @@ def test_ks_refuses_non_finite_samples(bad):
         ks_two_sample(x, y, "bad", 67)
     with pytest.raises(ValueError, match="finite"):
         ks_two_sample(y, x, "bad", 67)
+
+
+@pytest.mark.parametrize("shape", [(1, 5000), (3000, 2), (2, 2500), ()])
+def test_ks_refuses_a_sample_that_is_not_one_dimensional(shape):
+    # a stack of samples is not a sample: the refusal names its shape, not
+    # its first axis as a count or numpy's broadcast of it against the cdf
+    gen = RngSpec(68, "shape").generator()
+    bad = exp_from_uniform(gen.random(shape), 1.0)
+    good = exp_from_uniform(gen.random(5000), 1.0)
+    named = re.escape(f"one-dimensional sample, got shape {shape}")
+    with pytest.raises(ValueError, match=named):
+        ks_distance(bad, exp1_cdf)
+    with pytest.raises(ValueError, match=named):
+        ks_one_sample(bad, exp1_cdf, "stack", 68)
+    with pytest.raises(ValueError, match=named):
+        ks_two_sample(bad, good, "stack", 68)
+    with pytest.raises(ValueError, match=named):
+        ks_two_sample(good, bad, "stack", 68)
 
 
 def test_chi_square_merges_sparse_tail():

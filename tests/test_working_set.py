@@ -5,14 +5,25 @@ Peaks are read with tracemalloc, which numpy reports its array buffers to,
 at the pinned default seed.  Criteria 10 and 11 draw their rows in blocks
 (peaks about 2.3 and 12 MiB, against 48 and 117 MiB for whole-array
 draws; criterion 11 read 14 MiB while it held term and mask buffers of
-its own for the whole run); criterion 2 draws its windows straight into one stack per block of
-instances (about 26 MiB, against 38 MiB when it stacked a list of windows).
+its own for the whole run).  Criterion 2 draws its windows straight into
+stacks, a block of instances at a time: the block's queues, checked and
+freed, and then its four lines (about 15.6 MiB, against 26 MiB when one
+stack held all six and each identity check held every error array at
+once, and 38 MiB when it stacked a list of windows).  Each check reduces
+an error array as it builds it, so criterion 3's strip check peaks at
+about 9.2 MiB, against 13 MiB when it held all five.
 The two-sample KS test works from one merged buffer: about 5 MiB for two
 100 000-point samples, against 9.2 MiB when it binary-searched every point
 into full-length cdf arrays.  Criteria 4, 5 and 7 fold their lines through
-the departure map one line at a time and stack the folded lines once
-(about 14, 15 and 20 MiB; criterion 7 reads 24 MiB when every line is
-stacked first and then regrouped by fancy indexing).  Every corner reader
+the departure map one line at a time and stack the folded lines once.  The
+fold runs a block of 2^18 slots at a time through one output and one
+block buffer; sample_mu_rho folds each line over its own draw and stacks
+its lines already trimmed, and criterion 4 keeps only the stacked copy of
+its drawn lines: about 10.5, 14.0 and 14.4 MiB, against 13.4, 15.3 and
+20.0 MiB when criterion 4 kept its lines beside their stack, each stage
+held whole-window outputs, the folded lines were new arrays and the stack
+held the burn-in (criterion 7 reads 24 MiB when every line is stacked
+first and then regrouped by fancy indexing).  Every corner reader
 fills through lpp.CornerFill, which holds two table rows and keeps one
 corner: an estimate keeps the (window + 1)-square corner whose edges it
 reads (about 0.04 MiB on a drawn 1501x1501 field, against 17 MiB for the
@@ -63,8 +74,8 @@ def traced_peak(call, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("index, bound_mib", [(10, 5), (11, 34), (2, 34), (13, 2),
-                                              (4, 16), (5, 17), (7, 22)])
+@pytest.mark.parametrize("index, bound_mib", [(10, 5), (11, 34), (2, 17), (3, 10),
+                                              (13, 2), (4, 16), (5, 17), (7, 16)])
 def test_criterion_peak_stays_bounded(index, bound_mib):
     assert traced_peak(run_criterion, index) < bound_mib * 2 ** 20
 
