@@ -10,13 +10,7 @@ competition interface between the two geodesic trees at the origin yields
 the threshold parameter, estimated from the interface direction.
 
 The estimates and the interface read their field through lpp's window
-reader, whose rule is "drawn is read from memory, undrawn is streamed".
-A field from rng.sample_exp_field whose values were never read is not
-drawn by them: each reads its window's rows off the field's stream a
-32-row block at a time, so an estimate on an undrawn 1501x1501 field
-holds about 0.4 MiB, and a criterion 9 site about 0.3 MiB.  Each reading
-draws its window again, so a caller that wants many rho from one draw
-reads values once first; the field is then sliced from memory.
+reader; lpp's module docstring states its rule.
 """
 
 from __future__ import annotations
@@ -27,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import ExpFieldRows, RngSpec, SeqWindow, WeightField, sample_exp_field
-from .lpp import (CornerFill, GeodesicPath, _corner_of, _field_rows, _fill_rows, _prefix_sums,
-                  _row_step, corner_fill, walk_to_corner)
+from .lpp import (CornerFill, GeodesicPath, _corner_of, _field_rows, _prefix_sums, _row_step,
+                  corner_fill, walk_to_corner)
 from .queueing import lindley_iterate
 from .exact import initial_run_pmf
 
@@ -148,14 +142,10 @@ def estimate_busemann_level(rho: float, n: int, spec: RngSpec | None = None,
 
     The corner's rows come from lpp's window reader and feed one
     lpp.CornerFill, which holds two rows and keeps the (window + 1)-square
-    corner at the origin, both edges of which the estimates read.  Drawn
-    is read from memory, undrawn is streamed: a plain WeightField, or a
-    sampled field whose values were read, is sliced; an undrawn one (a
-    fresh field too) is not drawn, and its corner's rows are drawn a
-    32-row block at a time from the first row's stream position.  At
-    scale 3000 on an undrawn 1501x1501 field that is 0.4 MiB held, against
-    17.2 MiB for the drawn field.  To get many rho from one draw, read the
-    shared field's values once first.
+    corner at the origin, both edges of which the estimates read.  A
+    sampled field (a fresh one too) is streamed, never drawn whole; see
+    lpp.  To get many rho from one draw, wrap the shared field's values in
+    a WeightField.
     """
     if (field is None) == (spec is None):
         raise ValueError("need either a field or a spec, not both")
@@ -173,7 +163,7 @@ def estimate_nested_levels(rho: float, scales, spec: RngSpec,
     in scales, on one field F drawn from spec at the largest scale's
     corner, bit for bit, without ever holding F.
 
-    F's rows are drawn a block at a time through lpp._fill_rows, and each
+    F's rows are drawn a block at a time by ExpFieldRows.blocks, and each
     block feeds one lpp.CornerFill per scale, which takes the part of it
     that lies in that scale's nested corner, the top-right rectangle of F,
     and keeps its (window + 1)-square corner at the origin.  The corners
@@ -188,7 +178,7 @@ def estimate_nested_levels(rho: float, scales, spec: RngSpec,
     fills = [CornerFill(k1 + 1, k2 + 1, _window(k1, k2, window) + 1)
              for k1, k2 in corners]
     start = 0
-    for block in _fill_rows(ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec))[1]:
+    for block in ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec).blocks():
         for (k1, k2), fill in zip(corners, fills):
             skip = max(0, m1 - k1 - start)
             fill.feed(block[skip:, m2 - k2:])
@@ -226,9 +216,8 @@ def competition_interface(weights: WeightField) -> np.ndarray:
     origin, both ends included.  The walk starts at phi = 0 and steps -e2
     when L(phi - e1) > L(phi - e2), -e1 otherwise, so ties go to -e1.  The
     table is kept as two rows and filled only as far as the walk descends,
-    from rows read one at a time off lpp's window reader: an undrawn field
-    from rng.sample_exp_field is drawn a block of rows ahead of the walk
-    (gathered into its transpose when tall), never whole.
+    from rows read one at a time off lpp's window reader (see lpp): a
+    sampled field is drawn a block of rows ahead of the walk, never whole.
 
     This is the competition interface of Ferrari and Pimentel (Ann.
     Probab. 33, 2005) reflected into the third quadrant: phi moves onto the

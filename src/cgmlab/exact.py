@@ -209,9 +209,9 @@ def sample_X_blocks(m: int, rho_max: float, spec: RngSpec, cols: int, rows: int)
         raise ValueError("rho_max must be finite and at least 1")
     if min(m, cols, rows) < 1:
         raise ValueError("m, cols and rows must be at least 1")
-    gap_rows = ExpFieldRows(m, cols, 1.0, spec.sub("gaps")).blocks(np.empty((rows, cols)))
+    gap_rows = ExpFieldRows(m, cols, 1.0, spec.sub("gaps")).blocks(buf=np.empty((rows, cols)))
     mark_rows = ExpFieldRows(m, cols + 1, 1.0, spec.sub("marks")).blocks(
-        np.empty((rows, cols + 1)))
+        buf=np.empty((rows, cols + 1)))
     return _X_blocks(gap_rows, mark_rows, np.empty((rows, cols + 1)), rho_max)
 
 

@@ -16,28 +16,27 @@ corner_fill is its driver over a field; busemann's nested probe and
 stationary_halfplane_lpp step it themselves.  Readers of the table read one
 corner of it (the Busemann edge estimates, walks that start near the far
 corner, the corner value itself), and lpp_grid is the case that keeps
-all of it.  The rows come from one row source, _fill_rows: a given
-field or strided view whole, or an ExpFieldRows source drawn a block at a
-time, so a streamed field is never held whole.  It alone decides the fill
-orientation: a tall field (more rows than columns) is filled by the rows
-of its contiguous transpose, because the row step is not bit-for-bit
-transpose-symmetric, and a tall source is gathered into that transpose a
-block at a time.
+all of it.  corner_fill takes its rows from _fill_rows (a field's values,
+a strided view, an ExpFieldRows source or a stack of sources), and a
+reader of a window of a field from _field_rows.  Both return through one
+function, _oriented, which alone decides the fill orientation: a tall
+field (more rows than columns) is filled by the rows of its contiguous
+transpose, because the row step is not bit-for-bit transpose-symmetric,
+and its blocks are gathered into that transpose a block at a time.
 
-A window of a WeightField, the rectangle between two lattice points, is
-read through _field_rows, forward or reversed along both axes (the fill
-from the window's far corner, as the competition interface makes).  Its
-rule is "drawn is read from memory, undrawn is streamed": a plain
-WeightField, or a field from rng.sample_exp_field whose values were read,
-is sliced, and the slice goes to _fill_rows.  An undrawn field is left
-undrawn: the window's rows are drawn from its source in 32-row blocks,
-from the first row's own stream position (each block at its own when
-reversed), cut to the window's columns and stopped at its last row, and
-a tall window is gathered into its transpose from those blocks.  The
-rows are bit for bit the slice's.  A Busemann estimate on an undrawn
-1501x1501 field so holds one block, about 0.4 MiB, where reading values
-draws 17.2 MiB; a caller that estimates at many rho on one field reads
-values once first.
+A window of a field, the rectangle between two lattice points, is read
+forward or reversed along both axes (the fill from the window's far
+corner, as the competition interface makes), by one rule: "a WeightField
+is sliced; a sampled field is streamed".  A field from
+rng.sample_exp_field is never drawn by the reader, whether or not its
+values were read: the window's rows are drawn from its source in 32-row
+blocks, from the first row's own stream position (each block at its own
+when reversed), cut to the window's columns and stopped at its last row,
+bit for bit the slice's rows.  A Busemann estimate on a 1501x1501 sampled
+field so holds one block, about 0.4 MiB, where reading values draws
+17.2 MiB, and each reading draws its window again; a caller that reads
+one field many times (estimates at many rho, say) wraps its values in a
+WeightField once and reads that.
 
 One row step, _row_step, fills every row of every max-plus recursion in
 the package, one table's row or the rows of a stack of K tables of one
@@ -76,6 +75,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import rng
 from .rng import ExpFieldRows, SampledField, WeightField
 
 if TYPE_CHECKING:
@@ -230,81 +230,71 @@ class CornerFill:
         self._filled = start + len(block)
 
 
-def _transpose_of(blocks, out: np.ndarray) -> np.ndarray:
-    """Gather consecutive row blocks into out, their (cols, rows)
-    transpose, a block at a time."""
-    start = 0
-    for block in blocks:
-        out[:, start:start + len(block)] = block.T
-        start += len(block)
-    return out
-
-
-def _fill_rows(weights):
-    """(tall, blocks): the one statement of the fill orientation, and the
-    consecutive blocks of rows a fill runs over.
+def _oriented(shape: tuple[int, ...], blocks):
+    """(tall, blocks): the one statement of the fill orientation, for a
+    field of shape (rows, cols), or (rows, K, cols) for a stack of K, whose
+    rows come in consecutive blocks.
 
     A tall field (more rows than columns) is filled by the rows of its
     contiguous transpose, because the row step is not bit-for-bit
     transpose-symmetric; on the copy each step also runs on contiguous
-    memory, where a strided view costs a third more.  An array or strided
-    view comes as one block.  An ExpFieldRows source is drawn a block at a
-    time, or gathered into its transpose a block at a time when tall.  A
-    list of sources of one shape is a stack: each member is drawn into its
-    own slot of one buffer, and the blocks are (n, K, cols).
+    memory, where a strided view costs a third more.  So a tall field's
+    blocks are gathered into that transpose, (cols, rows) or (cols, K,
+    rows), a block at a time, and any other field's blocks pass as given.
     """
-    stack = isinstance(weights, list)
-    if stack and not weights:
-        raise ValueError("a stack needs at least one field; got an empty stack")
-    rows, cols = weights[0].shape if stack else weights.shape
-    tall = rows > cols
+    if shape[0] <= shape[-1]:
+        return False, blocks
+    out = np.empty(shape[::-1])
+    start = 0
+    for block in blocks:
+        out[..., start:start + len(block)] = block.T
+        start += len(block)
+    return True, [out]
+
+
+def _fill_rows(weights):
+    """(tall, blocks) of _oriented for a table fill over weights: an array
+    or strided view, as one block; an ExpFieldRows source, drawn a block at
+    a time; or a list of sources of one shape, a stack, each member drawn
+    into its own slot of one buffer, whose blocks are (n, K, cols).
+    """
     if isinstance(weights, np.ndarray):
-        return tall, [np.ascontiguousarray(weights.T) if tall else weights]
-    sources = weights if stack else [weights]
-    if any(source.shape != (rows, cols) for source in sources):
+        return _oriented(weights.shape, [weights])
+    if not isinstance(weights, list):
+        return _oriented(weights.shape, weights.blocks())
+    if not weights:
+        raise ValueError("a stack needs at least one field; got an empty stack")
+    rows, cols = weights[0].shape
+    if any(source.shape != (rows, cols) for source in weights):
         raise ValueError("a stack's fields must have one shape")
-
-    def rows_of(buf):
-        # Rows of the stack from its members' slots, or the one member's.
-        return buf.swapaxes(0, 1) if stack else buf[0]
-
-    if tall:
-        buf = np.empty((len(sources), cols, rows))
-        for source, slot in zip(sources, buf):
-            _transpose_of(source, slot)
-        return tall, [rows_of(buf)]
-    buf = np.empty((len(sources), *sources[0].block_shape))
-    return tall, (rows_of(buf[:, :len(drawn[0])])
-                  for drawn in zip(*map(ExpFieldRows.blocks, sources, buf)))
+    buf = np.empty((len(weights), min(rng._ROW_BLOCK, rows), cols))
+    drawn = zip(*(source.blocks(buf=slot) for source, slot in zip(weights, buf)))
+    return _oriented((rows, len(weights), cols),
+                     (buf[:, :len(members[0])].swapaxes(0, 1) for members in drawn))
 
 
 def _field_rows(field: WeightField, lo: tuple[int, int], hi: tuple[int, int],
                 reverse: bool = False):
-    """(tall, blocks) of _fill_rows(v), v the field's values on the
-    lattice rectangle from lo to hi, both included, or v[::-1, ::-1] when
-    reverse (the fill from the window's far corner): the one reader of a
-    window of a field.
+    """(tall, blocks) of _oriented for v, the field's values on the lattice
+    rectangle from lo to hi, both included, or v[::-1, ::-1] when reverse
+    (the fill from the window's far corner): the one reader of a window of
+    a field.
 
-    Drawn is read from memory, undrawn is streamed.  A plain WeightField,
-    or a SampledField whose values were read, is sliced.  An undrawn
-    SampledField is not drawn: the window's rows come from its source in
-    _ROW_BLOCK-row blocks, the first at the window's first row's own
-    stream position (bottom-up, each block at its own, when reverse), cut
-    to the window's columns and stopped at its last row, and a tall window
-    is gathered into its transpose from those blocks.  Either way the
-    rows are bit for bit those of the slice.
+    A WeightField is sliced.  A SampledField is streamed and never drawn:
+    the window's rows come from its source's blocks, from the window's
+    first row's own stream position (bottom-up, each block at its own, when
+    reverse), cut to the window's columns and stopped at its last row.
+    Either way the rows are bit for bit those of the slice.
     """
     (i0, j0), (i1, j1) = field.index(lo), field.index(hi)
-    if not isinstance(field, SampledField) or field.drawn:
+    shape = (i1 + 1 - i0, j1 + 1 - j0)
+    if not isinstance(field, SampledField):
         v = field.values[i0:i1 + 1, j0:j1 + 1]
-        return _fill_rows(v[::-1, ::-1] if reverse else v)
+        return _oriented(shape, [v[::-1, ::-1] if reverse else v])
     width = field.shape[1]
     cut = slice(width - 1 - j1, width - j0) if reverse else slice(j0, j1 + 1)
-    blocks = (block[:, cut] for block in field.source._row_blocks(i0, i1 + 1, reverse))
-    rows, cols = i1 + 1 - i0, j1 + 1 - j0
-    if rows > cols:
-        return True, [_transpose_of(blocks, np.empty((cols, rows)))]
-    return False, blocks
+    return _oriented(shape, (block[:, cut]
+                             for block in field.source.blocks(i0, i1 + 1, reverse)))
 
 
 def _corner_of(shape: tuple[int, int], tall: bool, blocks,

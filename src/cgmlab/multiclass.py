@@ -91,22 +91,22 @@ def multiline_step(config: MultiConfig, services: SeqWindow,
     """One multiline update: line i departs against the unused input of line i-1.
 
     The bottom line sees the given service window; each following line sees
-    what the previous line left unused.  Burn-in trimming happens once at
-    the end so the chained stages stay aligned.
+    what the previous line left unused.  The stages run untrimmed, so they
+    stay aligned, and each line is trimmed before the output is stacked.
     """
     same_window(config.line(0), services)
     lines = [config.line(i) for i in range(config.n_lines)]
     chain = _unused_chain(lines, services, policy.j_left)
-    return policy.trim(MultiConfig.from_lines([dep for dep, _ in chain], config.rates))
+    return MultiConfig.from_lines([policy.trim(dep) for dep, _ in chain], config.rates)
 
 
 def coupled_step(config: MultiConfig, services: SeqWindow,
                  policy: BoundaryPolicy = DEFAULT_POLICY) -> MultiConfig:
     """One coupled update: every line departs against the same service window."""
     same_window(config.line(0), services)
-    out_lines = [lindley_iterate(policy.j_left, config.line(i), services).departures
+    out_lines = [policy.trim(lindley_iterate(policy.j_left, config.line(i), services).departures)
                  for i in range(config.n_lines)]
-    return policy.trim(MultiConfig.from_lines(out_lines, config.rates))
+    return MultiConfig.from_lines(out_lines, config.rates)
 
 
 def _fold_lines(lines: list[SeqWindow], j_left: float) -> list[SeqWindow]:
@@ -126,8 +126,8 @@ def dmap(config: MultiConfig, policy: BoundaryPolicy = DEFAULT_POLICY) -> MultiC
     if np.any(np.diff(means) <= 0):
         warnings.warn("line means should be strictly increasing for a stable fold")
     lines = [config.line(i) for i in range(config.n_lines)]
-    return policy.trim(MultiConfig.from_lines(_fold_lines(lines, policy.j_left),
-                                              config.rates))
+    folded = _fold_lines(lines, policy.j_left)
+    return MultiConfig.from_lines([policy.trim(line) for line in folded], config.rates)
 
 
 def sample_mu_rho(rates, offset: int, length: int, spec: RngSpec,

@@ -14,29 +14,16 @@ Exponentials are drawn by inverse CDF, value = -mean * ln(U) with U in
 draws them through one helper, _draw_exp, in place in a given buffer.
 
 A field can also be drawn a block of rows at a time (ExpFieldRows): one
-generator carries the stream from block to block, so the rows are bit for
-bit those of the whole-field draw, and only one block is ever held.  The
-blocks can be drawn into a caller's buffer, whose length sets the rows
-per block (one member's slot of a stack of fields drawn in lockstep, a
-sample block of a fast criterion, or a whole field as one block).  A
-range of rows can also be drawn on its own, forward or reversed along
-both axes.  Philox is counter-based (Salmon et al., SC11), so a row's
-stream position is reached by advancing the generator's fresh state, and
-one helper, ExpFieldRows._seek, moves a generator there.  A forward range
-is drawn from its first row's position on, a reversed one a block at a
-time from the bottom up, each block at its own position; either way the
-rows are bit for bit those of the whole draw.  Which rows a table fill
-reads, and which way round, is lpp's to decide, not the source's.
-
-sample_exp_field returns a SampledField, which keeps its ExpFieldRows
-source and draws the whole field, as one block of that source, on the
-first read of its values; shape, index and repr never draw.  Its readers
-keep one rule, "drawn is read from memory, undrawn is streamed": lpp
-reads a window of an undrawn field off the source a 32-row block at a
-time (0.4 MiB of a 1501-wide field) and leaves the field undrawn, so each
-reading draws its window again.  A caller that reads one field many
-times (estimates at many rho, say) reads values once first, and the
-field is drawn once and then sliced.
+generator, ExpFieldRows.blocks, draws any range of rows, forward or
+reversed along both axes, into one buffer whose length sets the rows per
+block, and only one block is ever held.  Philox is counter-based (Salmon
+et al., SC11), so a row's stream position is reached by advancing the
+generator's fresh state (ExpFieldRows._seek), and the rows are bit for
+bit those of the whole-field draw.  sample_exp_field returns a
+SampledField, which keeps its ExpFieldRows source and draws the whole
+field, as one block of it, on the first read of its values; shape, index
+and repr never draw.  Which rows a table fill reads, which way round, and
+whether a field is sliced or streamed is lpp's to decide.
 
 Each container shape has one implementation: WeightField for values on
 a lattice rectangle (lpp.GTable holds passage times), whose index() is
@@ -205,14 +192,8 @@ _ROW_BLOCK = 32
 
 @dataclass(frozen=True)
 class ExpFieldRows:
-    """The rows of sample_exp_field(rows, cols, mean, spec).values, drawn in
-    order, a block of rows at a time.
-
-    Iterating yields (k, cols) blocks, k = _ROW_BLOCK except for a shorter
-    last block; blocks(buf) draws len(buf) rows per block instead.  Every
-    block is a view of one buffer that the next block overwrites, so read
-    a block before asking for the next one.
-    """
+    """The rows of sample_exp_field(rows, cols, mean, spec).values, drawn a
+    block of rows at a time by blocks()."""
 
     rows: int
     cols: int
@@ -226,25 +207,41 @@ class ExpFieldRows:
     def shape(self) -> tuple[int, int]:
         return self.rows, self.cols
 
-    @property
-    def block_shape(self) -> tuple[int, int]:
-        """Shape of the buffer the blocks are drawn into."""
-        return min(_ROW_BLOCK, self.rows), self.cols
+    def blocks(self, start: int = 0, stop: int | None = None, reverse: bool = False,
+               buf: np.ndarray | None = None):
+        """Iterate rows start .. stop - 1 (stop None: to the last row) of the
+        draw, each block drawn only when asked for, into the leading rows of
+        buf: a C-contiguous (k >= 1, cols) array, k rows per block and the
+        last possibly shorter (a new _ROW_BLOCK-row one when None).  A buffer
+        of any other shape is refused with ValueError.
 
-    def blocks(self, buf: np.ndarray | None = None):
-        """Iterate the blocks, each drawn into the leading rows of buf, a
-        C-contiguous (k, cols) array (a new one of block_shape when None):
-        len(buf) rows per block, the last block possibly shorter."""
-        gen = self.spec.generator()
+        Forward blocks are drawn in order from start's own stream position
+        on, with no repositioning when start is 0.  When reverse, they are
+        the rows of values[start:stop][::-1, ::-1] in order: they run
+        bottom-up through the field, each drawn at its own stream position.
+        Either way the rows are bit for bit those of the whole draw, and
+        every block is a view of buf that the next block overwrites, so read
+        a block before asking for the next one.
+        """
+        stop = self.rows if stop is None else stop
         if buf is None:
-            buf = np.empty(self.block_shape)
+            buf = np.empty((min(_ROW_BLOCK, stop - start), self.cols))
+        if buf.ndim != 2 or len(buf) < 1 or buf.shape[1] != self.cols:
+            raise ValueError(f"a block buffer must have shape (k >= 1, {self.cols}); "
+                             f"got {buf.shape}")
+        gen = self.spec.generator()
         step = len(buf)
-        for start in range(0, self.rows, step):
-            rows = buf[:min(step, self.rows - start)]
-            yield _draw_exp(gen, rows, self.mean)
-
-    def __iter__(self):
-        return self.blocks()
+        if not reverse:
+            if start:
+                self._seek(gen, gen.bit_generator.state, start)
+            for first in range(start, stop, step):
+                yield _draw_exp(gen, buf[:min(step, stop - first)], self.mean)
+            return
+        fresh = gen.bit_generator.state
+        for end in range(stop, start, -step):
+            first = max(start, end - step)
+            self._seek(gen, fresh, first)
+            yield _draw_exp(gen, buf[:end - first], self.mean)[::-1, ::-1]
 
     def _seek(self, gen: np.random.Generator, fresh: dict, row: int) -> None:
         """Move gen to the stream position pos of row's first double: the
@@ -255,45 +252,15 @@ class ExpFieldRows:
         gen.bit_generator.advance(pos // 4)
         gen.random(pos % 4)
 
-    def _row_blocks(self, start: int, stop: int, reverse: bool = False):
-        """Iterate rows start .. stop - 1 of the draw, _ROW_BLOCK at a
-        time, each block drawn only when asked for: in order, from start's
-        own stream position on, or, when reverse, reversed along both axes,
-        the rows of values[start:stop][::-1, ::-1] in order.
-
-        Reversed blocks run bottom-up through the field, so each is drawn
-        at its own stream position.  Either way the rows are bit for bit
-        those of the whole draw, and every block is a view of one buffer
-        that the next block overwrites.
-        """
-        gen = self.spec.generator()
-        fresh = gen.bit_generator.state
-        buf = np.empty((min(_ROW_BLOCK, stop - start), self.cols))
-        if not reverse:
-            self._seek(gen, fresh, start)
-            for first in range(start, stop, len(buf)):
-                yield _draw_exp(gen, buf[:min(len(buf), stop - first)], self.mean)
-            return
-        for end in range(stop, start, -len(buf)):
-            first = max(start, end - len(buf))
-            self._seek(gen, fresh, first)
-            yield _draw_exp(gen, buf[:end - first], self.mean)[::-1, ::-1]
-
 
 class SampledField(WeightField):
     """The WeightField sample_exp_field returns: the weights of source,
-    an ExpFieldRows, drawn whole when values is first read.  Until then
-    (drawn is False) a reader may draw only the rows it needs from source.
-    """
+    an ExpFieldRows, drawn whole when values is first read."""
 
     def __init__(self, origin: tuple[int, int], source: ExpFieldRows):
         self.origin = (int(origin[0]), int(origin[1]))
         self.source = source
         self._values = None
-
-    @property
-    def drawn(self) -> bool:
-        return self._values is not None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -302,7 +269,7 @@ class SampledField(WeightField):
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = next(self.source.blocks(np.empty(self.shape)))
+            self._values = next(self.source.blocks(buf=np.empty(self.shape)))
         return self._values
 
     def __repr__(self) -> str:

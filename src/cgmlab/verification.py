@@ -370,7 +370,7 @@ def criterion_10(seed: int) -> CriterionResult:
     # needs the full jump-time paths, not just the n-th points
     size = max(1, _DRAW_BLOCK // 3)
     sig_rows, tau_rows = (ExpFieldRows(m, 3, 1.0 / rate, spec.sub(label))
-                          .blocks(np.empty((size, 3)))
+                          .blocks(buf=np.empty((size, 3)))
                           for label, rate in (("alpha", alpha), ("beta", beta)))
     wins = [0, 0, 0]
     for sig, tau in zip(sig_rows, tau_rows):

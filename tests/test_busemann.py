@@ -19,7 +19,7 @@ from cgmlab.rng import RngSpec, SeqWindow, WeightField, sample_exp_field
 from cgmlab.stats import chi_square_pmf, correlation_test, ks_two_sample
 from cgmlab.verification import DEFAULT_MASTER_SEED
 from test_lpp import cumsum_fill
-from test_rng import exp_from_uniform
+from test_rng import count_draws, exp_from_uniform
 
 
 def test_direction_roundtrip():
@@ -116,7 +116,7 @@ def same_estimates(a, b):
 
 
 @pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
-def test_estimate_without_table_equals_full_fill(rho):
+def test_estimate_without_table_equals_full_fill(rho, monkeypatch):
     # the streamed corner fill against the full fill, bit for bit, on a
     # fresh field drawn from the spec and on a nested corner of a larger
     # shared field
@@ -125,42 +125,50 @@ def test_estimate_without_table_equals_full_fill(rho):
     for window in (None, 5):
         bare = estimate_busemann_level(rho, 400, spec, window=window)
         assert same_estimates(bare, table_estimates(rho, 400, table, bare.window))
-    # An undrawn shared field streams the corner's rows and stays undrawn;
-    # drawn, it is sliced.  The second field reaches past the origin on
-    # both axes, so the streamed read stops at the origin's row and column.
+    # A sampled shared field streams the corner's rows and is never drawn
+    # whole; a plain WeightField of its values is sliced.  The second field
+    # reaches past the origin on both axes, so the streamed read stops at
+    # the origin's row and column.
     m1, m2 = scaled_corner(rho, 400)
+    drawn = count_draws(monkeypatch)
     for k, shape in enumerate([(420, 420), (437, 431)]):
         shared = sample_exp_field(*shape, 1.0, spec.sub(f"shared{k}"), origin=(-419, -419))
+        drawn.clear()
         streamed = estimate_busemann_level(rho, 400, field=shared, window=7)
-        assert not shared.drawn
+        assert max(drawn) <= 32 * shape[1]
         table = lpp_grid(WeightField((-m1, -m2), shared.values[419 - m1:420, 419 - m2:420]))
         assert same_estimates(streamed, table_estimates(rho, 400, table, 7))
-        assert same_estimates(streamed, estimate_busemann_level(rho, 400, field=shared,
+        plain = WeightField(shared.origin, shared.values)
+        assert same_estimates(streamed, estimate_busemann_level(rho, 400, field=plain,
                                                                 window=7))
 
 
-def test_nested_levels_equal_shared_field_estimates():
-    # Each nested estimate on the undrawn field streams its corner's rows
+def test_nested_levels_equal_shared_field_estimates(monkeypatch):
+    # Each nested estimate on the sampled field streams its corner's rows
     # from the first one's stream position, whose residue mod 4 (the doubles
-    # discarded after the counter steps) takes every value, and leaves the
-    # field undrawn; the same estimates on the drawn field slice it.
+    # discarded after the counter steps) takes every value, and never draws
+    # the field whole; the same estimates on a plain WeightField of its
+    # values slice it.
     spec = RngSpec(44, "nested")
+    drawn = count_draws(monkeypatch)
     residues = set()
     for rho, scales in ((2.0, (600, 300, 298, 294)), (3.0, (500, 90, 500)), (2.0, (41,))):
         m1, m2 = scaled_corner(rho, max(scales))
         field = sample_exp_field(m1 + 1, m2 + 1, 1.0, spec.sub(f"{rho}"),
                                  origin=(-m1, -m2))
+        drawn.clear()
         got = estimate_nested_levels(rho, scales, spec.sub(f"{rho}"), window=6)
         assert len(got) == len(scales)
         streamed = []
         for n, est in zip(scales, got):
             assert est.n == n
             streamed.append(estimate_busemann_level(rho, n, field=field, window=6))
-            assert not field.drawn
+            assert max(drawn) <= 32 * (m2 + 1)
             assert same_estimates(est, streamed[-1])
             residues.add((m1 - est.corner[0]) * (m2 + 1) % 4)
+        plain = WeightField(field.origin, field.values)
         for n, est in zip(scales, streamed):
-            assert same_estimates(est, estimate_busemann_level(rho, n, field=field, window=6))
+            assert same_estimates(est, estimate_busemann_level(rho, n, field=plain, window=6))
     assert residues == {0, 1, 2, 3}
     with pytest.raises(ValueError):
         estimate_nested_levels(1.5, (300,), spec, window=6)
@@ -368,18 +376,20 @@ def test_competition_interface_tie_rule():
     assert ties >= 100
 
 
-def test_undrawn_field_interface_equals_the_drawn_values():
-    # An undrawn sampled field is walked on rows drawn a block at a time
-    # from the bottom of the field (gathered into their transpose when the
-    # field is tall); the same values in a plain WeightField are walked on
-    # the whole array.
+def test_undrawn_field_interface_equals_the_drawn_values(monkeypatch):
+    # A sampled field is walked on rows drawn a block at a time from the
+    # bottom of the field (gathered into their transpose when the field is
+    # tall), never drawn whole; the same values in a plain WeightField are
+    # walked on the whole array.
     spec = RngSpec(46, "cif-undrawn")
+    drawn = count_draws(monkeypatch)
     for r, (rows, cols) in enumerate([(41, 41), (121, 121), (30, 75), (70, 200),
                                       (3, 8), (3, 3), (100, 101), (90, 24), (8, 3)] * 3):
         field = sample_exp_field(rows, cols, 1.0, spec.sub(f"f{r}"),
                                  origin=(1 - rows, 1 - cols))
+        drawn.clear()
         pts = competition_interface(field)
-        assert not field.drawn
+        assert max(drawn) <= 32 * cols
         plain = WeightField(field.origin, field.values)
         assert np.array_equal(pts, competition_interface(plain))
 
@@ -388,8 +398,8 @@ def test_competition_interface_fills_only_rows_it_reads(monkeypatch):
     # The reverse table is filled by rows (by columns when the field is
     # tall) as the walk descends, never past the row after its last one.
     # Weights of 1e308 on every later row overflow any fill that reaches
-    # them, so the walk must come out unchanged without overflowing.  An
-    # undrawn field that is not tall draws only the 32-row blocks that hold
+    # them, so the walk must come out unchanged without overflowing.  A
+    # sampled field that is not tall draws only the 32-row blocks that hold
     # those rows, counted at the sampler's one exponential transform; a
     # tall one is gathered whole into its transpose, 32 rows at a time.
     drawn = []
@@ -403,7 +413,7 @@ def test_competition_interface_fills_only_rows_it_reads(monkeypatch):
         drawn.clear()
         pts = competition_interface(field)
         i_f, j_f = -pts[-1]
-        assert not field.drawn and max(drawn) <= 32
+        assert max(drawn) <= 32
         if rows > cols:
             assert sum(drawn) == rows
         else:

@@ -93,9 +93,15 @@ def f():
                                        (13, "exact")]
 
 
-def callers(names) -> set[str]:
+def called_name(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def callers(names, match=lambda call: True) -> set[str]:
     """module.function (module.Class.method for a method) of every call,
-    in the package's modules, to a function or attribute named in names."""
+    in the package's modules, to a function or attribute named in names,
+    for which match(call) holds."""
     found = set()
 
     def visit(node, scope):
@@ -103,11 +109,8 @@ def callers(names) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in names:
-                    found.add(".".join(scope))
+            if isinstance(child, ast.Call) and called_name(child) in names and match(child):
+                found.add(".".join(scope))
             visit(child, scope)
 
     for path in MODULES:
@@ -132,16 +135,30 @@ def test_primitives_are_called_only_by_their_drivers():
 
 def test_only_the_positioned_blocks_reposition_a_stream():
     # a stream is advanced to a row's position in one place, the helper
-    # that the blocks of a field's window, read either way, call
+    # that the one block generator calls for a range read either way
     assert callers({"advance"}) == {"rng.ExpFieldRows._seek"}
-    assert callers({"_seek"}) == {"rng.ExpFieldRows._row_blocks"}
+    assert callers({"_seek"}) == {"rng.ExpFieldRows.blocks"}
 
 
 def test_one_row_source_draws_the_positioned_blocks():
-    # the positioned blocks are read through lpp's window reader alone, so
-    # the estimates on a shared field and the interface walk take their
-    # rows as every table fill does
-    assert callers({"_row_blocks"}) == {"lpp._field_rows"}
+    # positioned blocks (a call that passes a row range or a direction:
+    # any positional argument, or a keyword other than buf) are read
+    # through lpp's window reader alone, so the estimates on a shared field
+    # and the interface walk take their rows as every table fill does;
+    # every other reader draws from row 0
+    def positioned(call):
+        return bool(call.args) or any(k.arg != "buf" for k in call.keywords)
+
+    assert callers({"blocks"}, positioned) == {"lpp._field_rows"}
+
+
+def test_busemann_imports_no_fill_rows():
+    # the nested probe reads its field's blocks from rng itself, and the
+    # estimates read a window through lpp's window reader, not _fill_rows
+    tree = ast.parse((Path(cgmlab.__file__).parent / "busemann.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_fill_rows" not in imported and "_field_rows" in imported
 
 
 def test_one_draw_turns_uniforms_into_exponentials():

@@ -15,6 +15,7 @@ from cgmlab.lpp import (CornerFill, GTable, STEP_E1, STEP_E2, _field_rows, _pref
                         walk_to_corner)
 from cgmlab.multiclass import MultiConfig
 from cgmlab.queueing import BoundaryPolicy, queue_D
+from test_rng import count_draws
 
 
 def cumsum_fill(weights):
@@ -114,15 +115,16 @@ def test_grid_recursion_property(flat):
     assert np.max(np.abs(lpp_grid(field).values - ref)) < 1e-9
 
 
-def test_brute_force_refuses_too_many_paths():
+def test_brute_force_refuses_too_many_paths(monkeypatch):
     # a 13 x 13 rectangle has C(24, 12) = 2704156 paths, over the cap of a
     # million, and is refused before any path is walked: its weights are
     # never even drawn
     assert math.comb(24, 12) > 1_000_000
+    drawn = count_draws(monkeypatch)
     field = sample_exp_field(13, 13, 1.0, RngSpec(3, "brute-cap"))
     with pytest.raises(ValueError, match="too many paths"):
         brute_force_table(field, (0, 0), (12, 12))
-    assert not field.drawn
+    assert drawn == []
     with pytest.raises(ValueError):
         brute_force_table(field, (2, 2), (1, 3))
 
@@ -195,22 +197,28 @@ def test_corner_fill_on_nested_views():
 
 def test_window_rows_of_an_undrawn_field_are_the_slice_rows(monkeypatch):
     # Windows wide and tall, inside the field and touching its edges, read
-    # forward and from the far corner: an undrawn field streams, in blocks
-    # of 7 rows, the rows the drawn field's slice gives, and stays undrawn.
+    # forward and from the far corner: a sampled field streams, in blocks
+    # of 7 rows, the rows a plain WeightField of the same values slices,
+    # and is never drawn whole, whether or not its values were read.
     monkeypatch.setattr(rng, "_ROW_BLOCK", 7)
     spec = RngSpec(108, "window-rows")
     field = sample_exp_field(40, 31, 1.0, spec, origin=(-30, -20))
-    drawn = sample_exp_field(40, 31, 1.0, spec, origin=(-30, -20))
-    drawn.values
+    read = sample_exp_field(40, 31, 1.0, spec, origin=(-30, -20))
+    plain = WeightField(read.origin, read.values)
+    drawn = count_draws(monkeypatch)
     for lo, hi in [((-30, -20), (9, 10)), ((-25, -18), (0, 0)), ((-12, -20), (3, -1)),
                    ((-30, -2), (9, 10)), ((0, 0), (0, 0))]:
         for reverse in (False, True):
-            got = _field_rows(field, lo, hi, reverse)
-            want = _field_rows(drawn, lo, hi, reverse)
-            assert got[0] == want[0]
-            assert np.array_equal(bits(np.concatenate([b.copy() for b in got[1]])),
-                                  bits(np.concatenate(list(want[1]))))
-            assert not field.drawn
+            want = _field_rows(plain, lo, hi, reverse)
+            want = want[0], bits(np.concatenate(list(want[1])))
+            assert drawn == []
+            for sampled in (field, read):
+                tall, blocks = _field_rows(sampled, lo, hi, reverse)
+                assert tall == want[0]
+                assert np.array_equal(bits(np.concatenate([b.copy() for b in blocks])),
+                                      want[1])
+                assert drawn and max(drawn) <= 7 * 31
+                drawn.clear()
 
 
 def test_row_fill_keeps_last_rows_fed_in_any_blocks():
@@ -379,6 +387,9 @@ def test_corner_fill_on_a_stack_of_sources(rows, cols, monkeypatch):
         assert len(corners) == len(sources)
         for corner, g in zip(corners, tables):
             assert np.array_equal(bits(corner), bits(corner_of(g, keep)))
+        # a single source is filled as a stack of one
+        assert np.array_equal(bits(corner_fill(sources[0], keep)),
+                              bits(corner_fill(sources[:1], keep)[0]))
     with pytest.raises(ValueError):
         corner_fill([sources[0], ExpFieldRows(rows + 1, cols, 1.0, spec)], 1)
     with pytest.raises(ValueError, match="empty stack"):

@@ -1,6 +1,7 @@
 """Determinism, keying, and coupling properties of the random streams."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,16 @@ def exp_from_uniform(u, mean):
     """The exponential with the given mean at uniforms u, on a float64 copy:
     the samplers' transform, for oracles that draw their own uniforms."""
     return rng._exp_in_place(np.array(u, dtype=np.float64), mean)
+
+
+def count_draws(monkeypatch):
+    """A list that gets the size of every draw made from here on, counted
+    at the samplers' one exponential transform."""
+    drawn = []
+    exp_in_place = rng._exp_in_place
+    monkeypatch.setattr(rng, "_exp_in_place",
+                        lambda u, mean: drawn.append(u.size) or exp_in_place(u, mean))
+    return drawn
 
 
 def test_same_spec_same_draws():
@@ -89,10 +100,11 @@ def test_monotone_coupling_between_means():
     np.testing.assert_allclose(large.values, 2.5 * small.values, rtol=1e-12)
 
 
-def test_repr_of_an_undrawn_field_does_not_draw():
+def test_repr_of_an_undrawn_field_does_not_draw(monkeypatch):
+    drawn = count_draws(monkeypatch)
     field = sample_exp_field(300, 400, 1.0, RngSpec(1), origin=(-299, -399))
     text = repr(field)
-    assert not field.drawn
+    assert drawn == []
     assert "origin=(-299, -399)" in text and "shape=(300, 400)" in text
     assert repr(field.source) in text
 
@@ -106,14 +118,14 @@ def test_field_rows_are_slices_of_the_whole_draw(rows, cols, block, monkeypatch)
     source = ExpFieldRows(rows, cols, 2.5, spec)
     assert source.shape == (rows, cols)
     start = 0
-    for part in source:
+    for part in source.blocks():
         assert part.shape == (min(block, rows - start), cols)
         assert np.array_equal(part, whole[start:start + len(part)])
         start += len(part)
     assert start == rows
     # A buffer of another length sets the rows per block.
     buf = np.empty((block + 2, cols))
-    parts = [part.copy() for part in source.blocks(buf)]
+    parts = [part.copy() for part in source.blocks(buf=buf)]
     assert [len(p) for p in parts] == [min(block + 2, rows - s)
                                        for s in range(0, rows, block + 2)]
     assert np.array_equal(np.concatenate(parts), whole)
@@ -129,18 +141,19 @@ def eager_exp_field(rows, cols, mean, spec, origin=(0, 0)):
     return WeightField(origin, rng._exp_in_place(spec.generator().random((rows, cols)), mean))
 
 
-def test_sampled_field_is_drawn_on_first_read_of_its_values():
+def test_sampled_field_is_drawn_on_first_read_of_its_values(monkeypatch):
     spec = RngSpec(22, "lazy")
+    drawn = count_draws(monkeypatch)
     field = sample_exp_field(9, 14, 2.5, spec, origin=(-8, -13))
-    assert isinstance(field, WeightField) and not field.drawn
+    assert isinstance(field, WeightField)
     # shape and index do not draw
     assert field.shape == (9, 14)
     assert field.index((0, 0)) == (8, 13)
     with pytest.raises(ValueError):
         field.index((1, 0))
-    assert not field.drawn
+    assert drawn == []
     values = field.values
-    assert field.drawn and field.values is values
+    assert field.values is values and drawn == [9 * 14]
     want = eager_exp_field(9, 14, 2.5, spec, origin=(-8, -13))
     assert np.array_equal(values.view(np.uint64), want.values.view(np.uint64))
     assert field.at((-3, -4)) == want.at((-3, -4))
@@ -157,7 +170,8 @@ def test_reversed_blocks_are_slices_of_the_whole_draw(rows, cols, block, monkeyp
     # odd block lengths), the last one is short unless block divides rows,
     # and a one-row field is one block.  A row range, read either way, is
     # the slice of the whole draw: forward from its first row's position,
-    # reversed from each block's own.
+    # reversed from each block's own, in blocks of _ROW_BLOCK rows or of
+    # a given buffer's length.
     monkeypatch.setattr(rng, "_ROW_BLOCK", block)
     spec = RngSpec(23, "reversed").sub(f"{rows}x{cols}")
     whole = eager_exp_field(rows, cols, 2.5, spec).values
@@ -166,13 +180,27 @@ def test_reversed_blocks_are_slices_of_the_whole_draw(rows, cols, block, monkeyp
                         (rows // 3, max(rows // 3 + 1, rows - rows // 4))}:
         for reverse in (True, False):
             want = whole[start:stop][::-1, ::-1] if reverse else whole[start:stop]
-            at = 0
-            for part in source._row_blocks(start, stop, reverse):
-                assert part.shape == (min(block, stop - start - at), cols)
-                assert np.array_equal(part.view(np.uint64),
-                                      want[at:at + len(part)].view(np.uint64))
-                at += len(part)
-            assert at == stop - start
+            for size in (None, block + 2):
+                buf = None if size is None else np.empty((size, cols))
+                step = min(block, stop - start) if size is None else size
+                at = 0
+                for part in source.blocks(start, stop, reverse, buf):
+                    assert part.shape == (min(step, stop - start - at), cols)
+                    assert np.array_equal(part.view(np.uint64),
+                                          want[at:at + len(part)].view(np.uint64))
+                    at += len(part)
+                assert at == stop - start
+
+
+def test_blocks_refuse_a_buffer_that_is_not_rows_of_the_field():
+    # a buffer must hold at least one whole row: a narrower or wider one
+    # would yield blocks that are not the field's rows
+    source = ExpFieldRows(10, 5, 1.0, RngSpec(24, "bad-buffer"))
+    for shape in ((4, 3), (4, 6), (0, 5), (5,), (2, 2, 5)):
+        for args in ({}, {"reverse": True}, {"start": 3}):
+            with pytest.raises(ValueError, match=re.escape(f"(k >= 1, 5); got {shape}")):
+                next(source.blocks(buf=np.empty(shape), **args))
+    assert len(next(source.blocks(buf=np.empty((1, 5))))) == 1
 
 
 def test_field_rows_validation():

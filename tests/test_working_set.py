@@ -26,22 +26,23 @@ held the burn-in (criterion 7 reads 24 MiB when every line is stacked
 first and then regrouped by fancy indexing).  Every corner reader
 fills through lpp.CornerFill, which holds two table rows and keeps one
 corner: an estimate keeps the (window + 1)-square corner whose edges it
-reads (about 0.04 MiB on a drawn 1501x1501 field, against 17 MiB for the
+reads (about 0.04 MiB on a plain 1501x1501 field, against 17 MiB for the
 full table), and a streamed field is held one 32-row block at a time:
 criterion 13 (a 1x1 corner) and one doubling-probe field of criterion 6
 peak near 0.4 MiB, against 34 MiB for a whole field and its table.  A
-field is read by the rule "drawn is read from memory, undrawn is
-streamed": a scale-3000 estimate on an undrawn 1501x1501 field draws its
-corner's rows a block at a time and leaves the field undrawn, 0.41 MiB
+field is read by lpp's rule, "a WeightField is sliced; a sampled field
+is streamed": a scale-3000 estimate on a sampled 1501x1501 field draws
+its corner's rows a block at a time and never the whole field, 0.41 MiB
 against 17.2 MiB when the estimate drew the field whole; a caller that
-wants many rho from one draw reads values once first, and is covered by
-the drawn-field bound above.  Criterion 9's interface walk draws the rows
-it reads 32 at a time from the bottom of its undrawn 1001x1001 field:
+wants many rho from one draw wraps the values in a WeightField, and is
+covered by the plain-field bound above.  Criterion 9's interface walk
+draws the rows it reads 32 at a time from the bottom of its sampled
+1001x1001 field:
 about 0.3 MiB a site, against 8 MiB when each site drew its whole field.
 A tall source or window is gathered a block at a time into its
 contiguous transpose, the rows lpp fills a tall field by: 2.84 MiB for
 one rho = 1.5 estimate at scale 1500, and 3.07 MiB for the same corner of
-an undrawn 1251x1251 shared field (bound 3.25 MiB for both), against
+a sampled 1251x1251 shared field (bound 3.25 MiB for both), against
 5.5 MiB when the whole field was drawn and then transposed.  Criterion 8 fills its run tables 16 at a
 time: one drawn block of the stack (1.6 MB) and each member's 107x107
 corner (1.5 MB) make 3.2 MiB for the 30 tables of the benchmark's call
@@ -59,7 +60,7 @@ import pytest
 
 from cgmlab.busemann import (estimate_busemann_level, estimate_nested_levels,
                              geodesic_initial_runs, rho_star_threshold)
-from cgmlab.rng import RngSpec, sample_exp_field
+from cgmlab.rng import RngSpec, WeightField, sample_exp_field
 from cgmlab.stats import ks_two_sample
 from cgmlab.verification import run_criterion
 from test_rng import exp_from_uniform
@@ -88,27 +89,28 @@ def test_ks_two_sample_peak_stays_bounded():
 
 
 def test_corner_estimates_hold_no_table():
-    big = sample_exp_field(1501, 1501, 1.0, RngSpec(6, "corner-peak"),
-                           origin=(-1500, -1500))
-    big.values  # drawn before tracing: the bound is on the estimate alone
+    # a plain field, drawn before tracing: the bound is on the estimate alone
+    big = WeightField((-1500, -1500), sample_exp_field(1501, 1501, 1.0,
+                                                       RngSpec(6, "corner-peak")).values)
     peak = traced_peak(lambda: estimate_busemann_level(2.0, 3000, field=big, window=30))
     assert peak < 2 ** 20
 
 
 def test_estimate_on_an_undrawn_field_streams_its_corner():
-    # drawn is read from memory, undrawn is streamed: one block of the
-    # field is held, and the field stays undrawn
+    # a sampled field is streamed: one block of it is held, never the
+    # 17.2 MiB of the whole field
     big = sample_exp_field(1501, 1501, 1.0, RngSpec(6, "corner-peak"),
                            origin=(-1500, -1500))
     peak = traced_peak(lambda: estimate_busemann_level(2.0, 3000, field=big, window=30))
-    assert peak < 2 ** 20 and not big.drawn
+    assert peak < 2 ** 20
 
 
 def test_tall_estimate_on_an_undrawn_field_holds_only_the_transpose():
     shared = sample_exp_field(1251, 1251, 1.0, RngSpec(6, "tall-shared-peak"),
                               origin=(-1250, -1250))
+    # the transpose, never the 11.9 MiB of the whole field
     peak = traced_peak(lambda: estimate_busemann_level(1.5, 1500, field=shared))
-    assert peak < 3.25 * 2 ** 20 and not shared.drawn
+    assert peak < 3.25 * 2 ** 20
 
 
 def test_interface_site_field_is_never_held_whole():
