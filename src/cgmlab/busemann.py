@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import ExpFieldRows, RngSpec, SeqWindow, WeightField, sample_exp_field
-from .lpp import (CornerFill, GeodesicPath, _corner_of, _field_rows, _prefix_sums, _row_step,
-                  corner_fill, walk_to_corner)
+from .lpp import (CornerFill, GeodesicPath, _field_rows, _prefix_sums, _row_step, corner_fill,
+                  walk_to_corner)
 from .queueing import lindley_iterate
 from .exact import initial_run_pmf
 
@@ -132,59 +132,58 @@ def estimate_busemann_level(rho: float, n: int, spec: RngSpec | None = None,
                             window: int | None = None) -> BusemannEdgeEstimates:
     """Estimate limit increments at parameter rho from a corner table at scale n.
 
-    With a shared field (covering [-m1, 0] x [-m2, 0]), estimates at
-    different rho use nested corners of the same weights, which keeps the
-    rho-monotonicity of the increments exact.  Without one, a fresh field
-    of exactly the needed size is drawn from spec; a field and a spec
-    together are refused.  The window defaults to about two percent of
-    the short side, small enough that direction drift along the boundary
-    stays below a percent.
-
-    The corner's rows come from lpp's window reader and feed one
-    lpp.CornerFill, which holds two rows and keeps the (window + 1)-square
-    corner at the origin, both edges of which the estimates read.  A
-    sampled field (a fresh one too) is streamed, never drawn whole; see
-    lpp.  To get many rho from one draw, wrap the shared field's values in
-    a WeightField.
+    The table is over the corner [-m1, 0] x [-m2, 0] of a shared field, or
+    of a fresh field of exactly that size drawn from spec; a field and a
+    spec together are refused.  The window defaults to about two percent
+    of the short side, small enough that direction drift along the
+    boundary stays below a percent.  This is the one-corner case of
+    estimate_nested_levels, which gets many (rho, n) from one draw.
     """
     if (field is None) == (spec is None):
         raise ValueError("need either a field or a spec, not both")
-    m1, m2 = scaled_corner(rho, n)
-    w = _window(m1, m2, window)
+    return _corner_estimates([(rho, n)], spec, field, window)[0]
+
+
+def estimate_nested_levels(corners: list[tuple[float, int]], spec: RngSpec,
+                           window: int) -> list[BusemannEdgeEstimates]:
+    """estimate_busemann_level(rho, n, field=F, window=window) for each
+    (rho, n) in corners, bit for bit, on one field F drawn from spec over
+    their bounding rectangle, without ever holding F.  Corners at several
+    rho on one F keep the rho-monotonicity of the increments exact.
+    """
+    return _corner_estimates(corners, spec, None, window)
+
+
+def _corner_estimates(corners, spec: RngSpec | None, field: WeightField | None,
+                      window: int | None) -> list[BusemannEdgeEstimates]:
+    """The estimates at each (rho, n) in corners from one read, through
+    lpp's window reader, of their bounding rectangle in field (or in a
+    fresh field of its size drawn from spec), from its far corner to the
+    origin.  Each block of rows feeds one lpp.CornerFill per corner the
+    part that lies in it, a top-right rectangle of the block.  A tall
+    window is read as its transpose, so it may hold only its own corner;
+    a tall corner among others, filled by rows, would not be lpp_grid's.
+    """
+    if not corners:
+        raise ValueError("corners must name at least one (rho, n); got no corners")
+    sizes = [scaled_corner(rho, n) for rho, n in corners]
+    keeps = [_window(k1, k2, window) + 1 for k1, k2 in sizes]
+    if len(sizes) > 1 and any(k1 > k2 for k1, k2 in sizes):
+        raise ValueError("several corners are streamed only when none is tall")
+    m1, m2 = max(k1 for k1, _ in sizes), max(k2 for _, k2 in sizes)
     if field is None:
         field = sample_exp_field(m1 + 1, m2 + 1, 1.0, spec, origin=(-m1, -m2))
-    g = _corner_of((m1 + 1, m2 + 1), *_field_rows(field, (-m1, -m2), (0, 0)), w + 1)
-    return _edge_estimates(rho, n, (m1, m2), g)
-
-
-def estimate_nested_levels(rho: float, scales, spec: RngSpec,
-                           window: int) -> list[BusemannEdgeEstimates]:
-    """estimate_busemann_level(rho, n, field=F, window=window) for each n
-    in scales, on one field F drawn from spec at the largest scale's
-    corner, bit for bit, without ever holding F.
-
-    F's rows are drawn a block at a time by ExpFieldRows.blocks, and each
-    block feeds one lpp.CornerFill per scale, which takes the part of it
-    that lies in that scale's nested corner, the top-right rectangle of F,
-    and keeps its (window + 1)-square corner at the origin.  The corners
-    must not be tall, since CornerFill fills rows as given.
-    """
-    if not scales:
-        raise ValueError("scales must name at least one scale; got no scales")
-    corners = [scaled_corner(rho, n) for n in scales]
-    m1, m2 = max(corners)
-    if m1 > m2:
-        raise ValueError("nested corners are streamed only when not tall")
-    fills = [CornerFill(k1 + 1, k2 + 1, _window(k1, k2, window) + 1)
-             for k1, k2 in corners]
+    tall, blocks = _field_rows(field, (-m1, -m2))
+    # A tall window's one corner is filled over the window's transpose.
+    fills = [CornerFill(*((k2 + 1, k1 + 1) if tall else (k1 + 1, k2 + 1)), keep)
+             for (k1, k2), keep in zip(sizes, keeps)]
     start = 0
-    for block in ExpFieldRows(m1 + 1, m2 + 1, 1.0, spec).blocks():
-        for (k1, k2), fill in zip(corners, fills):
-            skip = max(0, m1 - k1 - start)
-            fill.feed(block[skip:, m2 - k2:])
+    for block in blocks:
+        for (k1, k2), fill in zip(sizes, fills):
+            fill.feed(block[max(0, m1 - k1 - start):, m2 - k2:])
         start += len(block)
-    return [_edge_estimates(rho, n, corner, fill.corner)
-            for n, corner, fill in zip(scales, corners, fills)]
+    return [_edge_estimates(rho, n, corner, fill.corner.T if tall else fill.corner)
+            for (rho, n), corner, fill in zip(corners, sizes, fills)]
 
 
 def coalescence_point(path1: GeodesicPath, path2: GeodesicPath):
@@ -247,7 +246,7 @@ def competition_interface(weights: WeightField) -> np.ndarray:
     # row p + 1 is taken from the row source and filled when the walk moves
     # onto row p.  After k steps p + q = k, so row p is read no further
     # than index steps - p.
-    tall, blocks = _field_rows(weights, weights.origin, (0, 0), reverse=True)
+    tall, blocks = _field_rows(weights, weights.origin, reverse=True)
     rows = (row for block in blocks for row in block)
     here, ahead, scratch = np.empty((3, steps + 1))
     _prefix_sums(next(rows)[:steps + 1], here)

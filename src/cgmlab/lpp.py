@@ -12,31 +12,24 @@ there.
 CornerFill is the one stepper: it runs the row step over the rows of a
 table in order, holding two rows at a time and keeping one corner
 G[-r:, -c:] of the table, bit for bit, without holding the rest.
-corner_fill is its driver over a field; busemann's nested probe and
+corner_fill is its driver over a field; busemann's corner estimates and
 stationary_halfplane_lpp step it themselves.  Readers of the table read one
 corner of it (the Busemann edge estimates, walks that start near the far
 corner, the corner value itself), and lpp_grid is the case that keeps
 all of it.  corner_fill takes its rows from _fill_rows (a field's values,
 a strided view, an ExpFieldRows source or a stack of sources), and a
-reader of a window of a field from _field_rows.  Both return through one
-function, _oriented, which alone decides the fill orientation: a tall
-field (more rows than columns) is filled by the rows of its contiguous
-transpose, because the row step is not bit-for-bit transpose-symmetric,
-and its blocks are gathered into that transpose a block at a time.
+reader of a window of a field, the rectangle from a lattice point to the
+origin, from _field_rows.  Both return through one function, _oriented,
+which alone decides the fill orientation: a tall field (more rows than
+columns) is filled by the rows of its contiguous transpose, because the
+row step is not bit-for-bit transpose-symmetric, and its blocks are
+gathered into that transpose a block at a time.
 
-A window of a field, the rectangle between two lattice points, is read
-forward or reversed along both axes (the fill from the window's far
-corner, as the competition interface makes), by one rule: "a WeightField
-is sliced; a sampled field is streamed".  A field from
-rng.sample_exp_field is never drawn by the reader, whether or not its
-values were read: the window's rows are drawn from its source in 32-row
-blocks, from the first row's own stream position (each block at its own
-when reversed), cut to the window's columns and stopped at its last row,
-bit for bit the slice's rows.  A Busemann estimate on a 1501x1501 sampled
-field so holds one block, about 0.4 MiB, where reading values draws
-17.2 MiB, and each reading draws its window again; a caller that reads
-one field many times (estimates at many rho, say) wraps its values in a
-WeightField once and reads that.
+_field_rows reads a window forward, or reversed along both axes for a
+table rooted at the origin (the competition interface).  A WeightField is
+sliced; a field from rng.sample_exp_field is streamed in 32-row blocks and
+never drawn whole, so a Busemann estimate on a 1501x1501 sampled field
+holds about 0.4 MiB where reading its values draws 17.2 MiB.
 
 One row step, _row_step, fills every row of every max-plus recursion in
 the package, one table's row or the rows of a stack of K tables of one
@@ -273,20 +266,19 @@ def _fill_rows(weights):
                      (buf[:, :len(members[0])].swapaxes(0, 1) for members in drawn))
 
 
-def _field_rows(field: WeightField, lo: tuple[int, int], hi: tuple[int, int],
-                reverse: bool = False):
+def _field_rows(field: WeightField, lo: tuple[int, int], reverse: bool = False):
     """(tall, blocks) of _oriented for v, the field's values on the lattice
-    rectangle from lo to hi, both included, or v[::-1, ::-1] when reverse
-    (the fill from the window's far corner): the one reader of a window of
-    a field.
+    rectangle from lo to the origin, both included, or v[::-1, ::-1] when
+    reverse (the fill from the origin): the one reader of a window of a
+    field.
 
     A WeightField is sliced.  A SampledField is streamed and never drawn:
     the window's rows come from its source's blocks, from the window's
     first row's own stream position (bottom-up, each block at its own, when
-    reverse), cut to the window's columns and stopped at its last row.
+    reverse), cut to the window's columns and stopped at the origin's row.
     Either way the rows are bit for bit those of the slice.
     """
-    (i0, j0), (i1, j1) = field.index(lo), field.index(hi)
+    (i0, j0), (i1, j1) = field.index(lo), field.index((0, 0))
     shape = (i1 + 1 - i0, j1 + 1 - j0)
     if not isinstance(field, SampledField):
         v = field.values[i0:i1 + 1, j0:j1 + 1]
@@ -295,22 +287,6 @@ def _field_rows(field: WeightField, lo: tuple[int, int], hi: tuple[int, int],
     cut = slice(width - 1 - j1, width - j0) if reverse else slice(j0, j1 + 1)
     return _oriented(shape, (block[:, cut]
                              for block in field.source.blocks(i0, i1 + 1, reverse)))
-
-
-def _corner_of(shape: tuple[int, int], tall: bool, blocks,
-               keep: int | tuple[int, int], members: int = 0) -> np.ndarray:
-    """The corner G[-r:, -c:], keep = r = c or (r, c), of the table over
-    the (tall, blocks) of a row source for a rows x cols field, shape =
-    (rows, cols), or of each of a stack of members tables, (K, r, c)."""
-    rows, cols = shape
-    r, c = keep if isinstance(keep, tuple) else (keep, keep)
-    if tall:
-        rows, cols, r, c = cols, rows, c, r
-    fill = CornerFill(rows, (members, cols) if members else cols, (r, c))
-    for block in blocks:
-        fill.feed(block)
-    corner = fill.corner.swapaxes(0, 1) if members else fill.corner
-    return corner.swapaxes(-1, -2) if tall else corner
 
 
 def corner_fill(weights: np.ndarray | ExpFieldRows | list[ExpFieldRows],
@@ -326,8 +302,15 @@ def corner_fill(weights: np.ndarray | ExpFieldRows | list[ExpFieldRows],
     """
     tall, blocks = _fill_rows(weights)
     stack = isinstance(weights, list)
-    return _corner_of(weights[0].shape if stack else weights.shape, tall, blocks, keep,
-                      len(weights) if stack else 0)
+    rows, cols = weights[0].shape if stack else weights.shape
+    r, c = keep if isinstance(keep, tuple) else (keep, keep)
+    if tall:
+        rows, cols, r, c = cols, rows, c, r
+    fill = CornerFill(rows, (len(weights), cols) if stack else cols, (r, c))
+    for block in blocks:
+        fill.feed(block)
+    corner = fill.corner.swapaxes(0, 1) if stack else fill.corner
+    return corner.swapaxes(-1, -2) if tall else corner
 
 
 def lpp_grid(weights: WeightField) -> GTable:

@@ -213,7 +213,8 @@ class ExpFieldRows:
         draw, each block drawn only when asked for, into the leading rows of
         buf: a C-contiguous (k >= 1, cols) array, k rows per block and the
         last possibly shorter (a new _ROW_BLOCK-row one when None).  A buffer
-        of any other shape is refused with ValueError.
+        of any other shape, or a range outside 0 <= start < stop <= rows, is
+        refused with ValueError.
 
         Forward blocks are drawn in order from start's own stream position
         on, with no repositioning when start is 0.  When reverse, they are
@@ -224,6 +225,8 @@ class ExpFieldRows:
         a block before asking for the next one.
         """
         stop = self.rows if stop is None else stop
+        if not 0 <= start < stop <= self.rows:
+            raise ValueError(f"rows {start} .. {stop} are not a range of {self.rows} rows")
         if buf is None:
             buf = np.empty((min(_ROW_BLOCK, stop - start), self.cols))
         if buf.ndim != 2 or len(buf) < 1 or buf.shape[1] != self.cols:

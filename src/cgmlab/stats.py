@@ -141,12 +141,13 @@ def ks_two_sample(a, b, name: str, seed: int, claim: str = "") -> TestReport:
     if min(n, m) < KS_MIN_N:
         raise ValueError(f"KS test needs at least {KS_MIN_N} points per sample")
     # Both samples sorted in one buffer; a stable sort of two sorted runs
-    # is a single linear merge (numpy's timsort finds the runs).
+    # is a single linear merge (numpy's timsort finds the runs), and the
+    # merge's order then gathers the sorted values.
     merged = np.concatenate([a, b])
     merged[:n].sort()
     merged[n:].sort()
     order = merged.argsort(kind="stable")
-    merged.sort(kind="stable")
+    np.take(merged, order, out=merged)
     # the last member of each tie group
     last = np.empty(n + m, dtype=bool)
     np.not_equal(merged[1:], merged[:-1], out=last[:-1])

@@ -274,8 +274,8 @@ def criterion_6(seed: int) -> CriterionResult:
     # time, together with its nested 751x751 corner when that is read.
     h15, v15, h30, v30 = [], [], [], []
     for r in range(268):
-        e30, *e15 = estimate_nested_levels(2.0, (3000, 1500) if r < 67 else (3000,),
-                                           spec.sub(f"probe{r}"), window=30)
+        corners = [(2.0, 3000), (2.0, 1500)] if r < 67 else [(2.0, 3000)]
+        e30, *e15 = estimate_nested_levels(corners, spec.sub(f"probe{r}"), window=30)
         h30.append(e30.horizontal)
         v30.append(e30.vertical)
         for e in e15:

@@ -157,7 +157,7 @@ def test_nested_levels_equal_shared_field_estimates(monkeypatch):
         field = sample_exp_field(m1 + 1, m2 + 1, 1.0, spec.sub(f"{rho}"),
                                  origin=(-m1, -m2))
         drawn.clear()
-        got = estimate_nested_levels(rho, scales, spec.sub(f"{rho}"), window=6)
+        got = estimate_nested_levels([(rho, n) for n in scales], spec.sub(f"{rho}"), window=6)
         assert len(got) == len(scales)
         streamed = []
         for n, est in zip(scales, got):
@@ -171,11 +171,38 @@ def test_nested_levels_equal_shared_field_estimates(monkeypatch):
             assert same_estimates(est, estimate_busemann_level(rho, n, field=plain, window=6))
     assert residues == {0, 1, 2, 3}
     with pytest.raises(ValueError):
-        estimate_nested_levels(1.5, (300,), spec, window=6)
-    with pytest.raises(ValueError):
-        estimate_nested_levels(2.0, (300, 10), spec, window=6)
-    with pytest.raises(ValueError, match="no scales"):
-        estimate_nested_levels(2.0, [], spec, window=6)
+        estimate_nested_levels([(2.0, 300), (2.0, 10)], spec, window=6)
+
+
+def test_nested_corners_at_two_rho_equal_the_full_fills(monkeypatch):
+    # Corners at two rho on one field: their bounding rectangle is read
+    # once, a block at a time, and each estimate is bit for bit the field=
+    # estimate on the drawn values and the full fill of its slice.
+    spec = RngSpec(45, "two-rho")
+    corners = [(2.0, 600), (3.0, 500)]
+    sizes = [scaled_corner(rho, n) for rho, n in corners]
+    m1, m2 = max(k1 for k1, _ in sizes), max(k2 for _, k2 in sizes)
+    assert sizes[0] != (m1, m2) != sizes[1]
+    drawn = count_draws(monkeypatch)
+    got = estimate_nested_levels(corners, spec, window=6)
+    assert max(drawn) <= 32 * (m2 + 1) and sum(drawn) == (m1 + 1) * (m2 + 1)
+    plain = WeightField((-m1, -m2), sample_exp_field(m1 + 1, m2 + 1, 1.0, spec).values)
+    for (rho, n), (k1, k2), est in zip(corners, sizes, got):
+        assert (est.rho, est.n, est.corner) == (rho, n, (k1, k2))
+        assert same_estimates(est, estimate_busemann_level(rho, n, field=plain, window=6))
+        table = lpp_grid(WeightField((-k1, -k2), plain.values[m1 - k1:, m2 - k2:]))
+        assert same_estimates(est, table_estimates(rho, n, table, 6))
+    # one tall corner is read as its transpose, the full fill's rows
+    (tall,) = estimate_nested_levels([(1.5, 300)], spec, window=6)
+    table, _ = corner_table(1.5, 300, spec)
+    assert tall.corner[0] > tall.corner[1]
+    assert same_estimates(tall, table_estimates(1.5, 300, table, 6))
+    with pytest.raises(ValueError, match="no corners"):
+        estimate_nested_levels([], spec, window=6)
+    # several corners with a tall one, on a tall bounding rectangle or not
+    for refused in ([(1.5, 300), (1.5, 200)], [(1.5, 300), (4.0, 600)]):
+        with pytest.raises(ValueError, match="tall"):
+            estimate_nested_levels(refused, spec, window=6)
 
 
 def test_recovery_residual_vanishes():

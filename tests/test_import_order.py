@@ -152,9 +152,18 @@ def test_one_row_source_draws_the_positioned_blocks():
     assert callers({"blocks"}, positioned) == {"lpp._field_rows"}
 
 
+def test_every_corner_estimate_is_one_nested_corner_pass():
+    # busemann feeds CornerFills in one loop, which both corner estimates
+    # call; lpp's own feeds are corner_fill and the half-plane levels
+    assert callers({"feed"}) == {"lpp.corner_fill", "lpp.stationary_halfplane_lpp",
+                                 "busemann._corner_estimates"}
+    assert callers({"_corner_estimates"}) == {"busemann.estimate_busemann_level",
+                                              "busemann.estimate_nested_levels"}
+
+
 def test_busemann_imports_no_fill_rows():
-    # the nested probe reads its field's blocks from rng itself, and the
-    # estimates read a window through lpp's window reader, not _fill_rows
+    # the corner estimates and the interface read a window through lpp's
+    # window reader, not _fill_rows
     tree = ast.parse((Path(cgmlab.__file__).parent / "busemann.py").read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}

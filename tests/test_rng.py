@@ -203,6 +203,17 @@ def test_blocks_refuse_a_buffer_that_is_not_rows_of_the_field():
     assert len(next(source.blocks(buf=np.empty((1, 5))))) == 1
 
 
+def test_blocks_refuse_a_row_range_outside_the_field():
+    # a range past the last row, backward or below row 0 is refused, not
+    # drawn past the field or failed inside the buffer's allocation
+    source = ExpFieldRows(10, 5, 1.0, RngSpec(24, "bad-range"))
+    for start, stop in ((0, 20), (5, 3), (-1, 3), (4, 4)):
+        for reverse in (False, True):
+            with pytest.raises(ValueError, match=f"rows {start} .. {stop} are not a range"):
+                next(source.blocks(start, stop, reverse))
+    assert sum(map(len, source.blocks(9, 10))) == 1
+
+
 def test_field_rows_validation():
     for args in ((0, 4, 1.0), (4, 0, 1.0), (4, 4, 0.0), (4, 4, math.inf),
                  (4, 4, math.nan)):

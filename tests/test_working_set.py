@@ -19,23 +19,20 @@ the departure map one line at a time and stack the folded lines once.  The
 fold runs a block of 2^18 slots at a time through one output and one
 block buffer; sample_mu_rho folds each line over its own draw and stacks
 its lines already trimmed, and criterion 4 keeps only the stacked copy of
-its drawn lines: about 10.5, 14.0 and 14.4 MiB, against 13.4, 15.3 and
-20.0 MiB when criterion 4 kept its lines beside their stack, each stage
-held whole-window outputs, the folded lines were new arrays and the stack
-held the burn-in (criterion 7 reads 24 MiB when every line is stacked
-first and then regrouped by fancy indexing).  Every corner reader
+its drawn lines: about 9.9, 13.4 and 14.4 MiB (bounds 12, 15 and 16),
+against 13.4, 15.3 and 20.0 MiB when criterion 4 kept its lines beside
+their stack, each stage held whole-window outputs, the folded lines were
+new arrays and the stack held the burn-in (criterion 7 reads 24 MiB when
+every line is stacked first and then regrouped by fancy indexing).  Every corner reader
 fills through lpp.CornerFill, which holds two table rows and keeps one
 corner: an estimate keeps the (window + 1)-square corner whose edges it
 reads (about 0.04 MiB on a plain 1501x1501 field, against 17 MiB for the
 full table), and a streamed field is held one 32-row block at a time:
 criterion 13 (a 1x1 corner) and one doubling-probe field of criterion 6
 peak near 0.4 MiB, against 34 MiB for a whole field and its table.  A
-field is read by lpp's rule, "a WeightField is sliced; a sampled field
-is streamed": a scale-3000 estimate on a sampled 1501x1501 field draws
-its corner's rows a block at a time and never the whole field, 0.41 MiB
-against 17.2 MiB when the estimate drew the field whole; a caller that
-wants many rho from one draw wraps the values in a WeightField, and is
-covered by the plain-field bound above.  Criterion 9's interface walk
+scale-3000 estimate on a sampled 1501x1501 field draws its corner's rows
+a block at a time and never the whole field, 0.41 MiB against 17.2 MiB
+when the estimate drew the field whole.  Criterion 9's interface walk
 draws the rows it reads 32 at a time from the bottom of its sampled
 1001x1001 field:
 about 0.3 MiB a site, against 8 MiB when each site drew its whole field.
@@ -76,7 +73,7 @@ def traced_peak(call, *args):
 
 
 @pytest.mark.parametrize("index, bound_mib", [(10, 5), (11, 34), (2, 17), (3, 10),
-                                              (13, 2), (4, 16), (5, 17), (7, 16)])
+                                              (13, 2), (4, 12), (5, 15), (7, 16)])
 def test_criterion_peak_stays_bounded(index, bound_mib):
     assert traced_peak(run_criterion, index) < bound_mib * 2 ** 20
 
@@ -121,7 +118,7 @@ def test_interface_site_field_is_never_held_whole():
 
 
 def test_doubling_probe_field_is_never_held_whole():
-    assert traced_peak(estimate_nested_levels, 2.0, (3000, 1500),
+    assert traced_peak(estimate_nested_levels, [(2.0, 3000), (2.0, 1500)],
                        RngSpec(6, "probe-peak"), 30) < 2 ** 20
 
 
